@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable, Iterator
 
-from .enrichment import Enrichment
+from .enrichment import Enrichment, parse_ip
 from .errors import ParseError
 from .normality import NormalSet, PairCache, PathVerdict, classify
 from .world import WorldModel
@@ -70,8 +70,20 @@ class PathClassification:
     as_count: int
 
 
+def _check_ip(ip, where: str, source: str, line_no: int) -> str:
+    try:
+        parse_ip(ip)
+    except (TypeError, ValueError):
+        raise ParseError(source, line_no, f"{where}: bad ip {ip!r}") from None
+    return ip
+
+
 def parse_traceroute_line(line: str, source: str = "<line>", line_no: int = 1) -> TracerouteRecord:
-    """One JSON object per line: src_ip, dst_ip, timestamp, hops [{ttl, ip|null}]."""
+    """One JSON object per line: src_ip, dst_ip, timestamp, hops [{ttl, ip|null}].
+
+    Every address must parse as IPv4 or IPv6, and ttl and timestamp must be
+    numbers, not booleans; anything else is a ParseError naming the line.
+    """
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as e:
@@ -81,26 +93,34 @@ def parse_traceroute_line(line: str, source: str = "<line>", line_no: int = 1) -
     for key in ("src_ip", "dst_ip", "timestamp", "hops"):
         if key not in doc:
             raise ParseError(source, line_no, f"missing field {key!r}")
+    src_ip = _check_ip(doc["src_ip"], "src_ip", source, line_no)
+    dst_ip = _check_ip(doc["dst_ip"], "dst_ip", source, line_no)
+    if not isinstance(doc["hops"], list):
+        raise ParseError(source, line_no, "hops must be a list")
     hops = []
     last_ttl = None
     for i, h in enumerate(doc["hops"]):
         if not isinstance(h, dict) or "ttl" not in h:
             raise ParseError(source, line_no, f"hop {i}: expected an object with a ttl")
         ttl = h["ttl"]
-        if not isinstance(ttl, int):
+        if not isinstance(ttl, int) or isinstance(ttl, bool):
             raise ParseError(source, line_no, f"hop {i}: non-integer ttl {ttl!r}")
         if last_ttl is not None and ttl <= last_ttl:
             raise ParseError(source, line_no, f"hop {i}: ttl {ttl} not strictly increasing")
         last_ttl = ttl
         ip = h.get("ip")
-        if ip is not None and not isinstance(ip, str):
-            raise ParseError(source, line_no, f"hop {i}: ip must be a string or null")
+        if ip is not None:
+            if not isinstance(ip, str):
+                raise ParseError(source, line_no, f"hop {i}: ip must be a string or null")
+            _check_ip(ip, f"hop {i}", source, line_no)
         hops.append(Hop(ttl=ttl, ip=ip))
+    if isinstance(doc["timestamp"], bool):
+        raise ParseError(source, line_no, f"non-numeric timestamp {doc['timestamp']!r}")
     try:
         timestamp = float(doc["timestamp"])
     except (TypeError, ValueError):
         raise ParseError(source, line_no, f"non-numeric timestamp {doc['timestamp']!r}") from None
-    return TracerouteRecord(src_ip=str(doc["src_ip"]), dst_ip=str(doc["dst_ip"]), timestamp=timestamp, hops=tuple(hops))
+    return TracerouteRecord(src_ip=src_ip, dst_ip=dst_ip, timestamp=timestamp, hops=tuple(hops))
 
 
 def read_traceroutes(path) -> Iterator[TracerouteRecord]:

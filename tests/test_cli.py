@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from geonorm.cli import main
 
-from conftest import PIPELINE12, SMALLWORLD, WORLD_DATA, table_args, world_args
+from conftest import PIPELINE12, REPO, SMALLWORLD, WORLD_DATA, table_args, world_args
 
 
 def run(capsys, *argv):
@@ -145,6 +148,24 @@ class TestAnalyze:
         )
         assert code == 1
         assert not (out_dir / "report.json").exists()
+
+    def test_malformed_address_is_located_error(self, tmp_path):
+        # a fresh process, so stderr shows whether a traceback escaped
+        out_dir = tmp_path / "out"
+        bad = tmp_path / "bad.ndjson"
+        hops = [{"ttl": 1, "ip": "20.1.0.5"}, {"ttl": 2, "ip": "not-an-ip"}]
+        bad.write_text(GOOD_LINE + "\n" + json.dumps({**json.loads(GOOD_LINE), "hops": hops}) + "\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "geonorm.cli", "analyze", *world_args(), *table_args(),
+             "--traceroutes", str(bad), "--output-dir", str(out_dir)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "bad.ndjson:2: hop 1: bad ip 'not-an-ip'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
     def test_empty_traceroute_file(self, capsys, tmp_path):
         empty = tmp_path / "empty.ndjson"

@@ -8,10 +8,12 @@ from geonorm.enrichment import (
     ASRegistry,
     Enrichment,
     PrefixTable,
+    is_special,
     load_as_registry,
     load_geo_table,
     load_origin_table,
     lpm_lookup,
+    parse_ip,
     resolve_hop,
 )
 from geonorm.errors import ConflictError, ParseError
@@ -223,3 +225,120 @@ class TestEnrichmentBundle:
         assert enr.resolve("20.1.0.9", timestamp=150).asn == 222
         assert enr.resolve("20.1.0.9", timestamp=5000).asn == 999
         assert enr.resolve("20.1.0.9").asn == 999
+
+
+def stdlib_special(addr) -> bool:
+    return (
+        addr.is_private
+        or addr.is_loopback
+        or addr.is_link_local
+        or addr.is_multicast
+        or addr.is_reserved
+        or addr.is_unspecified
+    )
+
+
+def stdlib_special_networks():
+    """Every network behind ipaddress's special-address predicates, exceptions included."""
+    nets = []
+    for cls in (ipaddress.IPv4Address, ipaddress.IPv6Address):
+        for value in vars(cls._constants).values():
+            if isinstance(value, (ipaddress.IPv4Network, ipaddress.IPv6Network)):
+                nets.append(value)
+            elif isinstance(value, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
+                nets.append(ipaddress.ip_network(value))
+            elif isinstance(value, (list, tuple)):
+                nets.extend(value)
+    return nets
+
+
+@st.composite
+def address_in_special_network(draw):
+    net = draw(st.sampled_from(stdlib_special_networks()))
+    offset = draw(st.integers(0, net.num_addresses - 1))
+    return net.network_address + offset
+
+
+class TestSpecialRanges:
+    """The one-probe special-range check against ipaddress's own predicates."""
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_ipv4(self, value):
+        addr = ipaddress.IPv4Address(value)
+        assert is_special(4, value) == stdlib_special(addr)
+
+    @given(st.integers(0, 2**128 - 1) | st.integers(0, 2**64 - 1) | st.integers(0, 2**32 - 1))
+    def test_random_ipv6(self, value):
+        addr = ipaddress.IPv6Address(value)
+        assert is_special(6, value) == stdlib_special(addr)
+
+    @given(address_in_special_network())
+    def test_inside_every_stdlib_special_network(self, addr):
+        assert is_special(addr.version, int(addr)) == stdlib_special(addr)
+
+    @pytest.mark.parametrize("net", stdlib_special_networks(), ids=str)
+    def test_network_edges(self, net):
+        first, last = int(net.network_address), int(net.broadcast_address)
+        for value in (first - 1, first, last, last + 1):
+            if 0 <= value < 2 ** net.max_prefixlen:
+                addr = ipaddress.IPv4Address(value) if net.version == 4 else ipaddress.IPv6Address(value)
+                assert is_special(net.version, value) == stdlib_special(addr), addr
+
+
+def stdlib_parse(text):
+    try:
+        addr = ipaddress.ip_address(text)
+    except ValueError as e:
+        return "rejected", str(e)
+    return addr.version, int(addr)
+
+
+def our_parse(text):
+    try:
+        return parse_ip(text)
+    except ValueError as e:
+        return "rejected", str(e)
+
+
+class TestParseIp:
+    """parse_ip accepts, rejects and reports exactly as ipaddress.ip_address does."""
+
+    @pytest.mark.parametrize("text", [
+        "1.2.3.4", "0.0.0.0", "255.255.255.255", "256.1.1.1", "1.2.3", "1.2.3.4.5", "1..3.4", "",
+        "01.2.3.4", "1.2.3.04", "1.2.3.00", "0x1.2.3.4", "+1.2.3.4", "1.2.3.-4", "1.2.3.4/32",
+        " 1.2.3.4", "1.2.3.4 ", "1.2.3.4\n", "\t1.2.3.4", "1.2. 3.4",
+        "\u0661.\u0662.\u0663.\u0664", "1.2.3.\uff14", "\u00b9.2.3.4", "1.2.3.4\x00", "\ud800",
+        "2001:db8::1", "2001:DB8::1", "2001:0db8:0000:0000:0000:0000:0000:0001", "::", "::1", "1::",
+        "1:2:3:4:5:6:7:8", "1:2:3:4:5:6:7:8:9", "1:2:3:4:5:6:7::", "::2:3:4:5:6:7:8", "1::2:3:4:5:6:7",
+        "1::2::3", ":1::", "1:::2", ":", ":::", "12345::", "g::1", "::ffff:1.2.3.4", "::FFFF:1.2.3.4",
+        "::1.2.3.4", "::ffff:01.2.3.4", "::ffff:1.2.3", "2001:db8::1.2.3.4", "1:2:3:4:5:6:1.2.3.4",
+        "1:2:3:4:5:6:7:1.2.3.4", "1.2.3.4::", "fe80::1%eth0", "fe80::1%1", "fe80::1%", "fe80::1%a%b",
+        "FE80::1%ETH0", " ::1", "::1 ", "\uff12001:db8::1", "2001:db8::\u0661",
+    ])
+    def test_agrees_with_stdlib(self, text):
+        assert our_parse(text) == stdlib_parse(text)
+
+    @given(st.text(alphabet="0123456789abcdefABCDEFx:.% \u0661\uff11", max_size=45))
+    def test_agrees_on_random_text(self, text):
+        assert our_parse(text) == stdlib_parse(text)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_every_ipv4_spelling(self, value):
+        assert parse_ip(str(ipaddress.IPv4Address(value))) == (4, value)
+
+    @given(st.integers(0, 2**128 - 1) | st.integers(0, 2**48 - 1))
+    def test_ipv6_spellings(self, value):
+        addr = ipaddress.IPv6Address(value)
+        spellings = [str(addr), addr.exploded, addr.exploded.upper(), str(addr).upper()]
+        if value >> 32 in (0, 0xFFFF):
+            spellings.append(("::ffff:" if value >> 32 else "::") + str(ipaddress.IPv4Address(value & 0xFFFFFFFF)))
+        for text in spellings:
+            assert our_parse(text) == stdlib_parse(text) == (6, value), text
+
+    def test_lookup_accepts_objects_and_strings(self):
+        t = table(("2001:db8::/32", "DE"), ("1.2.0.0/16", "US"))
+        assert t.lookup(ipaddress.ip_address("2001:db8::5")) == t.lookup("2001:DB8::5") == "DE"
+        assert t.lookup(ipaddress.ip_address("1.2.3.4")) == t.lookup("1.2.3.4") == "US"
+        assert t.lookup("fe80::1%eth0") is None
+        with pytest.raises(ValueError, match="does not appear to be an IPv4 or IPv6 address"):
+            t.lookup("not-an-ip")

@@ -60,6 +60,45 @@ class TestParsing:
             list(read_traceroutes(path))
         assert exc.value.line_no == 2
 
+    @pytest.mark.parametrize("ttl", [True, False])
+    def test_boolean_ttl_rejected(self, ttl):
+        doc = {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "timestamp": 0, "hops": [{"ttl": ttl, "ip": "3.3.3.3"}]}
+        with pytest.raises(ParseError, match="hop 0: non-integer ttl"):
+            parse_traceroute_line(json.dumps(doc), source="t.ndjson", line_no=4)
+
+    @pytest.mark.parametrize("timestamp", [True, False])
+    def test_boolean_timestamp_rejected(self, timestamp):
+        doc = {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "timestamp": timestamp, "hops": []}
+        with pytest.raises(ParseError, match="t.ndjson:4: non-numeric timestamp"):
+            parse_traceroute_line(json.dumps(doc), source="t.ndjson", line_no=4)
+
+    @pytest.mark.parametrize("field, doc", [
+        ("src_ip", {"src_ip": "not-an-ip", "dst_ip": "2.2.2.2", "hops": []}),
+        ("dst_ip", {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.256", "hops": []}),
+        ("src_ip", {"src_ip": 16843009, "dst_ip": "2.2.2.2", "hops": []}),
+        ("dst_ip", {"src_ip": "1.1.1.1", "dst_ip": None, "hops": []}),
+        ("hop 1", {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2",
+                   "hops": [{"ttl": 1, "ip": "3.3.3.3"}, {"ttl": 2, "ip": "not-an-ip"}]}),
+        ("hop 0", {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "hops": [{"ttl": 1, "ip": "2001:db8::1::2"}]}),
+    ])
+    def test_bad_ip_is_located_parse_error(self, field, doc):
+        line = json.dumps({"timestamp": 0, **doc})
+        with pytest.raises(ParseError, match=f"^t.ndjson:4: {field}: bad ip ") as exc:
+            parse_traceroute_line(line, source="t.ndjson", line_no=4)
+        assert exc.value.line_no == 4
+
+    @pytest.mark.parametrize("hops", [5, None, "20.1.0.5", {"ttl": 1}])
+    def test_hops_must_be_a_list(self, hops):
+        line = json.dumps({"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "timestamp": 0, "hops": hops})
+        with pytest.raises(ParseError, match="hops must be a list"):
+            parse_traceroute_line(line)
+
+    def test_valid_ip_spellings_kept_as_given(self):
+        doc = {"src_ip": "2001:DB8::1", "dst_ip": "::ffff:1.2.3.4", "timestamp": 0,
+               "hops": [{"ttl": 1, "ip": "fe80::1%eth0"}, {"ttl": 2, "ip": None}]}
+        rec = parse_traceroute_line(json.dumps(doc))
+        assert (rec.src_ip, rec.dst_ip, rec.hops[0].ip) == ("2001:DB8::1", "::ffff:1.2.3.4", "fe80::1%eth0")
+
 
 class TestToTuplePath:
     def test_consecutive_duplicates_compress(self, small_enrichment):
