@@ -17,7 +17,7 @@ from .errors import (
     ValidationError,
 )
 from .metrics import Aggregate, accumulate, don, report
-from .normality import NormalSet, PairCache, PathVerdict, classify, normal_set, pair_cache_get_or_build
+from .normality import NormalSet, PairCache, PathVerdict, classify, normal_set
 from .pipeline import (
     PathClassification,
     Skip,

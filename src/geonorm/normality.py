@@ -6,16 +6,24 @@ inside the country's borders (partial containment). A pair whose combined
 point set spans more than a hemisphere is unclassifiable: "between" has no
 meaning there, and callers must keep such paths out of normality statistics
 rather than guessing.
+
+The partial-containment scan is pruned by bounding caps: a border polygon is
+tested only against runs of samples whose cap can reach the polygon's own
+bounding cap, first one cap over all samples, then caps over runs of
+consecutive samples. Every skipped test is one the polygon's bounding-cap
+check would reject, so membership is exactly that of the unpruned scan.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
 from .errors import HemisphereViolation, UnknownCountry
 from .sphere import (
     DEFAULT_BOUNDARY_STEP_DEG,
+    _dot,
     geo_to_unit,
     _hull_contains_vec,
     _polygon_contains_vec,
@@ -23,6 +31,15 @@ from .sphere import (
     spherical_convex_hull,
 )
 from .world import DEFAULT_CITY_LIMIT, WorldModel, country_points
+
+# Consecutive hull-edge samples per second-level cap (about 1.6 degrees of
+# hull edge at the default step).
+RUN_LENGTH = 32
+
+# Angular slack (radians) in the cap-separation test. It absorbs the rounding
+# of the dot products and acos behind the cap radii (at most ~3e-8 rad) with
+# room to spare, so a pruned test is always one _polygon_contains_vec rejects.
+CAP_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -76,17 +93,62 @@ def normal_set(
     for iso2, rec in w.countries.items():
         if iso2 in members:
             continue
-        if any(_hull_contains_vec(hull, geo_to_unit(c.location).as_tuple()) for c in rec.top_cities(city_limit)):
+        if any(_hull_contains_vec(hull, c.location._vec) for c in rec.top_cities(city_limit)):
             members.add(iso2)
 
     sample_vecs = [geo_to_unit(p).as_tuple() for p in hull_boundary_samples(hull, boundary_step)]
+    samples_cap = _cap(sample_vecs)
+    runs = None  # [(cap, run)], built once some polygon reaches samples_cap
     for iso2, cb in w.borders.items():
         if iso2 in members:
             continue
-        if any(_polygon_contains_vec(poly, v) for poly in cb.polygons for v in sample_vecs):
-            members.add(iso2)
+        for poly in cb.polygons:
+            poly_cap = poly._cap
+            if _caps_apart(poly_cap, samples_cap):
+                continue
+            if runs is None:
+                chunks = [sample_vecs[i : i + RUN_LENGTH] for i in range(0, len(sample_vecs), RUN_LENGTH)]
+                runs = [(_cap(run), run) for run in chunks]
+            if any(
+                _polygon_contains_vec(poly, v)
+                for run_cap, run in runs
+                if not _caps_apart(poly_cap, run_cap)
+                for v in run
+            ):
+                members.add(iso2)
+                break
 
     return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset(members))
+
+
+def _cap(vecs):
+    """(center, angular radius) of a cap covering the unit vectors vecs.
+
+    The radius comes from the smallest dot product with the center and one
+    acos. Vectors with no usable mean direction get radius pi, which no
+    separation test can prune.
+    """
+    x = sum(v[0] for v in vecs)
+    y = sum(v[1] for v in vecs)
+    z = sum(v[2] for v in vecs)
+    n = math.sqrt(x * x + y * y + z * z)
+    if n < 1e-9:
+        return (0.0, 0.0, 1.0), math.pi
+    center = (x / n, y / n, z / n)
+    return center, math.acos(max(-1.0, min(1.0, min(_dot(center, v) for v in vecs))))
+
+
+def _caps_apart(a, b) -> bool:
+    """True when caps a and b, as (center, angular radius), are more than CAP_SLACK apart.
+
+    By the triangle inequality no point of b then lies within a's radius of
+    a's center. Radii summing to pi or more always meet.
+    """
+    (ca, ra), (cb, rb) = a, b
+    reach = ra + rb + CAP_SLACK
+    if reach >= math.pi:
+        return False
+    return math.acos(max(-1.0, min(1.0, _dot(ca, cb)))) > reach
 
 
 def _suggest(w: WorldModel, iso2: str):
@@ -139,7 +201,3 @@ class PairCache:
             self.misses += 1
             self._entries[key] = ns
         return ns
-
-
-def pair_cache_get_or_build(cache: PairCache, w: WorldModel, src: str, dst: str, mode: str) -> NormalSet:
-    return cache.get_or_build(w, src, dst, mode)

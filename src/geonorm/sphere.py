@@ -50,6 +50,11 @@ class GeoPoint:
         object.__setattr__(self, "lon", _normalize_lon(float(self.lon)))
         object.__setattr__(self, "lat", float(self.lat))
 
+    @cached_property
+    def _vec(self) -> tuple[float, float, float]:
+        """geo_to_unit(self) as a tuple, computed once per point."""
+        return geo_to_unit(self).as_tuple()
+
 
 @dataclass(frozen=True)
 class UnitVec3:
@@ -365,6 +370,12 @@ class GeoPolygon:
         cap_ang = max(_angle(center, v) for ring in self._ring_vecs for v in ring)
         cap_cos = math.cos(min(math.pi, cap_ang + 0.05))
         return center, e1, e2, rings_2d, tuple(edges), cap_cos
+
+    @cached_property
+    def _cap(self):
+        """(center, angular radius) of the cap outside which _polygon_contains_vec rejects every point."""
+        center, *_, cap_cos = self._frame
+        return center, math.acos(cap_cos)
 
 
 def _even_odd(rings_2d, x, y):

@@ -1,11 +1,27 @@
+import functools
 import itertools
+import math
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from geonorm.errors import UnknownCountry
-from geonorm.normality import NormalSet, PairCache, classify, normal_set, pair_cache_get_or_build
-from geonorm.sphere import GeoPoint
-from geonorm.world import City, CountryBorders, CountryRecord, GeoPolygon, WorldModel
+import geonorm.normality as normality_mod
+from geonorm.errors import HemisphereViolation, UnknownCountry
+from geonorm.normality import NormalSet, PairCache, _cap, _caps_apart, classify, normal_set
+from geonorm.sphere import (
+    GeoPoint,
+    _angle,
+    _cross,
+    _dot,
+    _hull_contains_vec,
+    _normalized,
+    _polygon_contains_vec,
+    geo_to_unit,
+    hull_boundary_samples,
+    spherical_convex_hull,
+)
+from geonorm.world import DEFAULT_CITY_LIMIT, City, CountryBorders, CountryRecord, GeoPolygon, WorldModel, country_points
 
 from conftest import SMALLWORLD as SMALLWORLD_DIR
 
@@ -200,8 +216,8 @@ class TestPairCacheConcurrency:
 class TestPairCache:
     def test_reversed_pair_hits_cache(self, small_world):
         cache = PairCache()
-        first = pair_cache_get_or_build(cache, small_world, "AA", "AB", "population")
-        second = pair_cache_get_or_build(cache, small_world, "AB", "AA", "population")
+        first = cache.get_or_build(small_world, "AA", "AB", "population")
+        second = cache.get_or_build(small_world, "AB", "AA", "population")
         assert first is second
         assert (cache.hits, cache.misses) == (1, 1)
 
@@ -225,3 +241,160 @@ class TestPairCache:
             cache.get_or_build(small_world, "AA", "AC", "population").countries
             == normal_set(small_world, "AA", "AC", "population").countries
         )
+
+
+def unpruned_normal_set(w, src, dst, mode, boundary_step, samples_of=hull_boundary_samples):
+    """Reference: normal_set as it was before cap pruning, every sample against every polygon."""
+    if src == dst:
+        return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset({src}))
+    points = country_points(w, src, mode, DEFAULT_CITY_LIMIT) + country_points(w, dst, mode, DEFAULT_CITY_LIMIT)
+    try:
+        hull = spherical_convex_hull(points)
+    except HemisphereViolation:
+        return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset({src, dst}), unclassifiable=True)
+    members = {src, dst}
+    for iso2, rec in w.countries.items():
+        if iso2 in members:
+            continue
+        if any(_hull_contains_vec(hull, geo_to_unit(c.location).as_tuple()) for c in rec.top_cities(DEFAULT_CITY_LIMIT)):
+            members.add(iso2)
+    sample_vecs = [geo_to_unit(p).as_tuple() for p in samples_of(hull, boundary_step)]
+    for iso2, cb in w.borders.items():
+        if iso2 in members:
+            continue
+        if any(_polygon_contains_vec(poly, v) for poly in cb.polygons for v in sample_vecs):
+            members.add(iso2)
+    return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset(members))
+
+
+def _star_ring(rng, lat, lon, radius, n):
+    """n vertices at sorted angles around (lat, lon), radii in [0.5, 1] * radius degrees."""
+    step = 2 * math.pi / n
+    ring = []
+    for k in range(n):
+        theta = (k + rng.uniform(0.1, 0.9)) * step
+        r = radius * rng.uniform(0.5, 1.0)
+        ring.append(GeoPoint(lat + r * math.sin(theta), lon + r * math.cos(theta)))
+    return tuple(ring)
+
+
+def grid_world(seed=3, rows=6, cols=6):
+    """36 countries on a 3-degree grid; some own an offshore island, one a remote one."""
+    rng = random.Random(seed)
+    countries, borders = {}, {}
+    remote = rng.randrange(rows * cols)
+    for idx in range(rows * cols):
+        row, col = divmod(idx, cols)
+        lat, lon = -6.0 + 3.0 * row, 10.0 + 3.0 * col
+        iso2 = "GH"[idx // 26] + chr(ord("A") + idx % 26)
+        polys = [GeoPolygon(rings=(_star_ring(rng, lat, lon, 1.4, rng.randint(5, 10)),))]
+        if idx % 4 == 1:
+            polys.append(GeoPolygon(rings=(_star_ring(rng, lat + 1.5, lon + 1.5, 0.3, 5),)))
+        if idx == remote:
+            polys.append(GeoPolygon(rings=(_star_ring(rng, lat, lon + 100.0, 0.5, 6),)))
+        cities = tuple(
+            City(f"{iso2} {k}", GeoPoint(lat + rng.uniform(-1.0, 1.0), lon + rng.uniform(-1.0, 1.0)), 1000 - k)
+            for k in range(3)
+        )
+        countries[iso2] = CountryRecord(iso2=iso2, name=iso2, region="Africa", cities=cities)
+        borders[iso2] = CountryBorders(iso2=iso2, polygons=tuple(polys))
+    return WorldModel(countries=countries, borders=borders, region_of={c: "Africa" for c in countries})
+
+
+class TestCapPruningOracle:
+    """The cap-pruned scan against the unpruned reference, over every pair."""
+
+    @pytest.mark.parametrize("world_name", ["small_world", "real_world", "grid_world"])
+    def test_identical_to_unpruned(self, request, world_name, monkeypatch):
+        w = grid_world() if world_name == "grid_world" else request.getfixturevalue(world_name)
+        # samples are a pure function of (hull, step); sharing them saves a second sampling pass
+        samples_of = functools.cache(hull_boundary_samples)
+        monkeypatch.setattr(normality_mod, "hull_boundary_samples", samples_of)
+        for a, b in itertools.combinations(sorted(w.countries), 2):
+            for mode in ("population", "border"):
+                for step in (0.05, 0.2):
+                    expected = unpruned_normal_set(w, a, b, mode, step, samples_of)
+                    assert normal_set(w, a, b, mode, boundary_step=step) == expected
+
+    def test_grid_world_prunes(self, monkeypatch):
+        # the oracle above is only meaningful if pruning happens there
+        w = grid_world()
+        calls = []
+        monkeypatch.setattr(
+            normality_mod, "_polygon_contains_vec", lambda poly, v: calls.append(1) or _polygon_contains_vec(poly, v)
+        )
+        ns = normal_set(w, "GA", "GC", "population")
+        hull = spherical_convex_hull(country_points(w, "GA", "population") + country_points(w, "GC", "population"))
+        polys = sum(len(cb.polygons) for iso2, cb in w.borders.items() if iso2 not in ns.countries)
+        assert 0 < len(calls) < len(hull_boundary_samples(hull)) * polys // 10
+
+
+def _unit(lat, lon):
+    return geo_to_unit(GeoPoint(lat, lon)).as_tuple()
+
+
+def _offset(c, angle, rng):
+    """A unit vector angle radians from the unit vector c, in a random direction."""
+    t = _normalized(_cross(c, (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))))
+    return _normalized(tuple(math.cos(angle) * ci + math.sin(angle) * ti for ci, ti in zip(c, t)))
+
+
+@st.composite
+def polygon_and_run(draw):
+    """A random star polygon and a run of unit vectors near the edge of its bounding cap."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    radius = draw(st.sampled_from([0.2, 2.0, 20.0, 50.0]))
+    lat, lon = rng.uniform(radius - 80, 80 - radius), rng.uniform(-180, 180)
+    poly = GeoPolygon(rings=(_star_ring(rng, lat, lon, radius, rng.randint(3, 12)),))
+    poly_center, poly_r = poly._cap
+    # run radii up to pi, so some cap pairs have radii summing past pi
+    run_r = draw(st.sampled_from([0.0, 1e-4, 0.01, 0.3, 1.5, 3.0]))
+    gap = draw(st.floats(-0.05, 0.05))
+    run_center = _offset(poly_center, min(math.pi, max(0.0, poly_r + run_r + gap)), rng)
+    run = [_offset(run_center, run_r * math.sqrt(rng.random()), rng) for _ in range(rng.randint(1, 40))]
+    return poly, run
+
+
+class TestPruningLemma:
+    @given(polygon_and_run())
+    def test_pruned_runs_hold_no_contained_vector(self, case):
+        poly, run = case
+        run_cap = _cap(run)
+        center, radius = run_cap
+        assert all(_angle(center, v) <= radius + 1e-7 for v in run)
+        if _caps_apart(poly._cap, run_cap):
+            # the polygon's own bounding-cap test rejects every vector of the run
+            poly_center, *_, cap_cos = poly._frame
+            assert all(_dot(poly_center, v) < cap_cos for v in run)
+            assert not any(_polygon_contains_vec(poly, v) for v in run)
+
+    def test_caps_with_radii_summing_to_pi_always_meet(self):
+        poly = GeoPolygon(rings=((GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(1, 1), GeoPoint(1, 0)),))
+        _, poly_r = poly._cap
+        far = _unit(0.5, -179.5)
+        for run_r in (math.pi - poly_r, math.pi - poly_r + 0.1, math.pi):
+            assert not _caps_apart(poly._cap, (far, run_r))
+        # a sphere-wide run has no useful cap at all
+        everywhere = [_unit(0, 0), _unit(0, 180), _unit(90, 0), _unit(-90, 0), _unit(0, 90), _unit(0, -90)]
+        assert _cap(everywhere)[1] == math.pi
+        assert not _caps_apart(poly._cap, _cap(everywhere))
+
+
+class TestTraceContract:
+    def test_hull_and_samples_built_once_per_build(self, small_world, monkeypatch):
+        # perfbench/chain.py times these two calls by swapping module globals
+        calls = {"hull": 0, "samples": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(normality_mod, "spherical_convex_hull", counted("hull", spherical_convex_hull))
+        monkeypatch.setattr(normality_mod, "hull_boundary_samples", counted("samples", hull_boundary_samples))
+        for a, b in itertools.combinations(sorted(small_world.countries), 2):
+            for mode in ("population", "border"):
+                calls.update(hull=0, samples=0)
+                assert not normal_set(small_world, a, b, mode).unclassifiable
+                assert calls == {"hull": 1, "samples": 1}
