@@ -15,13 +15,13 @@ Input formats (UTF-8, header row required):
 
 from __future__ import annotations
 
-import csv
 import functools
 import ipaddress
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 from .errors import ConflictError, ParseError
+from .world import _check_iso2, _read_csv
 
 _MAXLEN = {4: 32, 6: 128}
 
@@ -123,10 +123,6 @@ class PrefixTable:
         return self._count
 
 
-def lpm_lookup(table: PrefixTable, ip):
-    return table.lookup(ip)
-
-
 @functools.cache
 def _special_ranges():
     """(PrefixTable of special ranges, version -> first-octet gate).
@@ -200,27 +196,6 @@ def resolve_hop(geo: PrefixTable, origin: PrefixTable, registry: ASRegistry, ip)
     return HopResolution(text, geo.probe(version, value), asn, legal)
 
 
-def _read_rows(path, expected_header):
-    try:
-        fh = open(path, encoding="utf-8", newline="")
-    except OSError as e:
-        raise ParseError(str(path), 0, f"cannot open: {e.strerror}") from e
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(str(path), 1, "missing header row") from None
-        if [h.strip().lower() for h in header] != list(expected_header):
-            raise ParseError(str(path), 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(str(path), line_no, f"expected {len(expected_header)} fields, got {len(row)}")
-            yield line_no, [c.strip() for c in row]
-
-
 def _parse_cidr(text, path, line_no):
     try:
         return ipaddress.ip_network(text)
@@ -228,41 +203,37 @@ def _parse_cidr(text, path, line_no):
         raise ParseError(str(path), line_no, f"bad prefix {text!r}: {e}") from None
 
 
+def _parse_asn(text, path, line_no):
+    try:
+        asn = int(text)
+    except ValueError:
+        raise ParseError(str(path), line_no, f"non-integer asn {text!r}") from None
+    if asn <= 0:
+        raise ParseError(str(path), line_no, f"asn must be positive, got {asn}")
+    return asn
+
+
 def load_geo_table(path) -> PrefixTable:
     table = PrefixTable()
-    for line_no, (cidr, iso2) in _read_rows(path, ("cidr", "iso2")):
+    for line_no, (cidr, iso2) in _read_csv(path, ("cidr", "iso2")):
         net = _parse_cidr(cidr, path, line_no)
-        if len(iso2) != 2 or not iso2.isalpha() or not iso2.isupper():
-            raise ParseError(str(path), line_no, f"bad iso2 code {iso2!r}")
-        table._insert(net, iso2, "error")
+        table._insert(net, _check_iso2(iso2, path, line_no), "error")
     return table
 
 
 def load_origin_table(path, on_conflict: str = "error") -> PrefixTable:
     table = PrefixTable()
-    for line_no, (cidr, asn) in _read_rows(path, ("cidr", "asn")):
+    for line_no, (cidr, asn) in _read_csv(path, ("cidr", "asn")):
         net = _parse_cidr(cidr, path, line_no)
-        try:
-            asn_i = int(asn)
-        except ValueError:
-            raise ParseError(str(path), line_no, f"non-integer asn {asn!r}") from None
-        if asn_i <= 0:
-            raise ParseError(str(path), line_no, f"asn must be positive, got {asn_i}")
-        table._insert(net, asn_i, on_conflict)
+        table._insert(net, _parse_asn(asn, path, line_no), on_conflict)
     return table
 
 
 def load_as_registry(path) -> ASRegistry:
     mapping: dict[int, str] = {}
-    for line_no, (asn, iso2) in _read_rows(path, ("asn", "iso2")):
-        try:
-            asn_i = int(asn)
-        except ValueError:
-            raise ParseError(str(path), line_no, f"non-integer asn {asn!r}") from None
-        if asn_i <= 0:
-            raise ParseError(str(path), line_no, f"asn must be positive, got {asn_i}")
-        if len(iso2) != 2 or not iso2.isalpha() or not iso2.isupper():
-            raise ParseError(str(path), line_no, f"bad iso2 code {iso2!r}")
+    for line_no, (asn, iso2) in _read_csv(path, ("asn", "iso2")):
+        asn_i = _parse_asn(asn, path, line_no)
+        iso2 = _check_iso2(iso2, path, line_no)
         if asn_i in mapping and mapping[asn_i] != iso2:
             raise ConflictError(f"{path}: AS{asn_i} registered to both {mapping[asn_i]} and {iso2}")
         mapping[asn_i] = iso2

@@ -7,11 +7,14 @@ point set spans more than a hemisphere is unclassifiable: "between" has no
 meaning there, and callers must keep such paths out of normality statistics
 rather than guessing.
 
-The partial-containment scan is pruned by bounding caps: a border polygon is
-tested only against runs of samples whose cap can reach the polygon's own
-bounding cap, first one cap over all samples, then caps over runs of
-consecutive samples. Every skipped test is one the polygon's bounding-cap
-check would reject, so membership is exactly that of the unpruned scan.
+Hull-edge samples are unit vectors. Both scans are pruned by bounding caps,
+and every skipped test is one that would fail, so membership is exactly
+that of the unpruned scans. A top city is tested against the hull only
+when it lies in a cap around the hull that covers the hull's ANGLE_TOL
+boundary band (see _hull_cap). A border polygon is tested only against
+runs of samples whose cap can reach the polygon's own exact-width bounding
+cap, first one cap over all samples, then caps over runs of consecutive
+samples.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from dataclasses import dataclass, field
 
 from .errors import HemisphereViolation, UnknownCountry
 from .sphere import (
+    ANGLE_TOL,
+    CAP_SLACK,
     DEFAULT_BOUNDARY_STEP_DEG,
     _dot,
-    geo_to_unit,
     _hull_contains_vec,
     _polygon_contains_vec,
     hull_boundary_samples,
@@ -35,11 +39,6 @@ from .world import DEFAULT_CITY_LIMIT, WorldModel, country_points
 # Consecutive hull-edge samples per second-level cap (about 1.6 degrees of
 # hull edge at the default step).
 RUN_LENGTH = 32
-
-# Angular slack (radians) in the cap-separation test. It absorbs the rounding
-# of the dot products and acos behind the cap radii (at most ~3e-8 rad) with
-# room to spare, so a pruned test is always one _polygon_contains_vec rejects.
-CAP_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -90,13 +89,17 @@ def normal_set(
         return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset({src, dst}), unclassifiable=True)
 
     members = {src, dst}
+    hull_center, hull_floor = _hull_cap(hull)
     for iso2, rec in w.countries.items():
         if iso2 in members:
             continue
-        if any(_hull_contains_vec(hull, c.location._vec) for c in rec.top_cities(city_limit)):
-            members.add(iso2)
+        for c in rec.top_cities(city_limit):
+            v = c.location._vec
+            if _dot(hull_center, v) >= hull_floor and _hull_contains_vec(hull, v):
+                members.add(iso2)
+                break
 
-    sample_vecs = [geo_to_unit(p).as_tuple() for p in hull_boundary_samples(hull, boundary_step)]
+    sample_vecs = hull_boundary_samples(hull, boundary_step)
     samples_cap = _cap(sample_vecs)
     runs = None  # [(cap, run)], built once some polygon reaches samples_cap
     for iso2, cb in w.borders.items():
@@ -136,6 +139,39 @@ def _cap(vecs):
         return (0.0, 0.0, 1.0), math.pi
     center = (x / n, y / n, z / n)
     return center, math.acos(max(-1.0, min(1.0, min(_dot(center, v) for v in vecs))))
+
+
+def _hull_cap(hull):
+    """(center, floor) such that _hull_contains_vec(hull, v) is False whenever _dot(center, v) < floor.
+
+    The cap is _cap over the hull vertices, widened to cover the tolerant
+    boundary band of _hull_contains_vec, plus CAP_SLACK; floor is the cosine
+    of its radius, or -inf (no pruning) when the widened radius reaches pi/2.
+
+    For a polygon the band is {v : n.v >= -ANGLE_TOL for every edge normal n},
+    which reaches ANGLE_TOL / sin(theta / 2) past a vertex with interior angle
+    theta, and on a sliver hull also has a component near the antipode. The
+    widening used bounds both: let m = min n.center over the edge normals.
+    Follow the great circle from the center through v, at angle phi; it
+    leaves the hull at some phi_e <= radius, across an edge whose normal n
+    then gives n.v = (n.center) * sin(phi_e - phi) / sin(phi_e). If
+    m > ANGLE_TOL, that is below -ANGLE_TOL for every phi from
+    phi_e + asin(ANGLE_TOL * sin(radius) / m) up to pi, so the widening
+    asin(ANGLE_TOL * sin(radius) / m) covers the band; otherwise (a sliver
+    no wider than the band) nothing is pruned. An arc's band, ~ANGLE_TOL
+    wide, and a point's are covered by CAP_SLACK alone. An arc shorter than
+    about 2 * ANGLE_TOL also accepts points near its antipode, so arcs
+    shorter than 2 * CAP_SLACK are not pruned.
+    """
+    center, radius = _cap(hull._vertex_tuples)
+    if hull.degenerate_kind == "polygon":
+        m = min(_dot(n, center) for n in hull._edge_normals)
+        ratio = ANGLE_TOL * math.sin(radius) / m if m > ANGLE_TOL else 1.0
+        radius += math.asin(ratio) if ratio < 1.0 else math.pi
+    elif hull.degenerate_kind == "arc" and radius < CAP_SLACK:
+        radius = math.pi
+    radius += CAP_SLACK
+    return center, (math.cos(radius) if radius < math.pi / 2 else -math.inf)
 
 
 def _caps_apart(a, b) -> bool:

@@ -6,6 +6,9 @@ tangent plane at the point cloud's spherical centroid: the projection maps
 great circles to straight lines, so a planar convex hull of the projected
 points is exactly the spherical convex hull, provided every point lies in
 the open hemisphere around the projection center.
+
+Hull-edge samples are unit-vector tuples. Each polygon carries a bounding
+cap of exact width: the cap over its vertices, widened only by CAP_SLACK.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ ANGLE_TOL = 1e-7
 # Unit-norm slack for UnitVec3 and chord-distance slack for input dedup.
 NORM_TOL = 1e-9
 DEDUP_TOL = 1e-9
+
+# Angular slack (radians) added to bounding caps. It absorbs the rounding of
+# the dot products, acos and cos behind cap radii and cap tests (at most
+# ~3e-8 rad) and the ANGLE_TOL edge band, with room to spare.
+CAP_SLACK = 1e-6
 
 # Default spacing of hull-edge samples, degrees of arc (~5.5 km).
 DEFAULT_BOUNDARY_STEP_DEG = 0.05
@@ -291,30 +299,29 @@ def hull_contains(h: SphericalHull, p: GeoPoint) -> bool:
     return _hull_contains_vec(h, geo_to_unit(p).as_tuple())
 
 
-def hull_boundary_samples(h: SphericalHull, step: float = DEFAULT_BOUNDARY_STEP_DEG) -> list[GeoPoint]:
-    """Points along every hull edge at angular spacing <= step (degrees), vertices included."""
+def hull_boundary_samples(h: SphericalHull, step: float = DEFAULT_BOUNDARY_STEP_DEG) -> list[tuple[float, float, float]]:
+    """Unit vectors along every hull edge at angular spacing <= step (degrees), vertices included."""
     if step <= 0.0:
         raise ValidationError(f"sampling step must be positive, got {step}")
     step_rad = math.radians(step)
     vts = h._vertex_tuples
 
     if h.degenerate_kind == "point":
-        return [unit_to_geo(h.vertices[0])]
+        return [vts[0]]
     if h.degenerate_kind == "arc":
         a, b = vts
         ang = _angle(a, b)
         segs = max(1, math.ceil(ang / step_rad - 1e-9))
-        return [unit_to_geo(UnitVec3(*_normalized(_slerp(a, b, i / segs, ang)))) for i in range(segs + 1)]
+        return [_normalized(_slerp(a, b, i / segs, ang)) for i in range(segs + 1)]
 
-    out: list[GeoPoint] = []
+    out: list[tuple[float, float, float]] = []
     n = len(vts)
     for i in range(n):
         a, b = vts[i], vts[(i + 1) % n]
         ang = _angle(a, b)
         segs = max(1, math.ceil(ang / step_rad - 1e-9))
         # endpoint omitted: it opens the next edge
-        for k in range(segs):
-            out.append(unit_to_geo(UnitVec3(*_normalized(_slerp(a, b, k / segs, ang)))))
+        out.extend(_normalized(_slerp(a, b, k / segs, ang)) for k in range(segs))
     return out
 
 
@@ -365,10 +372,12 @@ class GeoPolygon:
                 nn = _norm(c)
                 if nn > 1e-15:
                     edges.append((a, b, (c[0] / nn, c[1] / nn, c[2] / nn)))
-        # Bounding cap over the ring vertices, slackened because a long edge
-        # can bulge past its endpoints' distance to the center.
+        # Bounding cap over the ring vertices. Every vertex is less than pi/2
+        # from the center (checked above), so the cap is convex and holds
+        # every minor-arc edge and the even-odd interior; the ANGLE_TOL edge
+        # band reaches at most ~2 * ANGLE_TOL past a vertex.
         cap_ang = max(_angle(center, v) for ring in self._ring_vecs for v in ring)
-        cap_cos = math.cos(min(math.pi, cap_ang + 0.05))
+        cap_cos = math.cos(cap_ang + CAP_SLACK)
         return center, e1, e2, rings_2d, tuple(edges), cap_cos
 
     @cached_property
@@ -396,7 +405,7 @@ def _even_odd(rings_2d, x, y):
 def _polygon_contains_vec(poly: GeoPolygon, p) -> bool:
     center, e1, e2, rings_2d, edges, cap_cos = poly._frame
     d = _dot(center, p)
-    # cheap rejection outside the slackened bounding cap
+    # cheap rejection outside the bounding cap
     if d < cap_cos:
         return False
     if d <= 1e-9:

@@ -78,6 +78,7 @@ class WorldModel:
 
 
 def _read_csv(path, expected_header):
+    """Yield (line number, stripped fields) per non-blank data row, streaming; the header must match."""
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as e:
@@ -90,14 +91,12 @@ def _read_csv(path, expected_header):
             raise ParseError(str(path), 1, "missing header row") from None
         if [h.strip().lower() for h in header] != list(expected_header):
             raise ParseError(str(path), 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
-        rows = []
         for line_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(expected_header):
                 raise ParseError(str(path), line_no, f"expected {len(expected_header)} fields, got {len(row)}")
-            rows.append((line_no, [c.strip() for c in row]))
-        return rows
+            yield line_no, [c.strip() for c in row]
 
 
 def _check_iso2(code, path, line_no):

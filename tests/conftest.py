@@ -1,9 +1,11 @@
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from geonorm.enrichment import Enrichment, load_as_registry, load_geo_table, load_origin_table
+from geonorm.sphere import GeoPoint, _cross, _normalized
 from geonorm.world import load_world
 
 settings.register_profile(
@@ -55,3 +57,20 @@ def table_args(base=SMALLWORLD):
         "--origin-table", str(base / "origin.csv"),
         "--as-registry", str(base / "as_registry.csv"),
     ]
+
+
+def star_ring(rng, lat, lon, radius, n):
+    """n vertices at sorted angles around (lat, lon), radii in [0.5, 1] * radius degrees."""
+    step = 2 * math.pi / n
+    ring = []
+    for k in range(n):
+        theta = (k + rng.uniform(0.1, 0.9)) * step
+        r = radius * rng.uniform(0.5, 1.0)
+        ring.append(GeoPoint(lat + r * math.sin(theta), lon + r * math.cos(theta)))
+    return tuple(ring)
+
+
+def offset(c, angle, rng):
+    """A unit vector angle radians from the unit vector c, in a random direction."""
+    t = _normalized(_cross(c, (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))))
+    return _normalized(tuple(math.cos(angle) * ci + math.sin(angle) * ti for ci, ti in zip(c, t)))

@@ -14,7 +14,7 @@ from itertools import combinations
 import pytest
 
 from geonorm.cli import main
-from geonorm.enrichment import PrefixTable, lpm_lookup
+from geonorm.enrichment import PrefixTable
 from geonorm.metrics import Aggregate, accumulate, report
 from geonorm.normality import PairCache, classify, normal_set
 from geonorm.pipeline import Skip, SkipLog, classify_path, parse_traceroute_line, to_tuple_path
@@ -441,7 +441,7 @@ class TestCriterion7:
         for _ in range(10_000):
             ip_int = rng.getrandbits(32)
             ip = str(ipaddress.IPv4Address(ip_int))
-            if lpm_lookup(table, ip) != brute(ip_int):
+            if table.lookup(ip) != brute(ip_int):
                 mismatches += 1
         assert mismatches == 0
         announce(7, "10k lookups against a 1000-prefix table match brute force", time.perf_counter() - start, 10)

@@ -12,7 +12,6 @@ from geonorm.enrichment import (
     load_as_registry,
     load_geo_table,
     load_origin_table,
-    lpm_lookup,
     parse_ip,
     resolve_hop,
 )
@@ -26,20 +25,20 @@ def table(*rows, on_conflict="error"):
 class TestLpm:
     def test_longest_match_wins(self):
         t = table(("1.2.0.0/16", "US"), ("1.2.3.0/24", "GB"))
-        assert lpm_lookup(t, "1.2.3.4") == "GB"
-        assert lpm_lookup(t, "1.2.9.9") == "US"
+        assert t.lookup("1.2.3.4") == "GB"
+        assert t.lookup("1.2.9.9") == "US"
 
     def test_empty_table(self):
-        assert lpm_lookup(PrefixTable(), "8.8.8.8") is None
+        assert PrefixTable().lookup("8.8.8.8") is None
 
     def test_miss_outside_all_prefixes(self):
         t = table(("1.2.0.0/16", "US"))
-        assert lpm_lookup(t, "2.0.0.1") is None
+        assert t.lookup("2.0.0.1") is None
 
     def test_default_route(self):
         t = table(("0.0.0.0/0", "XX"), ("9.0.0.0/8", "YY"))
-        assert lpm_lookup(t, "9.1.1.1") == "YY"
-        assert lpm_lookup(t, "100.1.1.1") == "XX"
+        assert t.lookup("9.1.1.1") == "YY"
+        assert t.lookup("100.1.1.1") == "XX"
 
     def test_duplicate_same_value_tolerated(self):
         t = table(("1.2.0.0/16", "US"), ("1.2.0.0/16", "US"))
@@ -51,7 +50,7 @@ class TestLpm:
 
     def test_first_wins_mode(self):
         t = table(("1.2.0.0/16", 100), ("1.2.0.0/16", 200), on_conflict="first_wins")
-        assert lpm_lookup(t, "1.2.0.1") == 100
+        assert t.lookup("1.2.0.1") == 100
 
     def test_host_bits_rejected(self):
         with pytest.raises(ValueError):
@@ -59,9 +58,9 @@ class TestLpm:
 
     def test_ipv6_supported(self):
         t = table(("2001:db8::/32", "DE"), ("2001:db8:1::/48", "FR"))
-        assert lpm_lookup(t, "2001:db8:1::5") == "FR"
-        assert lpm_lookup(t, "2001:db8:2::5") == "DE"
-        assert lpm_lookup(t, "2001:dead::1") is None
+        assert t.lookup("2001:db8:1::5") == "FR"
+        assert t.lookup("2001:db8:2::5") == "DE"
+        assert t.lookup("2001:dead::1") is None
 
     def test_insertion_order_irrelevant(self):
         rows = [("1.0.0.0/8", "A"), ("1.2.0.0/16", "B"), ("1.2.3.0/24", "C"), ("9.9.0.0/16", "D")]
@@ -71,7 +70,7 @@ class TestLpm:
         for _ in range(10):
             rng.shuffle(rows)
             t = table(*rows)
-            answers = [lpm_lookup(t, ip) for ip in probes]
+            answers = [t.lookup(ip) for ip in probes]
             baseline = baseline or answers
             assert answers == baseline
 
@@ -104,7 +103,7 @@ class TestLpmOracle:
     def test_matches_brute_force(self, rows, probe):
         t = PrefixTable.from_rows(rows)
         ip = str(ipaddress.IPv4Address(probe))
-        assert lpm_lookup(t, ip) == brute_force_lpm(rows, ip)
+        assert t.lookup(ip) == brute_force_lpm(rows, ip)
 
     @given(prefix_set())
     def test_hit_property(self, rows):
@@ -113,7 +112,7 @@ class TestLpmOracle:
         rng = random.Random(42)
         for _ in range(20):
             ip = ipaddress.IPv4Address(rng.getrandbits(32))
-            got = lpm_lookup(t, str(ip))
+            got = t.lookup(str(ip))
             containing = [ipaddress.ip_network(c) for c, _ in rows if ip in ipaddress.ip_network(c)]
             if got is None:
                 assert not containing
@@ -162,9 +161,9 @@ class TestLoaders:
         path = tmp_path / "geo.csv"
         path.write_text("cidr,iso2\n1.0.0.0/8,US\n2.0.0.0/8,DE\n3.3.0.0/16,FR\n")
         t = load_geo_table(path)
-        assert lpm_lookup(t, "1.1.1.1") == "US"
-        assert lpm_lookup(t, "2.1.1.1") == "DE"
-        assert lpm_lookup(t, "3.3.1.1") == "FR"
+        assert t.lookup("1.1.1.1") == "US"
+        assert t.lookup("2.1.1.1") == "DE"
+        assert t.lookup("3.3.1.1") == "FR"
 
     def test_duplicate_prefix_conflict_names_prefix(self, tmp_path):
         path = tmp_path / "geo.csv"
@@ -178,7 +177,7 @@ class TestLoaders:
         with pytest.raises(ConflictError):
             load_origin_table(path)
         t = load_origin_table(path, on_conflict="first_wins")
-        assert lpm_lookup(t, "1.1.1.1") == 100
+        assert t.lookup("1.1.1.1") == 100
 
     def test_bulgarian_legal_registration_shape(self, tmp_path):
         # one /24 originated by an AS registered elsewhere

@@ -8,9 +8,11 @@ from hypothesis import given, strategies as st
 
 import geonorm.normality as normality_mod
 from geonorm.errors import HemisphereViolation, UnknownCountry
-from geonorm.normality import NormalSet, PairCache, _cap, _caps_apart, classify, normal_set
+from geonorm.normality import NormalSet, PairCache, _cap, _caps_apart, _hull_cap, classify, normal_set
 from geonorm.sphere import (
+    ANGLE_TOL,
     GeoPoint,
+    UnitVec3,
     _angle,
     _cross,
     _dot,
@@ -20,10 +22,11 @@ from geonorm.sphere import (
     geo_to_unit,
     hull_boundary_samples,
     spherical_convex_hull,
+    unit_to_geo,
 )
 from geonorm.world import DEFAULT_CITY_LIMIT, City, CountryBorders, CountryRecord, GeoPolygon, WorldModel, country_points
 
-from conftest import SMALLWORLD as SMALLWORLD_DIR
+from conftest import SMALLWORLD as SMALLWORLD_DIR, offset, star_ring
 
 # hand-derived expectations: countries are axis-aligned squares, cities sit
 # on the lat 1..3 band, so planar reasoning carries over to the sphere
@@ -258,24 +261,13 @@ def unpruned_normal_set(w, src, dst, mode, boundary_step, samples_of=hull_bounda
             continue
         if any(_hull_contains_vec(hull, geo_to_unit(c.location).as_tuple()) for c in rec.top_cities(DEFAULT_CITY_LIMIT)):
             members.add(iso2)
-    sample_vecs = [geo_to_unit(p).as_tuple() for p in samples_of(hull, boundary_step)]
+    sample_vecs = samples_of(hull, boundary_step)
     for iso2, cb in w.borders.items():
         if iso2 in members:
             continue
         if any(_polygon_contains_vec(poly, v) for poly in cb.polygons for v in sample_vecs):
             members.add(iso2)
     return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset(members))
-
-
-def _star_ring(rng, lat, lon, radius, n):
-    """n vertices at sorted angles around (lat, lon), radii in [0.5, 1] * radius degrees."""
-    step = 2 * math.pi / n
-    ring = []
-    for k in range(n):
-        theta = (k + rng.uniform(0.1, 0.9)) * step
-        r = radius * rng.uniform(0.5, 1.0)
-        ring.append(GeoPoint(lat + r * math.sin(theta), lon + r * math.cos(theta)))
-    return tuple(ring)
 
 
 def grid_world(seed=3, rows=6, cols=6):
@@ -287,11 +279,11 @@ def grid_world(seed=3, rows=6, cols=6):
         row, col = divmod(idx, cols)
         lat, lon = -6.0 + 3.0 * row, 10.0 + 3.0 * col
         iso2 = "GH"[idx // 26] + chr(ord("A") + idx % 26)
-        polys = [GeoPolygon(rings=(_star_ring(rng, lat, lon, 1.4, rng.randint(5, 10)),))]
+        polys = [GeoPolygon(rings=(star_ring(rng, lat, lon, 1.4, rng.randint(5, 10)),))]
         if idx % 4 == 1:
-            polys.append(GeoPolygon(rings=(_star_ring(rng, lat + 1.5, lon + 1.5, 0.3, 5),)))
+            polys.append(GeoPolygon(rings=(star_ring(rng, lat + 1.5, lon + 1.5, 0.3, 5),)))
         if idx == remote:
-            polys.append(GeoPolygon(rings=(_star_ring(rng, lat, lon + 100.0, 0.5, 6),)))
+            polys.append(GeoPolygon(rings=(star_ring(rng, lat, lon + 100.0, 0.5, 6),)))
         cities = tuple(
             City(f"{iso2} {k}", GeoPoint(lat + rng.uniform(-1.0, 1.0), lon + rng.uniform(-1.0, 1.0)), 1000 - k)
             for k in range(3)
@@ -323,8 +315,9 @@ class TestCapPruningOracle:
         monkeypatch.setattr(
             normality_mod, "_polygon_contains_vec", lambda poly, v: calls.append(1) or _polygon_contains_vec(poly, v)
         )
-        ns = normal_set(w, "GA", "GC", "population")
-        hull = spherical_convex_hull(country_points(w, "GA", "population") + country_points(w, "GC", "population"))
+        # a diagonal pair: with exact-width polygon caps no polygon reaches a same-row hull
+        ns = normal_set(w, "GA", "GO", "population")
+        hull = spherical_convex_hull(country_points(w, "GA", "population") + country_points(w, "GO", "population"))
         polys = sum(len(cb.polygons) for iso2, cb in w.borders.items() if iso2 not in ns.countries)
         assert 0 < len(calls) < len(hull_boundary_samples(hull)) * polys // 10
 
@@ -333,25 +326,19 @@ def _unit(lat, lon):
     return geo_to_unit(GeoPoint(lat, lon)).as_tuple()
 
 
-def _offset(c, angle, rng):
-    """A unit vector angle radians from the unit vector c, in a random direction."""
-    t = _normalized(_cross(c, (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))))
-    return _normalized(tuple(math.cos(angle) * ci + math.sin(angle) * ti for ci, ti in zip(c, t)))
-
-
 @st.composite
 def polygon_and_run(draw):
     """A random star polygon and a run of unit vectors near the edge of its bounding cap."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     radius = draw(st.sampled_from([0.2, 2.0, 20.0, 50.0]))
     lat, lon = rng.uniform(radius - 80, 80 - radius), rng.uniform(-180, 180)
-    poly = GeoPolygon(rings=(_star_ring(rng, lat, lon, radius, rng.randint(3, 12)),))
+    poly = GeoPolygon(rings=(star_ring(rng, lat, lon, radius, rng.randint(3, 12)),))
     poly_center, poly_r = poly._cap
     # run radii up to pi, so some cap pairs have radii summing past pi
     run_r = draw(st.sampled_from([0.0, 1e-4, 0.01, 0.3, 1.5, 3.0]))
     gap = draw(st.floats(-0.05, 0.05))
-    run_center = _offset(poly_center, min(math.pi, max(0.0, poly_r + run_r + gap)), rng)
-    run = [_offset(run_center, run_r * math.sqrt(rng.random()), rng) for _ in range(rng.randint(1, 40))]
+    run_center = offset(poly_center, min(math.pi, max(0.0, poly_r + run_r + gap)), rng)
+    run = [offset(run_center, run_r * math.sqrt(rng.random()), rng) for _ in range(rng.randint(1, 40))]
     return poly, run
 
 
@@ -378,6 +365,99 @@ class TestPruningLemma:
         everywhere = [_unit(0, 0), _unit(0, 180), _unit(90, 0), _unit(-90, 0), _unit(0, 90), _unit(0, -90)]
         assert _cap(everywhere)[1] == math.pi
         assert not _caps_apart(poly._cap, _cap(everywhere))
+
+
+def _hull_of(vecs):
+    return spherical_convex_hull([unit_to_geo(UnitVec3(*_normalized(v))) for v in vecs])
+
+
+@st.composite
+def hull_and_probes(draw):
+    """A hull, from fat polygons down to slivers and short arcs, and probe vectors near its tolerant band.
+
+    Slivers are isosceles triangles or rhombi whose acute angles go down to
+    ~1e-4 rad. Probes include the tolerant apex beyond every vertex (the
+    farthest accepted point along the outward bisector, found by bisection),
+    points just past it, points near the widened cap's edge and antipodes.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    c = offset((0.0, 0.0, 1.0), rng.uniform(0, math.pi), rng)
+    kind = draw(st.sampled_from(["cloud", "sliver", "rhombus", "arc", "point"]))
+    length = 10 ** draw(st.floats(-7 if kind == "arc" else -4, 0))
+    acute = 10 ** draw(st.floats(-4, -0.5))
+    t1 = offset(c, math.pi / 2, rng)
+    t2 = _cross(c, t1)
+    along = lambda t, ang: tuple(math.cos(ang) * ci + math.sin(ang) * ti for ci, ti in zip(c, t))
+    if kind == "cloud":
+        vecs = [offset(c, length * math.sqrt(rng.random()), rng) for _ in range(rng.randint(3, 12))]
+    elif kind in ("sliver", "rhombus"):
+        half = length / 2
+        h = half * math.tan(acute)
+        vecs = [along(t1, -half), along(t1, half), along(t2, h)] + ([along(t2, -h)] if kind == "rhombus" else [])
+    elif kind == "arc":
+        vecs = [along(t1, -length / 2), along(t1, length / 2)]
+    else:
+        vecs = [c]
+    hull = _hull_of(vecs)
+    center, floor = _hull_cap(hull)
+    vts = hull._vertex_tuples
+    probes = [tuple(-x for x in center)]
+    for k, v in enumerate(vts):
+        probes.append(tuple(-x for x in v))
+        if len(vts) < 3:
+            continue
+        # outward bisector at v: away from the midpoint of its neighbours' directions
+        prev, nxt = vts[k - 1], vts[(k + 1) % len(vts)]
+        dp, dq = _dot(v, prev), _dot(v, nxt)
+        inward = _normalized(tuple(p - dp * vi + q - dq * vi for vi, p, q in zip(v, prev, nxt)))
+        out = tuple(-x for x in inward)
+        beyond = lambda d: _normalized(tuple(math.cos(d) * vi + math.sin(d) * oi for vi, oi in zip(v, out)))
+        lo, hi = 0.0, math.pi / 2
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _hull_contains_vec(hull, beyond(mid)) else (lo, mid)
+        probes += [beyond(lo), beyond(hi), beyond(hi * 1.01), tuple(-x for x in beyond(lo))]
+    if floor > -1.0:
+        radius = math.acos(floor)
+        probes += [offset(center, radius * rng.uniform(0.999, 1.01), rng) for _ in range(20)]
+    probes += [offset(center, rng.uniform(0, math.pi), rng) for _ in range(20)]
+    return hull, probes
+
+
+class TestHullCap:
+    """The hull-cap prune of the top-city loop never skips a vector the hull accepts."""
+
+    @given(hull_and_probes())
+    def test_skipped_vectors_are_outside_the_hull(self, case):
+        hull, probes = case
+        center, floor = _hull_cap(hull)
+        for p in probes:
+            if _dot(center, p) < floor:
+                assert not _hull_contains_vec(hull, p)
+
+    def test_fat_hull_prunes(self):
+        hull = _hull_of([_unit(0, 0), _unit(0, 10), _unit(10, 0)])
+        center, floor = _hull_cap(hull)
+        assert math.cos(math.radians(8)) < floor
+        assert _dot(center, _unit(-2, -2)) < floor
+
+    def test_sliver_no_wider_than_the_band_is_not_pruned(self):
+        # a 0.002-rad isosceles triangle with base angles 1e-4 rad: every edge
+        # passes within ANGLE_TOL of its center, so the band reaches the antipode
+        half = 0.001
+        apex = (math.cos(half * 1e-4), 0.0, math.sin(half * 1e-4))
+        hull = _hull_of([(math.cos(half), -math.sin(half), 0.0), (math.cos(half), math.sin(half), 0.0), apex])
+        assert hull.degenerate_kind == "polygon"
+        center, floor = _hull_cap(hull)
+        antipode = tuple(-x for x in center)
+        assert _hull_contains_vec(hull, antipode)
+        assert floor == -math.inf
+
+    def test_short_arc_is_not_pruned(self):
+        hull = _hull_of([(1.0, 0.0, 0.0), (math.cos(ANGLE_TOL / 2), math.sin(ANGLE_TOL / 2), 0.0)])
+        assert hull.degenerate_kind == "arc"
+        assert _hull_contains_vec(hull, (-1.0, 0.0, 0.0))
+        assert _hull_cap(hull)[1] == -math.inf
 
 
 class TestTraceContract:

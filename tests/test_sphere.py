@@ -6,9 +6,17 @@ from hypothesis import given, strategies as st
 
 from geonorm.errors import EmptyInput, HemisphereViolation, ValidationError
 from geonorm.sphere import (
+    ANGLE_TOL,
     GeoPoint,
     GeoPolygon,
     UnitVec3,
+    _angle,
+    _cross,
+    _dot,
+    _even_odd,
+    _hull_contains_vec,
+    _normalized,
+    _polygon_contains_vec,
     angle_between,
     geo_to_unit,
     hull_boundary_samples,
@@ -17,6 +25,8 @@ from geonorm.sphere import (
     spherical_convex_hull,
     unit_to_geo,
 )
+
+from conftest import offset, star_ring
 
 
 def approx_vec(v, expected, tol=1e-12):
@@ -220,8 +230,8 @@ class TestHullProperties:
     @given(hull_input())
     def test_boundary_samples_contained(self, pts):
         h = spherical_convex_hull(pts)
-        for p in hull_boundary_samples(h, 0.5):
-            assert hull_contains(h, p)
+        for v in hull_boundary_samples(h, 0.5):
+            assert _hull_contains_vec(h, v)
 
 
 def _distance_to_boundary(h, p):
@@ -240,30 +250,34 @@ def _distance_to_boundary(h, p):
     return best
 
 
+def _geo(v):
+    return unit_to_geo(UnitVec3(*v))
+
+
 class TestBoundarySamples:
     def test_point_hull_yields_single_point(self):
         h = spherical_convex_hull([GeoPoint(3, 4)])
         samples = hull_boundary_samples(h, 0.5)
         assert len(samples) == 1
-        assert samples[0].lat == pytest.approx(3)
+        assert _geo(samples[0]).lat == pytest.approx(3)
 
     def test_one_degree_arc_quarter_degree_step(self):
         h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 1)])
         samples = hull_boundary_samples(h, 0.25)
         assert len(samples) == 5
-        assert samples[0].lon == pytest.approx(0.0, abs=1e-9)
-        assert samples[-1].lon == pytest.approx(1.0, abs=1e-9)
+        assert _geo(samples[0]).lon == pytest.approx(0.0, abs=1e-9)
+        assert _geo(samples[-1]).lon == pytest.approx(1.0, abs=1e-9)
 
     def test_spacing_never_exceeds_step(self):
         h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 10), GeoPoint(10, 0)])
         samples = hull_boundary_samples(h, 0.2)
-        ring = [geo_to_unit(p) for p in samples]
+        ring = [UnitVec3(*v) for v in samples]
         for a, b in zip(ring, ring[1:]):
             assert angle_between(a, b) <= math.radians(0.2) + 1e-9
 
     def test_vertices_included(self):
         h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 10), GeoPoint(10, 0)])
-        sampled = {(round(p.lat, 9), round(p.lon, 9)) for p in hull_boundary_samples(h, 1.0)}
+        sampled = {(round(g.lat, 9), round(g.lon, 9)) for g in map(_geo, hull_boundary_samples(h, 1.0))}
         for v in h.vertices:
             g = unit_to_geo(v)
             assert (round(g.lat, 9), round(g.lon, 9)) in sampled
@@ -272,6 +286,14 @@ class TestBoundarySamples:
         h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 1)])
         with pytest.raises(ValidationError):
             hull_boundary_samples(h, 0)
+
+    @given(hull_input(), st.sampled_from([0.05, 0.2, 1.0]))
+    def test_samples_match_geopoint_round_trip(self, pts, step):
+        # samples were once returned as GeoPoints and converted back to vectors
+        h = spherical_convex_hull(pts)
+        for v in hull_boundary_samples(h, step):
+            unit = UnitVec3(*v)  # validates unit length
+            assert angle_between(unit, geo_to_unit(unit_to_geo(unit))) <= 1e-12
 
 
 SQUARE = GeoPolygon(rings=((GeoPoint(-1, -1), GeoPoint(-1, 1), GeoPoint(1, 1), GeoPoint(1, -1)),))
@@ -327,3 +349,73 @@ class TestPolygonContains:
         assert polygon_contains(poly, GeoPoint(0, -179.5))
         assert not polygon_contains(poly, GeoPoint(0, 178))
         assert not polygon_contains(poly, GeoPoint(0, -178))
+
+
+def _polygon_contains_uncapped(poly, p):
+    """Reference: _polygon_contains_vec without its bounding-cap rejection.
+
+    The hemisphere guard, then even-odd in the gnomonic plane, then the
+    ANGLE_TOL band around every edge and vertex.
+    """
+    center, e1, e2, rings_2d, edges, _ = poly._frame
+    d = _dot(center, p)
+    if d <= 1e-9:
+        return False
+    if _even_odd(rings_2d, _dot(e1, p) / d, _dot(e2, p) / d):
+        return True
+    for a, b, n in edges:
+        if abs(_dot(n, p)) <= ANGLE_TOL:
+            if _dot(_cross(n, a), p) >= -ANGLE_TOL and _dot(_cross(b, n), p) >= -ANGLE_TOL:
+                return True
+            if _angle(p, a) <= ANGLE_TOL or _angle(p, b) <= ANGLE_TOL:
+                return True
+    return False
+
+
+@st.composite
+def polygon_and_probes(draw):
+    """A random star polygon and unit vectors where a too-narrow cap would show.
+
+    Probes sit just outside the vertex cap, just beyond vertices, and within
+    a few ANGLE_TOL of edges and vertices; a few are anywhere in the cap.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    radius = draw(st.floats(0.2, 50))
+    lat, lon = rng.uniform(radius - 80, 80 - radius), rng.uniform(-180, 180)
+    poly = GeoPolygon(rings=(star_ring(rng, lat, lon, radius, rng.randint(3, 12)),))
+    center, *_ = poly._frame
+    ring = poly._ring_vecs[0]
+    cap_ang = max(_angle(center, v) for v in ring)
+    probes = []
+    for _ in range(30):
+        probes.append(offset(center, cap_ang + rng.uniform(0.0, 0.05) * rng.random() ** 4, rng))
+        probes.append(offset(center, cap_ang * math.sqrt(rng.random()), rng))
+    for k, a in enumerate(ring):
+        b = ring[(k + 1) % len(ring)]
+        # beyond the vertex, away from the center
+        t = _normalized(tuple(_dot(a, center) * ai - ci for ai, ci in zip(a, center)))
+        for step in (ANGLE_TOL / 2, ANGLE_TOL, 2 * ANGLE_TOL, 1e-6):
+            probes.append(_normalized(tuple(math.cos(step) * ai + math.sin(step) * ti for ai, ti in zip(a, t))))
+        probes.append(offset(a, rng.uniform(0, 2 * ANGLE_TOL), rng))
+        # along the edge's great circle, past its ends included, then off it
+        n = _normalized(_cross(a, b))
+        ang = _angle(a, b)
+        along = rng.uniform(-0.01, 1.01) * ang
+        u = _normalized(_cross(n, a))
+        on = tuple(math.cos(along) * ai + math.sin(along) * ui for ai, ui in zip(a, u))
+        side = rng.uniform(-2, 2) * ANGLE_TOL
+        probes.append(_normalized(tuple(math.cos(side) * oi + math.sin(side) * ni for oi, ni in zip(on, n))))
+    return poly, probes
+
+
+class TestPolygonCap:
+    @given(polygon_and_probes())
+    def test_cap_rejects_nothing_the_uncapped_tests_accept(self, case):
+        poly, probes = case
+        for p in probes:
+            assert _polygon_contains_vec(poly, p) == _polygon_contains_uncapped(poly, p)
+
+    def test_cap_is_exact_width(self):
+        center, *_, cap_cos = SQUARE._frame
+        cap_ang = max(_angle(center, v) for v in SQUARE._ring_vecs[0])
+        assert cap_ang < math.acos(cap_cos) <= cap_ang + 2e-6
