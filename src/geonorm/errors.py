@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every type pickles to an equal error, so a worker process can hand one back.
+"""
 
 from __future__ import annotations
 
@@ -28,6 +31,9 @@ class HemisphereViolation(GeonormError):
             f"are {separation_deg:.2f} degrees apart"
         )
 
+    def __reduce__(self):
+        return type(self), (self.witness, self.separation_deg)
+
 
 class UnknownCountry(GeonormError):
     """A country code is not present in the world model."""
@@ -40,6 +46,9 @@ class UnknownCountry(GeonormError):
             msg += " (did you mean: " + ", ".join(self.suggestions) + "?)"
         super().__init__(msg)
 
+    def __reduce__(self):
+        return type(self), (self.iso2, self.suggestions)
+
 
 class ParseError(GeonormError):
     """An input file failed to parse; names the file and line."""
@@ -47,7 +56,11 @@ class ParseError(GeonormError):
     def __init__(self, source, line_no, message):
         self.source = source
         self.line_no = line_no
+        self.message = message
         super().__init__(f"{source}:{line_no}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.source, self.line_no, self.message)
 
 
 class ValidationError(GeonormError):
@@ -56,3 +69,20 @@ class ValidationError(GeonormError):
 
 class ConflictError(GeonormError):
     """Two table rows assign conflicting values to the same key."""
+
+
+def utf8_error(source, data: bytes, line_no: int = 1) -> ParseError:
+    """A ParseError at the first byte of data that is not UTF-8.
+
+    data starts at line line_no of source; lines end at b"\\n".
+    """
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_start = data.rfind(b"\n", 0, e.start) + 1
+        return ParseError(
+            str(source),
+            line_no + data.count(b"\n", 0, e.start),
+            f"invalid UTF-8 byte 0x{data[e.start]:02x} at column {e.start - line_start + 1}",
+        )
+    return ParseError(str(source), line_no, "invalid UTF-8")

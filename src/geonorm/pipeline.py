@@ -8,12 +8,13 @@ traffic to. Consecutive duplicate (country, ASN) tuples compress to one.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable, Iterator
 
 from .enrichment import Enrichment, parse_ip
-from .errors import ParseError
+from .errors import ParseError, utf8_error
 from .normality import NormalSet, PairCache, PathVerdict, classify
 from .world import WorldModel
 
@@ -123,16 +124,67 @@ def parse_traceroute_line(line: str, source: str = "<line>", line_no: int = 1) -
     return TracerouteRecord(src_ip=src_ip, dst_ip=dst_ip, timestamp=timestamp, hops=tuple(hops))
 
 
-def read_traceroutes(path) -> Iterator[TracerouteRecord]:
+def _open_binary(path):
     try:
-        fh = open(path, encoding="utf-8")
+        return open(path, "rb")
     except OSError as e:
         raise ParseError(str(path), 0, f"cannot open: {e.strerror}") from e
-    with fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+
+
+def read_traceroutes(path, start: int = 0, end: int | None = None) -> Iterator[TracerouteRecord]:
+    """Records of the NDJSON lines of path that begin in bytes [start, end).
+
+    Lines end at b"\\n" only, so a lone carriage return is JSON whitespace;
+    each line must be UTF-8, blank lines are skipped, and line numbers count
+    from the start of the file whatever start is.
+    """
+    source = str(path)
+    with _open_binary(path) as fh:
+        line_no, pos = 1, 0
+        if start > 0:
+            last = b"\n"
+            while pos < start:
+                chunk = fh.read(min(start - pos, 1 << 20))
+                if not chunk:
+                    break
+                line_no += chunk.count(b"\n")
+                pos += len(chunk)
+                last = chunk[-1:]
+            if last != b"\n":  # the line holding start began before it
+                pos += len(fh.readline())
+                line_no += 1
+        for raw in fh:
+            if end is not None and pos >= end:
+                break
+            pos += len(raw)
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise utf8_error(source, raw, line_no) from None
             if line:
-                yield parse_traceroute_line(line, source=str(path), line_no=line_no)
+                yield parse_traceroute_line(line, source=source, line_no=line_no)
+            line_no += 1
+
+
+def shard_ranges(path, n: int) -> list[tuple[int, int]]:
+    """Cut path into at most n non-empty byte ranges that each begin a line.
+
+    Cuts fall at even fractions of the file size, moved forward to the next
+    line start, so read_traceroutes over every range yields each record once.
+    """
+    with _open_binary(path) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        bounds = [0]
+        for i in range(1, n):
+            cut = size * i // n
+            if cut <= bounds[-1]:
+                continue
+            fh.seek(cut - 1)
+            fh.readline()
+            if fh.tell() < size:
+                bounds.append(fh.tell())
+        bounds.append(size)
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
 
 
 def to_tuple_path(rec: TracerouteRecord, enrichment: Enrichment) -> TuplePath | Skip:

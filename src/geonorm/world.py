@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping
 
-from .errors import ParseError, UnknownCountry, ValidationError
+from .errors import ParseError, UnknownCountry, ValidationError, utf8_error
 from .sphere import GeoPoint, GeoPolygon, polygon_contains
 
 REGIONS = ("Africa", "Americas", "Asia", "Europe", "Oceania")
@@ -86,17 +87,19 @@ def _read_csv(path, expected_header):
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(str(path), 1, "missing header row") from None
-        if [h.strip().lower() for h in header] != list(expected_header):
-            raise ParseError(str(path), 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(expected_header):
-                raise ParseError(str(path), line_no, f"expected {len(expected_header)} fields, got {len(row)}")
-            yield line_no, [c.strip() for c in row]
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(str(path), 1, "missing header row")
+            if [h.strip().lower() for h in header] != list(expected_header):
+                raise ParseError(str(path), 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(expected_header):
+                    raise ParseError(str(path), line_no, f"expected {len(expected_header)} fields, got {len(row)}")
+                yield line_no, [c.strip() for c in row]
+        except UnicodeDecodeError:
+            raise utf8_error(path, Path(path).read_bytes()) from None
 
 
 def _check_iso2(code, path, line_no):
@@ -162,6 +165,8 @@ def _load_borders(path):
             doc = json.load(fh)
     except OSError as e:
         raise ParseError(str(path), 0, f"cannot open: {e.strerror}") from e
+    except UnicodeDecodeError:
+        raise utf8_error(path, Path(path).read_bytes()) from None
     except json.JSONDecodeError as e:
         raise ParseError(str(path), e.lineno, f"invalid JSON: {e.msg}") from None
     if doc.get("type") != "FeatureCollection":

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from geonorm import cli
 from geonorm.cli import main
+from geonorm.pipeline import shard_ranges
 
 from conftest import PIPELINE12, REPO, SMALLWORLD, WORLD_DATA, table_args, world_args
 
@@ -213,3 +215,127 @@ class TestConfigFile:
         code, _, err = run(capsys, "--config", str(cfg_path), "validate-world", *world_args())
         assert code == 1
         assert "citties" in err
+
+
+def run_cli_process(*argv):
+    """The CLI in a fresh process, so stderr shows whether a traceback escaped."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "geonorm.cli", *argv], env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def assert_located_failure(proc, location, out_dir):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert location in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+class TestNonUtf8Input:
+    def test_traceroute_line(self, tmp_path):
+        bad = tmp_path / "bad.ndjson"
+        bad.write_bytes(GOOD_LINE.encode() + b"\n" + GOOD_LINE.encode().replace(b"30.1.0.5", b"30.1.0.\xff") + b"\n")
+        out_dir = tmp_path / "out"
+        proc = run_cli_process("analyze", *world_args(), *table_args(), "--traceroutes", str(bad), "--output-dir", str(out_dir))
+        assert_located_failure(proc, "bad.ndjson:2: invalid UTF-8 byte 0xff at column", out_dir)
+
+    @pytest.mark.parametrize("name, old, new, line", [
+        ("cities.csv", b"Alpha Port", b"Alpha P\xf6rt", 3),
+        ("borders.geojson", b'"FeatureCollection"', b'"Feature\xffCollection"', 2),
+    ])
+    def test_world_file(self, tmp_path, name, old, new, line):
+        world = tmp_path / "world"
+        world.mkdir()
+        for path in SMALLWORLD.iterdir():
+            (world / path.name).write_bytes(path.read_bytes())
+        target = world / name
+        target.write_bytes(target.read_bytes().replace(old, new, 1))
+        out_dir = tmp_path / "out"
+        proc = run_cli_process(
+            "analyze", *world_args(world), *table_args(world),
+            "--traceroutes", str(PIPELINE12 / "traceroutes.ndjson"), "--output-dir", str(out_dir),
+        )
+        assert_located_failure(proc, f"{name}:{line}: invalid UTF-8 byte", out_dir)
+
+    def test_config_file(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_bytes(b'{\n "mode": "b\xf6rder"\n}\n')
+        out_dir = tmp_path / "out"
+        proc = run_cli_process(
+            "--config", str(cfg_path), "analyze", *world_args(), *table_args(),
+            "--traceroutes", str(PIPELINE12 / "traceroutes.ndjson"), "--output-dir", str(out_dir),
+        )
+        assert_located_failure(proc, "run.json:2: invalid UTF-8 byte 0xf6 at column 12", out_dir)
+
+
+def tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestShardedAnalyze:
+    """--workers as forked processes over byte ranges; CPUs are not the cap here, so shards really fork."""
+
+    @pytest.fixture(autouse=True)
+    def many_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+
+    def analyze(self, capsys, traceroutes, out_dir, workers):
+        return run(
+            capsys, "analyze", *world_args(), *table_args(),
+            "--traceroutes", str(traceroutes), "--output-dir", str(out_dir), "--workers", str(workers),
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_pipeline12_identical_for_any_worker_count(self, capsys, tmp_path, workers):
+        code, _, _ = self.analyze(capsys, PIPELINE12 / "traceroutes.ndjson", tmp_path, workers)
+        assert code == 0
+        assert tree(tmp_path) == tree(PIPELINE12 / "expected")
+
+    def test_runs_in_process_without_fork(self, capsys, tmp_path, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(os, "fork", None)
+        code, _, _ = self.analyze(capsys, PIPELINE12 / "traceroutes.ndjson", tmp_path, 8)
+        assert code == 0
+        assert tree(tmp_path) == tree(PIPELINE12 / "expected")
+
+    def corpus_with_bad_lines(self, tmp_path, bad_lines):
+        path = tmp_path / "traces.ndjson"
+        path.write_text("".join(("broken" if i in bad_lines else GOOD_LINE) + "\n" for i in range(1, 101)))
+        return path
+
+    def test_error_in_second_half_matches_one_worker(self, capsys, tmp_path):
+        path = self.corpus_with_bad_lines(tmp_path, {81})
+        assert shard_ranges(path, 2)[1][0] < 80 * (len(GOOD_LINE) + 1)
+        code1, _, err1 = self.analyze(capsys, path, tmp_path / "w1", 1)
+        code2, _, err2 = self.analyze(capsys, path, tmp_path / "w2", 2)
+        assert code1 == code2 == 1
+        assert err1 == err2
+        assert "traces.ndjson:81: invalid JSON" in err1
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_earliest_error_wins(self, capsys, tmp_path, workers):
+        path = self.corpus_with_bad_lines(tmp_path, {21, 81})
+        code, _, err = self.analyze(capsys, path, tmp_path / "out", workers)
+        assert code == 1
+        assert "traces.ndjson:21: invalid JSON" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_worker_that_dies_is_reported(self, capsys, tmp_path, monkeypatch):
+        parent = os.getpid()
+        real_accumulate = cli.accumulate
+
+        def accumulate(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            real_accumulate(*args)
+
+        monkeypatch.setattr(cli, "accumulate", accumulate)
+        path = self.corpus_with_bad_lines(tmp_path, set())
+        code, _, err = self.analyze(capsys, path, tmp_path / "out", 2)
+        assert code == 1
+        assert "exited with code 3" in err
+        assert not (tmp_path / "out" / "report.json").exists()

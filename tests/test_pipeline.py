@@ -1,8 +1,13 @@
 import json
 import random
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from geonorm import pipeline
 from geonorm.errors import ParseError
 from geonorm.normality import PairCache
 from geonorm.pipeline import (
@@ -14,6 +19,7 @@ from geonorm.pipeline import (
     parse_traceroute_line,
     process_stream,
     read_traceroutes,
+    shard_ranges,
     to_tuple_path,
 )
 from geonorm.synth import generate_records
@@ -98,6 +104,114 @@ class TestParsing:
                "hops": [{"ttl": 1, "ip": "fe80::1%eth0"}, {"ttl": 2, "ip": None}]}
         rec = parse_traceroute_line(json.dumps(doc))
         assert (rec.src_ip, rec.dst_ip, rec.hops[0].ip) == ("2001:DB8::1", "::ffff:1.2.3.4", "fe80::1%eth0")
+
+
+def ndjson_record(ts, pad=0, lone_cr=False):
+    """One NDJSON record with a unique timestamp, optionally padded or with a lone CR as whitespace."""
+    sep = ",\r" if lone_cr else ", "
+    return (
+        f'{{"src_ip": "1.1.1.1"{sep}"dst_ip": "2.2.2.2", "timestamp": {ts},{" " * pad}'
+        f'"hops": [{{"ttl": 1, "ip": "3.3.3.3"}}, {{"ttl": 2, "ip": null}}]}}'
+    ).encode()
+
+
+# kind -> the bytes of line number ts; blank and spaces lines hold no record
+LINE_KINDS = {
+    "record": lambda ts: ndjson_record(ts),
+    "lone_cr": lambda ts: ndjson_record(ts, lone_cr=True),
+    "long": lambda ts: ndjson_record(ts, pad=70_000),
+    "blank": lambda ts: b"",
+    "spaces": lambda ts: b" \t ",
+}
+
+
+@st.composite
+def ndjson_files(draw):
+    """(file bytes, [(line number, record)] it holds) with CRLF and LF ends and maybe no final newline."""
+    lines = draw(st.lists(
+        st.tuples(st.sampled_from(sorted(LINE_KINDS)), st.sampled_from([b"\n", b"\r\n"])), max_size=20,
+    ))
+    content, expected = b"", []
+    for line_no, (kind, end) in enumerate(lines, start=1):
+        content += LINE_KINDS[kind](line_no) + end
+        if kind not in ("blank", "spaces"):
+            expected.append((line_no, parse_traceroute_line(LINE_KINDS[kind](line_no).decode())))
+    if content and draw(st.booleans()):
+        content = content.rstrip(b"\r\n")
+    return content, expected
+
+
+def read_numbered(path, start=0, end=None):
+    """read_traceroutes, each record paired with the line number the reader gave it."""
+    real = pipeline.parse_traceroute_line
+
+    def numbered(line, source, line_no):
+        return line_no, real(line, source, line_no)
+
+    with mock.patch.object(pipeline, "parse_traceroute_line", numbered):
+        return list(read_traceroutes(path, start, end))
+
+
+class TestSharding:
+    @settings(max_examples=150)
+    @given(ndjson_files(), st.integers(min_value=1, max_value=8), st.data())
+    def test_shards_concatenate_to_the_whole_file(self, file, n, data):
+        content, expected = file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.ndjson"
+            path.write_bytes(content)
+            assert read_numbered(path) == expected
+            ranges = shard_ranges(path, n)
+            assert len(ranges) <= n
+            assert [a for a, _ in ranges[1:]] == [b for _, b in ranges[:-1]]
+            assert (ranges[0][0], ranges[-1][1]) == (0, len(content)) if content else ranges == []
+            for a, b in ranges:
+                assert a < b and (a == 0 or content[a - 1:a] == b"\n")
+            assert [r for a, b in ranges for r in read_numbered(path, a, b)] == expected
+            # any cuts work: a range yields the lines that begin inside it
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(content) + 3), max_size=6)))
+            bounds = list(zip([0, *cuts], [*cuts, None]))
+            assert [r for a, b in bounds for r in read_numbered(path, a, b)] == expected
+
+    def test_start_past_a_long_prefix(self, tmp_path):
+        path = tmp_path / "t.ndjson"
+        first, second = ndjson_record(1, pad=2_500_000), ndjson_record(2)
+        path.write_bytes(first + b"\n" + second + b"\nbroken\n")
+        cut = len(first) + 5  # inside line 2, so it belongs to the first range
+        assert [n for n, _ in read_numbered(path, 0, cut)] == [1, 2]
+        with pytest.raises(ParseError, match=r"t.ndjson:3: invalid JSON"):
+            read_numbered(path, cut)
+
+    def test_more_shards_than_lines(self, tmp_path):
+        path = tmp_path / "t.ndjson"
+        path.write_bytes(ndjson_record(1) + b"\n" + ndjson_record(2))
+        assert len(shard_ranges(path, 8)) == 2
+        empty = tmp_path / "empty.ndjson"
+        empty.write_bytes(b"")
+        assert shard_ranges(empty, 8) == []
+
+    def test_lone_cr_is_json_whitespace(self, tmp_path):
+        path = tmp_path / "t.ndjson"
+        path.write_bytes(ndjson_record(7, lone_cr=True) + b"\n")
+        assert [r.timestamp for r in read_traceroutes(path)] == [7.0]
+
+    def test_lone_cr_does_not_end_a_record(self, tmp_path):
+        path = tmp_path / "t.ndjson"
+        path.write_bytes(ndjson_record(1) + b"\n" + ndjson_record(2) + b"\r" + ndjson_record(3) + b"\n")
+        with pytest.raises(ParseError, match=r"t.ndjson:2: invalid JSON at column \d+: Extra data"):
+            list(read_traceroutes(path))
+
+    def test_non_utf8_line_is_located(self, tmp_path):
+        path = tmp_path / "t.ndjson"
+        path.write_bytes(ndjson_record(1) + b"\n" + ndjson_record(2).replace(b"3.3.3.3", b"3.3.3.\xff") + b"\n")
+        with pytest.raises(ParseError) as exc:
+            list(read_traceroutes(path))
+        column = ndjson_record(2).index(b"3.3.3.3") + 7
+        assert str(exc.value) == f"{path}:2: invalid UTF-8 byte 0xff at column {column}"
+
+    def test_unopenable_file_is_located(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot open"):
+            shard_ranges(tmp_path / "absent.ndjson", 2)
 
 
 class TestToTuplePath:
