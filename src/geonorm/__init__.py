@@ -24,8 +24,7 @@ from .pipeline import (
     SkipLog,
     TracerouteRecord,
     TuplePath,
-    classify_path,
-    process_stream,
+    classify_path_with,
     to_tuple_path,
 )
 from .sphere import (

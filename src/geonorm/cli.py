@@ -24,10 +24,20 @@ from .errors import GeonormError, ValidationError, utf8_error
 from .metrics import EXPOSURES, ROLES, Aggregate, accumulate, report
 from .normality import PairCache, normal_set
 from .pipeline import (
-    Skip, SkipLog, classify_path_with, parse_traceroute_line, process_stream, read_traceroutes, shard_ranges, to_tuple_path,
+    Skip, SkipLog, classify_path_with, parse_traceroute_line, read_traceroutes, shard_ranges, to_tuple_path,
 )
-from .sphere import DEFAULT_BOUNDARY_STEP_DEG, unit_to_geo
-from .world import DEFAULT_CITY_LIMIT, load_world
+from .sphere import DEFAULT_BOUNDARY_STEP_DEG, spherical_convex_hull, unit_to_geo
+from .world import DEFAULT_CITY_LIMIT, country_points, load_world
+
+
+# What each annotated RunConfig field type accepts. --config values arrive
+# untyped from JSON, and a bool is not a count.
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string", lambda v: v is None or isinstance(v, str)),
+}
 
 
 @dataclass
@@ -48,14 +58,16 @@ class RunConfig:
     output_dir: str = "."
 
     def validate(self):
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
-        if self.boundary_step <= 0:
+        for f in fields(self):
+            kind, accepts = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not accepts(value):
+                raise ValidationError(f"{f.name} must be {kind}, got {value!r}")
+        for name in ("workers", "top_n", "city_limit"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name.replace('_', '-')} must be >= 1, got {getattr(self, name)}")
+        if not self.boundary_step > 0:  # NaN too
             raise ValidationError(f"boundary-step must be positive, got {self.boundary_step}")
-        if self.top_n < 1:
-            raise ValidationError(f"top-n must be >= 1, got {self.top_n}")
-        if self.city_limit < 1:
-            raise ValidationError(f"city-limit must be >= 1, got {self.city_limit}")
         if self.mode not in ("population", "border"):
             raise ValidationError(f"mode must be population or border, got {self.mode!r}")
         if self.unclassifiable_policy not in ("exclude", "count_non_normal"):
@@ -91,9 +103,10 @@ def _load_enrichment(cfg, origin_conflict="error"):
     )
 
 
-# Records handed to process_stream at a time, so memory stays bounded: feeding
-# it each record as it is parsed ran about 8% slower than parsing the whole
-# corpus first, and batches of this size come within about 1% of that.
+# Records parsed ahead of the per-record loop at a time, so memory stays
+# bounded. Looping over each record as it is parsed ran 5% slower: median
+# 3.41 s against 3.25 s for batches of this size, over 8 alternating runs of
+# a 60,000-record synth corpus (seed 11, --workers 1, Python 3.11.7).
 BATCH = 1024
 
 
@@ -173,11 +186,18 @@ def cmd_analyze(cfg: RunConfig, origin_conflict: str = "error") -> int:
         agg, skips = Aggregate(), SkipLog()
         records = read_traceroutes(cfg.traceroutes, start, end)
         while batch := list(islice(records, BATCH)):
-            for tp, pc in process_stream(
-                batch, enrichment, cache, w,
-                mode=cfg.mode, unclassifiable_policy=cfg.unclassifiable_policy, skip_log=skips,
-            ):
-                accumulate(agg, tp, pc, w)
+            for rec in batch:
+                tp = to_tuple_path(rec, enrichment)
+                if isinstance(tp, Skip):
+                    skips.add(tp.reason)
+                    continue
+                ns = cache.get_or_build(w, tp.src_country, tp.dst_country, cfg.mode)
+                if ns.unclassifiable:
+                    if cfg.unclassifiable_policy == "exclude":
+                        skips.add("unclassifiable_pair")
+                        continue
+                    skips.note("unclassifiable_pair_counted_non_normal")
+                accumulate(agg, tp, classify_path_with(tp, ns), w)
         return agg, skips
 
     agg, skip_log = Aggregate(), SkipLog()
@@ -249,23 +269,18 @@ def _write_csv(path: Path, header, rows):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# CSV columns of the top-N tables, which are exactly the keys of their rows
+_TOP_TABLES = {
+    "transit_providers": ("iso2", "paths_transited", "transited_ratio", "transit_don"),
+    "transit_only": ("iso2", "transit_only_paths", "transit_only_ratio", "transit_only_don"),
+    "benefactors": ("iso2", "paths_benefited"),
+}
+
+
 def _write_tables(doc, tables: Path):
     for exposure in EXPOSURES:
-        _write_csv(
-            tables / f"transit_providers_{exposure}.csv",
-            ("iso2", "paths_transited", "transited_ratio", "transit_don"),
-            [(r["iso2"], r["paths_transited"], r["transited_ratio"], r["transit_don"]) for r in doc["transit_providers"][exposure]],
-        )
-        _write_csv(
-            tables / f"transit_only_{exposure}.csv",
-            ("iso2", "transit_only_paths", "transit_only_ratio", "transit_only_don"),
-            [(r["iso2"], r["transit_only_paths"], r["transit_only_ratio"], r["transit_only_don"]) for r in doc["transit_only"][exposure]],
-        )
-        _write_csv(
-            tables / f"benefactors_{exposure}.csv",
-            ("iso2", "paths_benefited"),
-            [(r["iso2"], r["paths_benefited"]) for r in doc["benefactors"][exposure]],
-        )
+        for name, header in _TOP_TABLES.items():
+            _write_csv(tables / f"{name}_{exposure}.csv", header, [[r[k] for k in header] for r in doc[name][exposure]])
         _write_csv(
             tables / f"benefactor_transit_ratio_{exposure}.csv",
             ("iso2", "paths_benefited", "paths_transited", "ratio"),
@@ -318,21 +333,15 @@ def cmd_normal_set(cfg: RunConfig, src: str, dst: str, modes, export_hull: str |
         label = "unclassifiable (pair spans more than a hemisphere)" if ns.unclassifiable else ", ".join(sorted(ns.countries))
         print(f"{mode}: {label}")
         if export_hull and not ns.unclassifiable and src != dst:
-            path = export_hull if len(modes) == 1 else _suffixed(export_hull, mode)
+            path = Path(export_hull)
+            if len(modes) > 1:
+                path = path.with_name(f"{path.stem}_{mode}{path.suffix}")
             _export_hull(w, src, dst, mode, cfg, path)
             print(f"hull ring written to {path}")
     return 0
 
 
-def _suffixed(path, mode):
-    p = Path(path)
-    return str(p.with_name(f"{p.stem}_{mode}{p.suffix}"))
-
-
 def _export_hull(w, src, dst, mode, cfg, path):
-    from .sphere import spherical_convex_hull
-    from .world import country_points
-
     points = country_points(w, src, mode, cfg.city_limit) + country_points(w, dst, mode, cfg.city_limit)
     hull = spherical_convex_hull(points)
     ring = [unit_to_geo(v) for v in hull.vertices]
@@ -365,8 +374,7 @@ def cmd_classify_one(cfg: RunConfig, line: str) -> int:
     if isinstance(tp, Skip):
         print(f"skipped: {tp.reason}")
         return 1
-    cache = PairCache(boundary_step=cfg.boundary_step, city_limit=cfg.city_limit)
-    ns = cache.get_or_build(w, tp.src_country, tp.dst_country, cfg.mode)
+    ns = normal_set(w, tp.src_country, tp.dst_country, cfg.mode, boundary_step=cfg.boundary_step, city_limit=cfg.city_limit)
     pc = classify_path_with(tp, ns)
     tuples = " ".join(f"({h.phys_country},AS{h.asn})" for h in tp.hops) or "(empty)"
     print(f"tuple path: {tp.src_country} -> {tp.dst_country} via {tuples}")
@@ -448,6 +456,8 @@ def _config_from_args(args) -> RunConfig:
             raise utf8_error(args.config, Path(args.config).read_bytes()) from None
         except json.JSONDecodeError as e:
             raise ValidationError(f"config file {args.config} is not valid JSON: {e.msg}") from None
+        if not isinstance(loaded, dict):
+            raise ValidationError(f"config file {args.config} must hold a JSON object, got {json.dumps(loaded)}")
         unknown = set(loaded) - _CONFIG_KEYS
         if unknown:
             raise ValidationError(f"config file {args.config}: unknown keys {sorted(unknown)}")

@@ -53,10 +53,6 @@ class Aggregate:
     paths_total: int = 0
 
     def merge(self, other: "Aggregate") -> "Aggregate":
-        for key, (n, t) in other.role.items():
-            mine = self.role.setdefault(key, [0, 0])
-            mine[0] += n
-            mine[1] += t
         for key, counts in other.benefactor.items():
             mine = self.benefactor.setdefault(key, [0, 0, 0, 0])
             for i in range(4):
@@ -65,7 +61,7 @@ class Aggregate:
             mine_d, other_d = getattr(self, attr), getattr(other, attr)
             for key, v in other_d.items():
                 mine_d[key] = mine_d.get(key, 0) + v
-        for attr in ("tuple_len", "as_count", "global_counts", "region_matrix"):
+        for attr in ("role", "tuple_len", "as_count", "global_counts", "region_matrix"):
             mine_d, other_d = getattr(self, attr), getattr(other, attr)
             for key, (n, t) in other_d.items():
                 mine = mine_d.setdefault(key, [0, 0])
@@ -115,9 +111,7 @@ def accumulate(agg: Aggregate, tp: TuplePath, pc: PathClassification, w: WorldMo
         for iso2 in verdict.benefactors:
             counts = agg.benefactor.setdefault((iso2, exposure), [0, 0, 0, 0])
             counts[0] += 1
-        entry = agg.global_counts.setdefault(exposure, [0, 0])
-        entry[0] += 1 if verdict.normal else 0
-        entry[1] += 1
+        _bump(agg.global_counts, exposure, verdict.normal)
         _bump(agg.region_matrix, (w.region_of[tp.src_country], w.region_of[tp.dst_country], exposure), verdict.normal)
 
     sev = len(pc.physical.benefactors)
@@ -133,6 +127,30 @@ def _don_entry(normal, total):
     return {"normal": normal, "total": total, "don": don(normal, total)}
 
 
+def _role_dons(agg, members):
+    """{exposure: {role: DoN entry}} over the role counts summed across members; empty totals are left out."""
+    out = {}
+    for exposure in EXPOSURES:
+        per_role = {}
+        for role in ROLES:
+            normal = total = 0
+            for iso2 in members:
+                entry = agg.role.get((iso2, role, exposure))
+                if entry is not None:
+                    normal += entry[0]
+                    total += entry[1]
+            if total:
+                per_role[role] = _don_entry(normal, total)
+        if per_role:
+            out[exposure] = per_role
+    return out
+
+
+def _top(rows, count, top_n):
+    """The top_n (iso2, counts) rows with a nonzero counts[count], by descending count, ties by iso2."""
+    return sorted((r for r in rows if r[1][count]), key=lambda r: (-r[1][count], r[0]))[:top_n]
+
+
 def report(agg: Aggregate, w: WorldModel, skip_log: SkipLog | None = None, top_n: int = 10) -> dict:
     """Build the full exposure report as a JSON-ready dict.
 
@@ -141,107 +159,51 @@ def report(agg: Aggregate, w: WorldModel, skip_log: SkipLog | None = None, top_n
     """
     countries = sorted({iso2 for (iso2, _, _) in agg.role} | {iso2 for (iso2, _) in agg.benefactor})
 
-    country_role = {}
-    for iso2 in countries:
-        per_exp = {}
-        for exposure in EXPOSURES:
-            per_role = {}
-            for role in ROLES:
-                entry = agg.role.get((iso2, role, exposure))
-                if entry is not None:
-                    per_role[role] = _don_entry(entry[0], entry[1])
-            if per_role:
-                per_exp[exposure] = per_role
-        if per_exp:
-            country_role[iso2] = per_exp
+    country_role = {iso2: per_exp for iso2 in countries if (per_exp := _role_dons(agg, [iso2]))}
+
+    def share(n):
+        return n / agg.paths_total if agg.paths_total else None
 
     transit_providers = {}
     transit_only = {}
     benefactors = {}
     benefactor_ratio = {}
     for exposure in EXPOSURES:
-        rows = []
-        for iso2 in countries:
-            counts = agg.benefactor.get((iso2, exposure))
-            if counts is None or counts[1] == 0:
-                continue
-            role_entry = agg.role.get((iso2, "transit", exposure))
-            rows.append(
-                {
-                    "iso2": iso2,
-                    "paths_transited": counts[1],
-                    "transited_ratio": counts[1] / agg.paths_total if agg.paths_total else None,
-                    "transit_don": don(role_entry[0], role_entry[1]) if role_entry else None,
-                }
-            )
-        rows.sort(key=lambda r: (-r["paths_transited"], r["iso2"]))
-        transit_providers[exposure] = rows[:top_n]
-
-        rows = []
-        for iso2 in countries:
-            counts = agg.benefactor.get((iso2, exposure))
-            if counts is None or counts[2] == 0:
-                continue
-            rows.append(
-                {
-                    "iso2": iso2,
-                    "transit_only_paths": counts[2],
-                    "transit_only_ratio": counts[2] / agg.paths_total if agg.paths_total else None,
-                    "transit_only_don": don(counts[3], counts[2]),
-                }
-            )
-        rows.sort(key=lambda r: (-r["transit_only_paths"], r["iso2"]))
-        transit_only[exposure] = rows[:top_n]
-
-        rows = []
-        for iso2 in countries:
-            counts = agg.benefactor.get((iso2, exposure))
-            if counts is None or counts[0] == 0:
-                continue
-            rows.append({"iso2": iso2, "paths_benefited": counts[0]})
-        rows.sort(key=lambda r: (-r["paths_benefited"], r["iso2"]))
-        benefactors[exposure] = rows[:top_n]
-
-        ratios = {}
-        for iso2 in countries:
-            counts = agg.benefactor.get((iso2, exposure))
-            if counts is None or counts[1] == 0:
-                continue
-            ratios[iso2] = {
-                "paths_benefited": counts[0],
+        rows = [(iso2, agg.benefactor[iso2, exposure]) for iso2 in countries if (iso2, exposure) in agg.benefactor]
+        transit_providers[exposure] = [
+            {
+                "iso2": iso2,
                 "paths_transited": counts[1],
-                "ratio": counts[0] / counts[1],
+                "transited_ratio": share(counts[1]),
+                "transit_don": don(*agg.role.get((iso2, "transit", exposure), (0, 0))),
             }
-        benefactor_ratio[exposure] = ratios
+            for iso2, counts in _top(rows, 1, top_n)
+        ]
+        transit_only[exposure] = [
+            {
+                "iso2": iso2,
+                "transit_only_paths": counts[2],
+                "transit_only_ratio": share(counts[2]),
+                "transit_only_don": don(counts[3], counts[2]),
+            }
+            for iso2, counts in _top(rows, 2, top_n)
+        ]
+        benefactors[exposure] = [{"iso2": iso2, "paths_benefited": counts[0]} for iso2, counts in _top(rows, 0, top_n)]
+        benefactor_ratio[exposure] = {
+            iso2: {"paths_benefited": counts[0], "paths_transited": counts[1], "ratio": counts[0] / counts[1]}
+            for iso2, counts in rows
+            if counts[1]
+        }
 
-    regional_role = {}
-    for region in REGIONS:
-        members = [iso2 for iso2 in countries if w.region_of.get(iso2) == region]
-        per_exp = {}
-        for exposure in EXPOSURES:
-            per_role = {}
-            for role in ROLES:
-                normal = total = 0
-                for iso2 in members:
-                    entry = agg.role.get((iso2, role, exposure))
-                    if entry is not None:
-                        normal += entry[0]
-                        total += entry[1]
-                if total:
-                    per_role[role] = _don_entry(normal, total)
-            if per_role:
-                per_exp[exposure] = per_role
-        if per_exp:
-            regional_role[region] = per_exp
+    regional_role = {
+        region: per_exp
+        for region in REGIONS
+        if (per_exp := _role_dons(agg, [iso2 for iso2 in countries if w.region_of.get(iso2) == region]))
+    }
 
-    matrix = {}
-    for exposure in EXPOSURES:
-        grid = {}
-        for (src_r, dst_r, exp), (n, t) in sorted(agg.region_matrix.items()):
-            if exp != exposure:
-                continue
-            grid.setdefault(src_r, {})[dst_r] = _don_entry(n, t)
-        matrix[exposure] = grid
+    matrix = {exposure: {} for exposure in EXPOSURES}
+    for (src_r, dst_r, exposure), (n, t) in sorted(agg.region_matrix.items()):
+        matrix[exposure].setdefault(src_r, {})[dst_r] = _don_entry(n, t)
 
     def hist(table):
         return {str(k): table[k] for k in sorted(table)}

@@ -20,7 +20,6 @@ samples.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 from .errors import HemisphereViolation, UnknownCountry
@@ -213,9 +212,7 @@ def classify(ns: NormalSet, path_countries) -> PathVerdict:
 class PairCache:
     """Memoizes normal sets keyed by the unordered pair and mode.
 
-    Reads are lock-free; insertion is serialized. Concurrent duplicate builds
-    of one pair are allowed and produce identical values, so last-write-wins
-    is safe.
+    Not thread-safe: each analyze shard is a process with its own cache.
     """
 
     boundary_step: float = DEFAULT_BOUNDARY_STEP_DEG
@@ -223,17 +220,14 @@ class PairCache:
     hits: int = 0
     misses: int = 0
     _entries: dict = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
 
     def get_or_build(self, w: WorldModel, src: str, dst: str, mode: str) -> NormalSet:
         key = (frozenset((src, dst)), mode)
         found = self._entries.get(key)
         if found is not None:
-            with self._lock:
-                self.hits += 1
+            self.hits += 1
             return found
         ns = normal_set(w, src, dst, mode, boundary_step=self.boundary_step, city_limit=self.city_limit)
-        with self._lock:
-            self.misses += 1
-            self._entries[key] = ns
+        self.misses += 1
+        self._entries[key] = ns
         return ns

@@ -11,12 +11,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from itertools import groupby
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .enrichment import Enrichment, parse_ip
 from .errors import ParseError, utf8_error
-from .normality import NormalSet, PairCache, PathVerdict, classify
-from .world import WorldModel
+from .normality import NormalSet, PathVerdict, classify
 
 SKIP_REASONS = ("unresolved_source", "unresolved_destination", "empty_path", "unclassifiable_pair")
 
@@ -218,17 +217,12 @@ def to_tuple_path(rec: TracerouteRecord, enrichment: Enrichment) -> TuplePath | 
     return TuplePath(src_country=src_country, dst_country=dst_country, hops=compressed, dropped_hops=dropped)
 
 
-def classify_path(tp: TuplePath, cache: PairCache, w: WorldModel, mode: str = "population") -> PathClassification:
-    """Physical, legal, and union verdicts for one tuple path.
+def classify_path_with(tp: TuplePath, ns: NormalSet) -> PathClassification:
+    """Physical, legal, and union verdicts for one tuple path against its pair's normal set.
 
     All three use the same normal set and the physical endpoints; the legal
     sequence keeps only hops whose registration country is known.
     """
-    ns = cache.get_or_build(w, tp.src_country, tp.dst_country, mode)
-    return classify_path_with(tp, ns)
-
-
-def classify_path_with(tp: TuplePath, ns: NormalSet) -> PathClassification:
     phys = [h.phys_country for h in tp.hops]
     legal = [h.legal_country for h in tp.hops if h.legal_country is not None]
     physical_v = classify(ns, phys)
@@ -259,42 +253,10 @@ class SkipLog:
         self.notes[key] = self.notes.get(key, 0) + 1
 
     def merge(self, other: "SkipLog") -> "SkipLog":
-        for k, v in other.counts.items():
-            self.counts[k] = self.counts.get(k, 0) + v
-        for k, v in other.notes.items():
-            self.notes[k] = self.notes.get(k, 0) + v
+        for mine, theirs in ((self.counts, other.counts), (self.notes, other.notes)):
+            for k, v in theirs.items():
+                mine[k] = mine.get(k, 0) + v
         return self
 
     def total(self) -> int:
         return sum(self.counts.values())
-
-
-def process_stream(
-    records: Iterable[TracerouteRecord],
-    enrichment: Enrichment,
-    cache: PairCache,
-    w: WorldModel,
-    *,
-    mode: str = "population",
-    unclassifiable_policy: str = "exclude",
-    skip_log: SkipLog,
-) -> Iterator[tuple[TuplePath, PathClassification]]:
-    """Apply to_tuple_path then classify_path, tallying skips as they happen.
-
-    Per-record outputs are independent, so callers may shard the input across
-    workers; downstream aggregation must accept any delivery order.
-    """
-    if unclassifiable_policy not in ("exclude", "count_non_normal"):
-        raise ValueError(f"unknown unclassifiable policy {unclassifiable_policy!r}")
-    for rec in records:
-        tp = to_tuple_path(rec, enrichment)
-        if isinstance(tp, Skip):
-            skip_log.add(tp.reason)
-            continue
-        ns = cache.get_or_build(w, tp.src_country, tp.dst_country, mode)
-        if ns.unclassifiable:
-            if unclassifiable_policy == "exclude":
-                skip_log.add("unclassifiable_pair")
-                continue
-            skip_log.note("unclassifiable_pair_counted_non_normal")
-        yield tp, classify_path_with(tp, ns)

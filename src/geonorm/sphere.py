@@ -104,6 +104,15 @@ def _normalized(a):
     return (a[0] / n, a[1] / n, a[2] / n)
 
 
+def _mean(vecs):
+    n = len(vecs)
+    return (
+        sum(v[0] for v in vecs) / n,
+        sum(v[1] for v in vecs) / n,
+        sum(v[2] for v in vecs) / n,
+    )
+
+
 def _angle(a, b):
     # atan2 form stays accurate for both tiny and near-pi separations
     return math.atan2(_norm(_cross(a, b)), _dot(a, b))
@@ -244,11 +253,7 @@ def spherical_convex_hull(points: Sequence[GeoPoint]) -> SphericalHull:
         v = UnitVec3(*vecs[0])
         return SphericalHull(vertices=(v,), centroid=v, degenerate_kind="point")
 
-    mean = (
-        sum(v[0] for v in vecs) / len(vecs),
-        sum(v[1] for v in vecs) / len(vecs),
-        sum(v[2] for v in vecs) / len(vecs),
-    )
+    mean = _mean(vecs)
     if _norm(mean) < 1e-9 or min(_dot(mean, v) for v in vecs) <= 1e-9 * _norm(mean):
         (a, b), _ = _widest_pair(vecs)
         witness = (unit_to_geo(UnitVec3(*a)), unit_to_geo(UnitVec3(*b)))
@@ -262,11 +267,8 @@ def spherical_convex_hull(points: Sequence[GeoPoint]) -> SphericalHull:
     e1, e2 = _tangent_basis(center)
     plane = [_gnomonic(center, e1, e2, v) for v in vecs]
     idx = _planar_hull(plane)
-    if len(idx) == 2:
-        ring = tuple(UnitVec3(*vecs[i]) for i in idx)
-        return SphericalHull(vertices=ring, centroid=UnitVec3(*center), degenerate_kind="arc")
     ring = tuple(UnitVec3(*vecs[i]) for i in idx)
-    return SphericalHull(vertices=ring, centroid=UnitVec3(*center), degenerate_kind="polygon")
+    return SphericalHull(vertices=ring, centroid=UnitVec3(*center), degenerate_kind="arc" if len(idx) == 2 else "polygon")
 
 
 def _on_arc(p, a, b, tol=ANGLE_TOL):
@@ -349,12 +351,7 @@ class GeoPolygon:
     def _frame(self):
         """Projection center/basis, projected rings, edge normals, and a bounding cap."""
         outer = self._ring_vecs[0]
-        mean = (
-            sum(v[0] for v in outer) / len(outer),
-            sum(v[1] for v in outer) / len(outer),
-            sum(v[2] for v in outer) / len(outer),
-        )
-        center = _normalized(mean)
+        center = _normalized(_mean(outer))
         for ring in self._ring_vecs:
             for v in ring:
                 if _dot(center, v) <= 1e-9:

@@ -10,6 +10,7 @@ Input formats (all UTF-8, header row required):
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,25 +82,35 @@ class WorldModel:
 def _read_csv(path, expected_header):
     """Yield (line number, stripped fields) per non-blank data row, streaming; the header must match."""
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        fh = open(path, "rb")
     except OSError as e:
         raise ParseError(str(path), 0, f"cannot open: {e.strerror}") from e
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_text_lines(fh, path))
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(str(path), 1, "missing header row")
+        if [h.strip().lower() for h in header] != list(expected_header):
+            raise ParseError(str(path), 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(expected_header):
+                raise ParseError(str(path), line_no, f"expected {len(expected_header)} fields, got {len(row)}")
+            yield line_no, [c.strip() for c in row]
+
+
+def _text_lines(fh, path):
+    """Lines of binary file fh, decoded one by one (not ahead in chunks) so rows before a bad byte are checked first."""
+    for line_no, raw in enumerate(fh, start=1):
         try:
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(str(path), 1, "missing header row")
-            if [h.strip().lower() for h in header] != list(expected_header):
-                raise ParseError(str(path), 1, f"expected header {','.join(expected_header)!r}, got {','.join(header)!r}")
-            for line_no, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != len(expected_header):
-                    raise ParseError(str(path), line_no, f"expected {len(expected_header)} fields, got {len(row)}")
-                yield line_no, [c.strip() for c in row]
+            line = raw.decode("utf-8")
         except UnicodeDecodeError:
-            raise utf8_error(path, Path(path).read_bytes()) from None
+            raise utf8_error(path, raw, line_no) from None
+        if "\r" in line:  # a lone \r ends a line too, as in text mode
+            yield from io.StringIO(line, newline="")
+        else:
+            yield line
 
 
 def _check_iso2(code, path, line_no):

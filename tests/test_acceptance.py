@@ -17,7 +17,7 @@ from geonorm.cli import main
 from geonorm.enrichment import PrefixTable
 from geonorm.metrics import Aggregate, accumulate, report
 from geonorm.normality import PairCache, classify, normal_set
-from geonorm.pipeline import Skip, SkipLog, classify_path, parse_traceroute_line, to_tuple_path
+from geonorm.pipeline import Skip, SkipLog, classify_path_with, parse_traceroute_line, to_tuple_path
 from geonorm.sphere import GeoPoint, UnitVec3, angle_between, geo_to_unit, hull_contains, spherical_convex_hull, unit_to_geo
 from geonorm.synth import write_corpus
 
@@ -381,7 +381,7 @@ class TestCriterion5:
                 tp = to_tuple_path(rec, small_enrichment)
                 if isinstance(tp, Skip):
                     continue
-                pc = classify_path(tp, cache, small_world)
+                pc = classify_path_with(tp, cache.get_or_build(small_world, tp.src_country, tp.dst_country, "population"))
                 if pc.union.normal:
                     assert pc.physical.normal, f"line {line_no}: union normal but physical not"
                 accumulate(agg, tp, pc, small_world)

@@ -216,6 +216,26 @@ class TestConfigFile:
         assert code == 1
         assert "citties" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("null", "must hold a JSON object, got null"),
+        ("5", "must hold a JSON object, got 5"),
+        ('"ab"', 'must hold a JSON object, got "ab"'),
+        ('{"workers": "2"}', "workers must be an integer, got '2'"),
+        ('{"boundary_step": "0.1"}', "boundary_step must be a number, got '0.1'"),
+        ('{"boundary_step": NaN}', "boundary-step must be positive, got nan"),
+        ('{"city_limit": 2.5}', "city_limit must be an integer, got 2.5"),
+        ('{"top_n": true}', "top_n must be an integer, got True"),
+        ('{"cities": 5}', "cities must be a string, got 5"),
+        ('{"output_dir": null}', "output_dir must be a string, got None"),
+    ])
+    def test_mistyped_config_is_one_error_line(self, capsys, tmp_path, text, message):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(text)
+        code, _, err = run(capsys, "--config", str(cfg_path), "validate-world")
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 def run_cli_process(*argv):
     """The CLI in a fresh process, so stderr shows whether a traceback escaped."""

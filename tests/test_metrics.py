@@ -6,7 +6,7 @@ import pytest
 
 from geonorm.metrics import Aggregate, accumulate, don, report
 from geonorm.normality import PairCache
-from geonorm.pipeline import Hop, Skip, SkipLog, TracerouteRecord, classify_path, parse_traceroute_line, to_tuple_path
+from geonorm.pipeline import Hop, Skip, SkipLog, TracerouteRecord, classify_path_with, parse_traceroute_line, to_tuple_path
 from geonorm.synth import generate_records
 
 
@@ -20,7 +20,7 @@ def record(src_ip, dst_ip, ips):
 def classified(small_world, small_enrichment, src_ip, dst_ip, ips, cache=None):
     tp = to_tuple_path(record(src_ip, dst_ip, ips), small_enrichment)
     assert not isinstance(tp, Skip)
-    pc = classify_path(tp, cache or PairCache(), small_world)
+    pc = classify_path_with(tp, (cache or PairCache()).get_or_build(small_world, tp.src_country, tp.dst_country, "population"))
     return tp, pc
 
 
@@ -106,7 +106,7 @@ def build_aggregates(small_world, small_enrichment, n, seed):
         tp = to_tuple_path(rec, small_enrichment)
         if isinstance(tp, Skip):
             continue
-        pc = classify_path(tp, cache, small_world)
+        pc = classify_path_with(tp, cache.get_or_build(small_world, tp.src_country, tp.dst_country, "population"))
         agg = Aggregate()
         accumulate(agg, tp, pc, small_world)
         parts.append(agg)
@@ -207,7 +207,7 @@ class TestReport:
             tp = to_tuple_path(rec, small_enrichment)
             if isinstance(tp, Skip):
                 continue
-            accumulate(agg, tp, classify_path(tp, cache, small_world), small_world)
+            accumulate(agg, tp, classify_path_with(tp, cache.get_or_build(small_world, tp.src_country, tp.dst_country, "population")), small_world)
         doc = report(agg, small_world)
         assert doc["global_don"]["union"] <= doc["global_don"]["physical"]
 
@@ -219,7 +219,7 @@ class TestReport:
             tp = to_tuple_path(rec, small_enrichment)
             if isinstance(tp, Skip):
                 continue
-            accumulate(agg, tp, classify_path(tp, cache, small_world), small_world)
+            accumulate(agg, tp, classify_path_with(tp, cache.get_or_build(small_world, tp.src_country, tp.dst_country, "population")), small_world)
         assert sum(agg.severity.values()) == agg.paths_total
         normal_physical = agg.global_counts["physical"][0]
         assert agg.severity.get(0, 0) == normal_physical
@@ -233,7 +233,7 @@ class TestReport:
             tp = to_tuple_path(rec, small_enrichment)
             if isinstance(tp, Skip):
                 continue
-            pc = classify_path(tp, cache, small_world)
+            pc = classify_path_with(tp, cache.get_or_build(small_world, tp.src_country, tp.dst_country, "population"))
             accumulate(agg, tp, pc, small_world)
             for iso2 in pc.physical.benefactors:
                 recount[iso2] = recount.get(iso2, 0) + 1

@@ -192,30 +192,6 @@ class TestBordersOnlyCountry:
             normal_set(w, "ZQ", "AA", "population")
 
 
-class TestPairCacheConcurrency:
-    def test_concurrent_readers_and_builders_agree(self, small_world):
-        import threading
-
-        cache = PairCache()
-        pairs = [(a, b) for a in small_world.countries for b in small_world.countries]
-        results = [None] * 8
-
-        def worker(slot):
-            results[slot] = {
-                (a, b): frozenset(cache.get_or_build(small_world, a, b, "population").countries)
-                for a, b in pairs
-            }
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r == results[0] for r in results)
-        # duplicate concurrent builds are allowed, but every distinct pair was built
-        assert cache.misses >= len({frozenset(p) for p in pairs})
-
-
 class TestPairCache:
     def test_reversed_pair_hits_cache(self, small_world):
         cache = PairCache()

@@ -7,24 +7,22 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geonorm import pipeline
+from geonorm import cli, pipeline
 from geonorm.errors import ParseError
 from geonorm.normality import PairCache
 from geonorm.pipeline import (
     Hop,
     Skip,
-    SkipLog,
     TracerouteRecord,
-    classify_path,
+    classify_path_with,
     parse_traceroute_line,
-    process_stream,
     read_traceroutes,
     shard_ranges,
     to_tuple_path,
 )
 from geonorm.synth import generate_records
 
-from conftest import PIPELINE12
+from conftest import PIPELINE12, SMALLWORLD, table_args, world_args
 
 
 def record(src_ip, dst_ip, ips, ts=1518048000.0):
@@ -292,14 +290,14 @@ class TestClassifyPath:
     def test_single_country_path_normal_everywhere(self, small_world, small_enrichment):
         rec = record("20.1.0.1", "20.1.0.99", ["20.1.0.5"])
         tp = to_tuple_path(rec, small_enrichment)
-        pc = classify_path(tp, PairCache(), small_world)
+        pc = classify_path_with(tp, PairCache().get_or_build(small_world, tp.src_country, tp.dst_country, "population"))
         assert pc.physical.normal and pc.legal.normal and pc.union.normal
 
     def test_legal_mismatch_flips_union_only(self, small_world, small_enrichment):
         # AS209 operates in AB but answers to BE
         rec = record("20.1.0.1", "40.1.0.99", ["20.1.0.5", "30.9.0.5", "40.1.0.9"])
         tp = to_tuple_path(rec, small_enrichment)
-        pc = classify_path(tp, PairCache(), small_world)
+        pc = classify_path_with(tp, PairCache().get_or_build(small_world, tp.src_country, tp.dst_country, "population"))
         assert pc.physical.normal
         assert not pc.legal.normal and pc.legal.benefactors == frozenset({"BE"})
         assert not pc.union.normal and pc.union.benefactors == frozenset({"BE"})
@@ -313,7 +311,7 @@ class TestClassifyPath:
             tp = to_tuple_path(rec, small_enrichment)
             if isinstance(tp, Skip):
                 continue
-            pc = classify_path(tp, cache, small_world)
+            pc = classify_path_with(tp, cache.get_or_build(small_world, tp.src_country, tp.dst_country, "population"))
             assert pc.union.benefactors >= pc.physical.benefactors
             legal_only = {h.legal_country for h in tp.hops if h.legal_country} - {h.phys_country for h in tp.hops}
             assert pc.union_added_countries == len(legal_only - {tp.src_country, tp.dst_country})
@@ -324,102 +322,101 @@ class TestClassifyPath:
         cache = PairCache()
         rec = record("20.1.0.1", "40.1.0.99", ["20.1.0.5", "30.9.0.5", "40.1.0.9"])
         tp = to_tuple_path(rec, small_enrichment)
-        classify_path(tp, cache, small_world)
+        classify_path_with(tp, cache.get_or_build(small_world, tp.src_country, tp.dst_country, "population"))
         assert cache.misses == 1  # one normal set serves all three verdicts
 
     def test_tuple_len_and_as_count(self, small_world, small_enrichment):
         rec = record("20.1.0.1", "40.1.0.99", ["20.1.0.5", "20.2.0.5", "30.1.0.5", "40.1.0.9"])
         tp = to_tuple_path(rec, small_enrichment)
-        pc = classify_path(tp, PairCache(), small_world)
+        pc = classify_path_with(tp, PairCache().get_or_build(small_world, tp.src_country, tp.dst_country, "population"))
         assert pc.tuple_len == 4
         assert pc.as_count == 4
 
 
+def analyze(capsys, tmp_path, records, *flags, world=SMALLWORLD, config=(), expect=0):
+    """Run geonorm analyze over records; returns the parsed report.json, or stderr when it fails."""
+    tmp_path.mkdir(exist_ok=True)
+    traces = tmp_path / "traces.ndjson"
+    traces.write_text("".join(
+        json.dumps({"src_ip": r.src_ip, "dst_ip": r.dst_ip, "timestamp": r.timestamp,
+                    "hops": [{"ttl": h.ttl, "ip": h.ip} for h in r.hops]}) + "\n"
+        for r in records
+    ))
+    out_dir = tmp_path / "out"
+    code = cli.main([*config, "analyze", *world_args(world), *table_args(world), "--traceroutes", str(traces),
+                     "--output-dir", str(out_dir), *flags])
+    err = capsys.readouterr().err
+    assert code == expect, err
+    return json.loads((out_dir / "report.json").read_text()) if code == 0 else err
+
+
 class TestProcessStream:
-    def test_skips_tallied_by_reason(self, small_world, small_enrichment):
+    """The per-record loop of analyze: parse, tuple path, normal set, unclassifiable policy, accumulate."""
+
+    def test_skips_tallied_by_reason(self, capsys, tmp_path):
         records = [
             record("20.1.0.1", "40.1.0.99", ["20.1.0.5", "40.1.0.9"]),
             record("20.1.0.1", "99.0.0.1", ["20.1.0.5"]),
             record("20.1.0.1", "40.1.0.99", ["20.1.0.5", "40.1.0.9"]),
         ]
-        skips = SkipLog()
-        out = list(process_stream(records, small_enrichment, PairCache(), small_world, skip_log=skips))
-        assert len(out) == 2
-        assert skips.counts == {"unresolved_destination": 1}
+        doc = analyze(capsys, tmp_path, records)
+        assert doc["totals"] == {"paths_classified": 2, "records_skipped": 1}
+        assert doc["skip_log"] == {"unresolved_destination": 1}
 
-    def test_empty_input(self, small_world, small_enrichment):
-        skips = SkipLog()
-        assert list(process_stream([], small_enrichment, PairCache(), small_world, skip_log=skips)) == []
-        assert skips.counts == {}
-        assert skips.total() == 0
+    def test_empty_input(self, capsys, tmp_path):
+        doc = analyze(capsys, tmp_path, [])
+        assert doc["totals"] == {"paths_classified": 0, "records_skipped": 0}
+        assert doc["skip_log"] == {}
+        assert doc["notes"] == {}
 
-    def test_serial_rerun_is_deterministic(self, small_world, small_enrichment):
-        docs = list(generate_records(500, seed=9))
-        records = [parse_traceroute_line(json.dumps(d)) for d in docs]
-
-        def run():
-            skips = SkipLog()
-            out = [
-                (tp, pc.physical.normal, pc.legal.normal, pc.union.normal)
-                for tp, pc in process_stream(records, small_enrichment, PairCache(), small_world, skip_log=skips)
-            ]
-            return out, skips.counts
-
-        first, second = run(), run()
+    def test_serial_rerun_is_deterministic(self, capsys, tmp_path):
+        records = [parse_traceroute_line(json.dumps(d)) for d in generate_records(500, seed=9)]
+        first = analyze(capsys, tmp_path / "first", records)
+        second = analyze(capsys, tmp_path / "second", records)
         assert first == second
+        assert first["totals"]["paths_classified"] + first["totals"]["records_skipped"] == 500
 
-    def test_bad_policy_rejected(self, small_world, small_enrichment):
-        with pytest.raises(ValueError):
-            list(process_stream([], small_enrichment, PairCache(), small_world,
-                                unclassifiable_policy="ignore", skip_log=SkipLog()))
+    def test_bad_policy_rejected(self, capsys, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text('{"unclassifiable_policy": "ignore"}')
+        err = analyze(capsys, tmp_path, [], config=("--config", str(cfg_path)), expect=1)
+        assert err == "error: unclassifiable-policy must be exclude or count_non_normal, got 'ignore'\n"
 
 
-def antipodal_setup():
-    from geonorm.enrichment import ASRegistry, Enrichment, PrefixTable
-    from geonorm.sphere import GeoPoint, GeoPolygon
-    from geonorm.world import City, CountryBorders, CountryRecord, WorldModel
-
-    def rec(iso2, lat, lon, region):
-        return CountryRecord(iso2=iso2, name=iso2, region=region,
-                             cities=(City(f"{iso2} City", GeoPoint(lat, lon), 1000),))
-
-    def borders(iso2, lat, lon):
-        ring = (GeoPoint(lat - 1, lon - 1), GeoPoint(lat - 1, lon + 1),
-                GeoPoint(lat + 1, lon + 1), GeoPoint(lat + 1, lon - 1))
-        return CountryBorders(iso2=iso2, polygons=(GeoPolygon(rings=(ring,)),))
-
-    w = WorldModel(
-        countries={"PX": rec("PX", 0, 0, "Africa"), "PY": rec("PY", 0, 180, "Asia"),
-                   "PZ": rec("PZ", 0, 90, "Asia")},
-        borders={"PX": borders("PX", 0, 0), "PY": borders("PY", 0, 180), "PZ": borders("PZ", 0, 90)},
-        region_of={"PX": "Africa", "PY": "Asia", "PZ": "Asia"},
+def write_antipodal_world(base):
+    """PX and PY, one city each, on opposite sides of the globe; PZ between them."""
+    base.mkdir()
+    places = {"PX": (0, 0, "Africa"), "PY": (0, 180, "Asia"), "PZ": (0, 90, "Asia")}
+    (base / "cities.csv").write_text(
+        "iso2,city,lat,lon,population\n" + "".join(f"{c},{c} City,{lat},{lon},1000\n" for c, (lat, lon, _) in places.items())
     )
-    enr = Enrichment(
-        geo=PrefixTable.from_rows([("20.0.0.0/8", "PX"), ("30.0.0.0/8", "PY"), ("40.0.0.0/8", "PZ")]),
-        origin=PrefixTable.from_rows([("20.0.0.0/8", 1), ("30.0.0.0/8", 2), ("40.0.0.0/8", 3)]),
-        registry=ASRegistry(mapping={1: "PX", 2: "PY", 3: "PZ"}),
-    )
-    return w, enr
+    (base / "regions.csv").write_text("iso2,region\n" + "".join(f"{c},{region}\n" for c, (_, _, region) in places.items()))
+    features = [
+        {"type": "Feature", "properties": {"iso2": c}, "geometry": {"type": "Polygon", "coordinates": [[
+            [lon - 1, lat - 1], [lon + 1, lat - 1], [lon + 1, lat + 1], [lon - 1, lat + 1]]]}}
+        for c, (lat, lon, _) in places.items()
+    ]
+    (base / "borders.geojson").write_text(json.dumps({"type": "FeatureCollection", "features": features}))
+    (base / "geo.csv").write_text("cidr,iso2\n20.0.0.0/8,PX\n30.0.0.0/8,PY\n40.0.0.0/8,PZ\n")
+    (base / "origin.csv").write_text("cidr,asn\n20.0.0.0/8,1\n30.0.0.0/8,2\n40.0.0.0/8,3\n")
+    (base / "as_registry.csv").write_text("asn,iso2\n1,PX\n2,PY\n3,PZ\n")
+    return base
 
 
 class TestUnclassifiablePolicy:
-    def test_exclude_policy_skips_and_tallies(self):
-        w, enr = antipodal_setup()
+    def test_exclude_policy_skips_and_tallies(self, capsys, tmp_path):
         rec = record("20.1.0.1", "30.1.0.1", ["20.1.0.5", "40.1.0.5", "30.1.0.5"])
-        skips = SkipLog()
-        out = list(process_stream([rec], enr, PairCache(), w, skip_log=skips))
-        assert out == []
-        assert skips.counts == {"unclassifiable_pair": 1}
+        doc = analyze(capsys, tmp_path, [rec], world=write_antipodal_world(tmp_path / "world"))
+        assert doc["totals"] == {"paths_classified": 0, "records_skipped": 1}
+        assert doc["skip_log"] == {"unclassifiable_pair": 1}
+        assert doc["notes"] == {}
 
-    def test_count_non_normal_policy_classifies(self):
-        w, enr = antipodal_setup()
+    def test_count_non_normal_policy_classifies(self, capsys, tmp_path):
         rec = record("20.1.0.1", "30.1.0.1", ["20.1.0.5", "40.1.0.5", "30.1.0.5"])
-        skips = SkipLog()
-        out = list(process_stream([rec], enr, PairCache(), w,
-                                  unclassifiable_policy="count_non_normal", skip_log=skips))
-        assert len(out) == 1
-        _, pc = out[0]
-        assert not pc.physical.normal
-        assert pc.physical.benefactors == frozenset({"PZ"})
-        assert skips.counts == {}
-        assert skips.notes == {"unclassifiable_pair_counted_non_normal": 1}
+        doc = analyze(capsys, tmp_path, [rec], "--unclassifiable-policy", "count_non_normal",
+                      world=write_antipodal_world(tmp_path / "world"))
+        assert doc["totals"] == {"paths_classified": 1, "records_skipped": 0}
+        assert doc["global_don"]["physical"] == 0.0
+        assert doc["benefactors"]["physical"] == [{"iso2": "PZ", "paths_benefited": 1}]
+        assert doc["skip_log"] == {}
+        assert doc["notes"] == {"unclassifiable_pair_counted_non_normal": 1}

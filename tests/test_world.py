@@ -55,6 +55,24 @@ class TestLoadWorld:
         with pytest.raises(ParseError, match="header"):
             load_world(*paths)
 
+    def test_earliest_bad_row_beats_a_later_bad_byte(self, tmp_path):
+        paths = write_world(tmp_path)
+        paths[0].write_bytes(
+            b"iso2,city,lat,lon,population\nAA,One,1,1,10\naa,Two,1,1,10\nAB,Three,1,7,10\nAB,F\xffur,1,7,10\n"
+        )
+        with pytest.raises(ParseError) as exc:
+            load_world(*paths)
+        assert str(exc.value).endswith("cities.csv:3: bad iso2 code 'aa'")
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_carriage_return_line_endings(self, tmp_path, small_world, newline):
+        paths = write_world(tmp_path)
+        for path in paths[0], paths[2]:
+            path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+        w = load_world(*paths)
+        assert w.countries == small_world.countries
+        assert w.region_of == small_world.region_of
+
     def test_borders_only_country_reported_not_dropped(self, tmp_path):
         doc = json.loads((SMALLWORLD / "borders.geojson").read_text())
         doc["features"].append(square_feature("ZQ", 30, 34, 0, 4))
