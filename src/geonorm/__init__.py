@@ -31,7 +31,6 @@ from .sphere import (
     GeoPoint,
     GeoPolygon,
     SphericalHull,
-    UnitVec3,
     geo_to_unit,
     hull_boundary_samples,
     hull_contains,

@@ -26,8 +26,8 @@ from .normality import PairCache, normal_set
 from .pipeline import (
     Skip, SkipLog, classify_path_with, parse_traceroute_line, read_traceroutes, shard_ranges, to_tuple_path,
 )
-from .sphere import DEFAULT_BOUNDARY_STEP_DEG, spherical_convex_hull, unit_to_geo
-from .world import DEFAULT_CITY_LIMIT, country_points, load_world
+from .sphere import DEFAULT_BOUNDARY_STEP_DEG, MIN_BOUNDARY_STEP_DEG, spherical_convex_hull, unit_to_geo
+from .world import DEFAULT_CITY_LIMIT, country_points, load_summary, load_world
 
 
 # What each annotated RunConfig field type accepts. --config values arrive
@@ -66,8 +66,8 @@ class RunConfig:
         for name in ("workers", "top_n", "city_limit"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name.replace('_', '-')} must be >= 1, got {getattr(self, name)}")
-        if not self.boundary_step > 0:  # NaN too
-            raise ValidationError(f"boundary-step must be positive, got {self.boundary_step}")
+        if not self.boundary_step >= MIN_BOUNDARY_STEP_DEG:  # NaN too
+            raise ValidationError(f"boundary-step must be at least {MIN_BOUNDARY_STEP_DEG} degrees, got {self.boundary_step}")
         if self.mode not in ("population", "border"):
             raise ValidationError(f"mode must be population or border, got {self.mode!r}")
         if self.unclassifiable_policy not in ("exclude", "count_non_normal"):
@@ -92,7 +92,7 @@ def _require(cfg, *names):
 
 
 def _load_world(cfg):
-    return load_world(cfg.cities, cfg.borders, cfg.regions, city_limit=cfg.city_limit)
+    return load_world(cfg.cities, cfg.borders, cfg.regions)
 
 
 def _load_enrichment(cfg, origin_conflict="error"):
@@ -392,7 +392,7 @@ def cmd_classify_one(cfg: RunConfig, line: str) -> int:
 def cmd_validate_world(cfg: RunConfig) -> int:
     _require(cfg, "cities", "borders", "regions")
     w = _load_world(cfg)
-    for line in w.summary.lines():
+    for line in load_summary(w, cfg.city_limit):
         print(line)
     return 0
 

@@ -87,21 +87,13 @@ def accumulate(agg: Aggregate, tp: TuplePath, pc: PathClassification, w: WorldMo
     paths-transited ratio comparable with endpoint-heavy countries.
     """
     endpoints = {tp.src_country, tp.dst_country}
-    phys = [h.phys_country for h in tp.hops]
-    legal = [h.legal_country for h in tp.hops if h.legal_country is not None]
-    per_exposure = {
-        "physical": (pc.physical, set(phys)),
-        "legal": (pc.legal, set(legal)),
-        "union": (pc.union, set(phys) | set(legal)),
-    }
-
-    for exposure, (verdict, appear) in per_exposure.items():
+    for exposure, verdict in (("physical", pc.physical), ("legal", pc.legal), ("union", pc.union)):
         _bump(agg.role, (tp.src_country, "source", exposure), verdict.normal)
         _bump(agg.role, (tp.dst_country, "destination", exposure), verdict.normal)
-        transit = appear - endpoints
+        transit = verdict.countries - endpoints
         for iso2 in transit:
             _bump(agg.role, (iso2, "transit", exposure), verdict.normal)
-        for iso2 in appear:
+        for iso2 in verdict.countries:
             counts = agg.benefactor.setdefault((iso2, exposure), [0, 0, 0, 0])
             counts[1] += 1
         for iso2 in transit:

@@ -59,6 +59,7 @@ class NormalSet:
 class PathVerdict:
     normal: bool
     benefactors: frozenset[str]
+    countries: frozenset[str]  # every country the path's hops touch in this exposure
 
 
 def normal_set(
@@ -162,7 +163,7 @@ def _hull_cap(hull):
     about 2 * ANGLE_TOL also accepts points near its antipode, so arcs
     shorter than 2 * CAP_SLACK are not pruned.
     """
-    center, radius = _cap(hull._vertex_tuples)
+    center, radius = _cap(hull.vertices)
     if hull.degenerate_kind == "polygon":
         m = min(_dot(n, center) for n in hull._edge_normals)
         ratio = ANGLE_TOL * math.sin(radius) / m if m > ANGLE_TOL else 1.0
@@ -201,11 +202,12 @@ def classify(ns: NormalSet, path_countries) -> PathVerdict:
     pairs yield a non-normal verdict whose benefactors are every non-endpoint
     country seen.
     """
+    seen = frozenset(path_countries)
     endpoints = {ns.src, ns.dst}
     if ns.unclassifiable:
-        return PathVerdict(normal=False, benefactors=frozenset(path_countries) - endpoints)
-    benefactors = frozenset(path_countries) - ns.countries - endpoints
-    return PathVerdict(normal=not benefactors, benefactors=benefactors)
+        return PathVerdict(normal=False, benefactors=seen - endpoints, countries=seen)
+    benefactors = seen - ns.countries - endpoints
+    return PathVerdict(normal=not benefactors, benefactors=benefactors, countries=seen)
 
 
 @dataclass

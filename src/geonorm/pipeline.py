@@ -221,18 +221,15 @@ def classify_path_with(tp: TuplePath, ns: NormalSet) -> PathClassification:
     """Physical, legal, and union verdicts for one tuple path against its pair's normal set.
 
     All three use the same normal set and the physical endpoints; the legal
-    sequence keeps only hops whose registration country is known.
+    set holds only hops whose registration country is known.
     """
-    phys = [h.phys_country for h in tp.hops]
-    legal = [h.legal_country for h in tp.hops if h.legal_country is not None]
-    physical_v = classify(ns, phys)
-    legal_v = classify(ns, legal)
-    union_v = classify(ns, phys + legal)
-    added = (set(legal) - set(phys)) - {tp.src_country, tp.dst_country}
+    phys = frozenset(h.phys_country for h in tp.hops)
+    legal = frozenset(h.legal_country for h in tp.hops if h.legal_country is not None)
+    added = legal - phys - {tp.src_country, tp.dst_country}
     return PathClassification(
-        physical=physical_v,
-        legal=legal_v,
-        union=union_v,
+        physical=classify(ns, phys),
+        legal=classify(ns, legal),
+        union=classify(ns, phys | legal),
         union_added_countries=len(added),
         tuple_len=len(tp.hops),
         as_count=len({h.asn for h in tp.hops}),

@@ -1,8 +1,9 @@
 """Great-circle primitives and spherical convex hulls.
 
-Everything here works on unit vectors; longitude wraparound exists only at
-the GeoPoint boundary. Hulls are built by gnomonic projection onto the
-tangent plane at the point cloud's spherical centroid: the projection maps
+Everything here works on unit vectors, plain (x, y, z) tuples; longitude
+wraparound exists only at the GeoPoint boundary, and each GeoPoint caches
+its own vector as _vec. Hulls are built by gnomonic projection onto the
+tangent plane at the point cloud's normalized vector mean: the projection maps
 great circles to straight lines, so a planar convex hull of the projected
 points is exactly the spherical convex hull, provided every point lies in
 the open hemisphere around the projection center.
@@ -25,8 +26,7 @@ from .errors import EmptyInput, HemisphereViolation, ValidationError
 # at country-level granularity.
 ANGLE_TOL = 1e-7
 
-# Unit-norm slack for UnitVec3 and chord-distance slack for input dedup.
-NORM_TOL = 1e-9
+# Chord-distance slack for input dedup.
 DEDUP_TOL = 1e-9
 
 # Angular slack (radians) added to bounding caps. It absorbs the rounding of
@@ -36,6 +36,9 @@ CAP_SLACK = 1e-6
 
 # Default spacing of hull-edge samples, degrees of arc (~5.5 km).
 DEFAULT_BOUNDARY_STEP_DEG = 0.05
+# Smallest spacing accepted. A hull lies in an open hemisphere, so its
+# perimeter is under 360 degrees and a build makes under 360,000 samples.
+MIN_BOUNDARY_STEP_DEG = 0.001
 
 
 def _normalize_lon(lon: float) -> float:
@@ -55,30 +58,18 @@ class GeoPoint:
     def __post_init__(self):
         if not (-90.0 <= self.lat <= 90.0):
             raise ValidationError(f"latitude {self.lat} outside [-90, 90]")
+        if not math.isfinite(self.lon):
+            raise ValidationError(f"longitude {self.lon} is not finite")
         object.__setattr__(self, "lon", _normalize_lon(float(self.lon)))
         object.__setattr__(self, "lat", float(self.lat))
 
     @cached_property
     def _vec(self) -> tuple[float, float, float]:
-        """geo_to_unit(self) as a tuple, computed once per point."""
-        return geo_to_unit(self).as_tuple()
-
-
-@dataclass(frozen=True)
-class UnitVec3:
-    """A point on the unit sphere as a cartesian 3-vector."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n2 = self.x * self.x + self.y * self.y + self.z * self.z
-        if abs(n2 - 1.0) > 2.0 * NORM_TOL:
-            raise ValidationError(f"vector ({self.x}, {self.y}, {self.z}) is not unit length")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+        """Standard spherical embedding, computed once per point: (lat 0, lon 0) -> (1, 0, 0), north pole -> (0, 0, 1)."""
+        lat = math.radians(self.lat)
+        lon = math.radians(self.lon)
+        cos_lat = math.cos(lat)
+        return (cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat))
 
 
 def _dot(a, b):
@@ -118,23 +109,16 @@ def _angle(a, b):
     return math.atan2(_norm(_cross(a, b)), _dot(a, b))
 
 
-def geo_to_unit(p: GeoPoint) -> UnitVec3:
-    """Standard spherical embedding: (lat 0, lon 0) -> (1, 0, 0), north pole -> (0, 0, 1)."""
-    lat = math.radians(p.lat)
-    lon = math.radians(p.lon)
-    cos_lat = math.cos(lat)
-    return UnitVec3(cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat))
+def geo_to_unit(p: GeoPoint) -> tuple[float, float, float]:
+    """The unit vector of p (see GeoPoint._vec)."""
+    return p._vec
 
 
-def unit_to_geo(v: UnitVec3) -> GeoPoint:
-    lat = math.degrees(math.asin(max(-1.0, min(1.0, v.z))))
-    lon = math.degrees(math.atan2(v.y, v.x)) if (v.x != 0.0 or v.y != 0.0) else 0.0
+def unit_to_geo(v: tuple[float, float, float]) -> GeoPoint:
+    x, y, z = v
+    lat = math.degrees(math.asin(max(-1.0, min(1.0, z))))
+    lon = math.degrees(math.atan2(y, x)) if (x != 0.0 or y != 0.0) else 0.0
     return GeoPoint(lat, lon)
-
-
-def angle_between(a: UnitVec3, b: UnitVec3) -> float:
-    """Angular separation in radians."""
-    return _angle(a.as_tuple(), b.as_tuple())
 
 
 def _slerp(a, b, t, ang=None):
@@ -198,18 +182,13 @@ class SphericalHull:
     two-vertex "arc" hull whose containment accepts only points on the arc.
     """
 
-    vertices: tuple[UnitVec3, ...]
-    centroid: UnitVec3
+    vertices: tuple[tuple[float, float, float], ...]
     degenerate_kind: str  # "polygon" | "arc" | "point"
-
-    @cached_property
-    def _vertex_tuples(self):
-        return tuple(v.as_tuple() for v in self.vertices)
 
     @cached_property
     def _edge_normals(self):
         """Normalized a x b per directed edge; interior satisfies dot(n, p) >= 0."""
-        vts = self._vertex_tuples
+        vts = self.vertices
         n = len(vts)
         return tuple(_normalized(_cross(vts[i], vts[(i + 1) % n])) for i in range(n))
 
@@ -247,66 +226,61 @@ def spherical_convex_hull(points: Sequence[GeoPoint]) -> SphericalHull:
     """
     if not points:
         raise EmptyInput("cannot build a hull from zero points")
-    vecs = _dedup([geo_to_unit(p).as_tuple() for p in points])
+    vecs = _dedup([p._vec for p in points])
 
     if len(vecs) == 1:
-        v = UnitVec3(*vecs[0])
-        return SphericalHull(vertices=(v,), centroid=v, degenerate_kind="point")
+        return SphericalHull(vertices=(vecs[0],), degenerate_kind="point")
 
     mean = _mean(vecs)
     if _norm(mean) < 1e-9 or min(_dot(mean, v) for v in vecs) <= 1e-9 * _norm(mean):
         (a, b), _ = _widest_pair(vecs)
-        witness = (unit_to_geo(UnitVec3(*a)), unit_to_geo(UnitVec3(*b)))
-        raise HemisphereViolation(witness, math.degrees(_angle(a, b)))
-    center = _normalized(mean)
+        raise HemisphereViolation((unit_to_geo(a), unit_to_geo(b)), math.degrees(_angle(a, b)))
 
     if len(vecs) == 2:
-        ring = (UnitVec3(*vecs[0]), UnitVec3(*vecs[1]))
-        return SphericalHull(vertices=ring, centroid=UnitVec3(*center), degenerate_kind="arc")
+        return SphericalHull(vertices=tuple(vecs), degenerate_kind="arc")
 
+    center = _normalized(mean)
     e1, e2 = _tangent_basis(center)
     plane = [_gnomonic(center, e1, e2, v) for v in vecs]
     idx = _planar_hull(plane)
-    ring = tuple(UnitVec3(*vecs[i]) for i in idx)
-    return SphericalHull(vertices=ring, centroid=UnitVec3(*center), degenerate_kind="arc" if len(idx) == 2 else "polygon")
+    ring = tuple(vecs[i] for i in idx)
+    return SphericalHull(vertices=ring, degenerate_kind="arc" if len(idx) == 2 else "polygon")
 
 
-def _on_arc(p, a, b, tol=ANGLE_TOL):
-    """True when p lies within tol of the minor great-circle arc from a to b."""
-    n = _cross(a, b)
-    nn = _norm(n)
-    if nn < 1e-15:
-        # a and b coincide; the arc degenerates to a point
-        return _angle(p, a) <= tol
-    n = (n[0] / nn, n[1] / nn, n[2] / nn)
-    if abs(_dot(n, p)) > tol:
+def _near_arc(p, a, b, n) -> bool:
+    """True when p lies within ANGLE_TOL of the minor great-circle arc from a to b, whose unit normal is n.
+
+    a and b must be distinct and not antipodal, so that n is defined.
+    """
+    if abs(_dot(n, p)) > ANGLE_TOL:
         return False
     # inside the lune between the half-planes at a and b
-    if _dot(_cross(n, a), p) >= -tol and _dot(_cross(b, n), p) >= -tol:
+    if _dot(_cross(n, a), p) >= -ANGLE_TOL and _dot(_cross(b, n), p) >= -ANGLE_TOL:
         return True
-    return _angle(p, a) <= tol or _angle(p, b) <= tol
+    return _angle(p, a) <= ANGLE_TOL or _angle(p, b) <= ANGLE_TOL
 
 
 def _hull_contains_vec(h: SphericalHull, p) -> bool:
-    vts = h._vertex_tuples
+    vts = h.vertices
     if h.degenerate_kind == "point":
         return _angle(p, vts[0]) <= ANGLE_TOL
     if h.degenerate_kind == "arc":
-        return _on_arc(p, vts[0], vts[1])
+        # _dedup and the hemisphere check keep an arc's ends distinct and not antipodal
+        return _near_arc(p, vts[0], vts[1], h._edge_normals[0])
     return all(_dot(n, p) >= -ANGLE_TOL for n in h._edge_normals)
 
 
 def hull_contains(h: SphericalHull, p: GeoPoint) -> bool:
     """True iff p is inside or on the boundary of h (tolerance ANGLE_TOL radians)."""
-    return _hull_contains_vec(h, geo_to_unit(p).as_tuple())
+    return _hull_contains_vec(h, p._vec)
 
 
 def hull_boundary_samples(h: SphericalHull, step: float = DEFAULT_BOUNDARY_STEP_DEG) -> list[tuple[float, float, float]]:
     """Unit vectors along every hull edge at angular spacing <= step (degrees), vertices included."""
-    if step <= 0.0:
-        raise ValidationError(f"sampling step must be positive, got {step}")
+    if not step >= MIN_BOUNDARY_STEP_DEG:  # NaN too
+        raise ValidationError(f"sampling step must be at least {MIN_BOUNDARY_STEP_DEG} degrees, got {step}")
     step_rad = math.radians(step)
-    vts = h._vertex_tuples
+    vts = h.vertices
 
     if h.degenerate_kind == "point":
         return [vts[0]]
@@ -345,7 +319,7 @@ class GeoPolygon:
 
     @cached_property
     def _ring_vecs(self):
-        return tuple(tuple(geo_to_unit(p).as_tuple() for p in ring) for ring in self.rings)
+        return tuple(tuple(p._vec for p in ring) for ring in self.rings)
 
     @cached_property
     def _frame(self):
@@ -411,15 +385,9 @@ def _polygon_contains_vec(poly: GeoPolygon, p) -> bool:
     if _even_odd(rings_2d, x, y):
         return True
     # points on any border edge (outer or hole) count as inside
-    for a, b, n in edges:
-        if abs(_dot(n, p)) <= ANGLE_TOL:
-            if _dot(_cross(n, a), p) >= -ANGLE_TOL and _dot(_cross(b, n), p) >= -ANGLE_TOL:
-                return True
-            if _angle(p, a) <= ANGLE_TOL or _angle(p, b) <= ANGLE_TOL:
-                return True
-    return False
+    return any(_near_arc(p, a, b, n) for a, b, n in edges)
 
 
 def polygon_contains(poly: GeoPolygon, p: GeoPoint) -> bool:
     """Spherical point-in-polygon with holes; border points count as inside."""
-    return _polygon_contains_vec(poly, geo_to_unit(p).as_tuple())
+    return _polygon_contains_vec(poly, p._vec)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -51,32 +51,10 @@ class CountryBorders:
 
 
 @dataclass(frozen=True)
-class LoadSummary:
-    """What the loader found worth reporting; warnings, not failures."""
-
-    countries: int
-    bordered: int
-    borders_only: tuple[str, ...]
-    cities_only: tuple[str, ...]
-    cities_outside_borders: tuple[tuple[str, str], ...]  # (iso2, city name)
-
-    def lines(self) -> list[str]:
-        out = [f"countries with cities: {self.countries}", f"countries with borders: {self.bordered}"]
-        if self.borders_only:
-            out.append("borders-only (no city rows, partial-containment only): " + ", ".join(self.borders_only))
-        if self.cities_only:
-            out.append("cities-only (no border polygons): " + ", ".join(self.cities_only))
-        for iso2, city in self.cities_outside_borders:
-            out.append(f"warning: {iso2} city {city!r} lies outside every {iso2} border polygon")
-        return out
-
-
-@dataclass(frozen=True)
 class WorldModel:
     countries: Mapping[str, CountryRecord]
     borders: Mapping[str, CountryBorders]
     region_of: Mapping[str, str]
-    summary: LoadSummary = field(compare=False, default=None)
 
 
 def _read_csv(path, expected_header):
@@ -155,16 +133,27 @@ def _load_regions(path):
     return region_of
 
 
-def _ring_from_coords(coords, path, feature_idx):
+# How a value parsed from JSON is named in error messages
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string", bool: "a boolean", int: "a number", float: "a number", type(None): "null"}
+
+
+def _expect(value, kind, path, where):
+    """value when it is a kind (dict, list or str); a ParseError naming where otherwise."""
+    if not isinstance(value, kind):
+        raise ParseError(str(path), 0, f"{where} must be {_JSON_KINDS[kind]}, got {_JSON_KINDS[type(value)]}")
+    return value
+
+
+def _ring_from_coords(coords, path, where):
     points = []
-    for pair in coords:
-        if not isinstance(pair, (list, tuple)) or len(pair) < 2:
-            raise ParseError(str(path), 0, f"feature {feature_idx}: malformed ring coordinate {pair!r}")
-        lon, lat = float(pair[0]), float(pair[1])
+    for pair in _expect(coords, list, path, f"{where}: ring"):
+        # numbers, not booleans, as for traceroute ttls and timestamps
+        if not isinstance(pair, list) or len(pair) < 2 or any(type(c) not in (int, float) for c in pair[:2]):
+            raise ParseError(str(path), 0, f"{where}: malformed ring coordinate {pair!r}")
         try:
-            points.append(GeoPoint(lat, lon))
-        except ValidationError as e:
-            raise ParseError(str(path), 0, f"feature {feature_idx}: {e}") from None
+            points.append(GeoPoint(pair[1], pair[0]))
+        except (ValidationError, OverflowError) as e:  # OverflowError: an integer too large for a float
+            raise ParseError(str(path), 0, f"{where}: {e}") from None
     if len(points) >= 2 and points[0] == points[-1]:
         points = points[:-1]  # rings are closed logically, not stored twice
     return tuple(points)
@@ -180,36 +169,39 @@ def _load_borders(path):
         raise utf8_error(path, Path(path).read_bytes()) from None
     except json.JSONDecodeError as e:
         raise ParseError(str(path), e.lineno, f"invalid JSON: {e.msg}") from None
-    if doc.get("type") != "FeatureCollection":
+    if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError(str(path), 0, "expected a GeoJSON FeatureCollection")
     by_country: dict[str, list[GeoPolygon]] = {}
-    for idx, feature in enumerate(doc.get("features", [])):
-        props = feature.get("properties") or {}
+    for idx, feature in enumerate(_expect(doc.get("features", []), list, path, "features")):
+        where = f"feature {idx}"
+        feature = _expect(feature, dict, path, where)
+        props = _expect(feature.get("properties") or {}, dict, path, f"{where}: properties")
         iso2 = props.get("iso2")
         if not iso2:
-            raise ParseError(str(path), 0, f"feature {idx}: missing properties.iso2")
-        iso2 = _check_iso2(iso2, path, 0)
-        geom = feature.get("geometry") or {}
+            raise ParseError(str(path), 0, f"{where}: missing properties.iso2")
+        iso2 = _check_iso2(_expect(iso2, str, path, f"{where}: properties.iso2"), path, 0)
+        geom = _expect(feature.get("geometry") or {}, dict, path, f"{where}: geometry")
         gtype = geom.get("type")
-        if gtype == "Polygon":
-            polys = [geom.get("coordinates", [])]
-        elif gtype == "MultiPolygon":
-            polys = geom.get("coordinates", [])
-        else:
-            raise ParseError(str(path), 0, f"feature {idx} ({iso2}): unsupported geometry {gtype!r}")
-        for rings_coords in polys:
-            if not rings_coords:
-                raise ParseError(str(path), 0, f"feature {idx} ({iso2}): empty polygon")
-            rings = tuple(_ring_from_coords(rc, path, idx) for rc in rings_coords)
+        if gtype not in ("Polygon", "MultiPolygon"):
+            raise ParseError(str(path), 0, f"{where} ({iso2}): unsupported geometry {gtype!r}")
+        coords = _expect(geom.get("coordinates", []), list, path, f"{where} ({iso2}): coordinates")
+        for rings_coords in [coords] if gtype == "Polygon" else coords:
+            if not _expect(rings_coords, list, path, f"{where} ({iso2}): polygon"):
+                raise ParseError(str(path), 0, f"{where} ({iso2}): empty polygon")
+            rings = tuple(_ring_from_coords(rc, path, where) for rc in rings_coords)
             try:
                 by_country.setdefault(iso2, []).append(GeoPolygon(rings=rings))
             except ValidationError as e:
-                raise ValidationError(f"{path}: feature {idx} ({iso2}): {e}") from None
+                raise ValidationError(f"{path}: {where} ({iso2}): {e}") from None
     return by_country
 
 
 def load_world(cities_file, borders_file, regions_file, city_limit: int = DEFAULT_CITY_LIMIT) -> WorldModel:
-    """Load and validate the world model; missing cross-references go to the summary."""
+    """Load and validate the world model; load_summary reports what is worth a warning.
+
+    city_limit changes nothing here; it stays accepted because the benchmark's
+    in-process chain (perfbench/chain.py) passes it.
+    """
     cities = _load_cities(cities_file)
     borders_raw = _load_borders(borders_file)
     region_of = _load_regions(regions_file)
@@ -228,28 +220,28 @@ def load_world(cities_file, borders_file, regions_file, city_limit: int = DEFAUL
         if iso2 not in region_of:
             raise ValidationError(f"{iso2}: bordered country has no region assignment")
 
-    borders_only = tuple(sorted(set(borders) - set(countries)))
-    cities_only = tuple(sorted(set(countries) - set(borders)))
+    return WorldModel(countries=countries, borders=borders, region_of=dict(region_of))
 
+
+def load_summary(w: WorldModel, city_limit: int = DEFAULT_CITY_LIMIT) -> list[str]:
+    """The lines validate-world prints: counts, countries on one side only, and cities outside their own borders."""
+    out = [f"countries with cities: {len(w.countries)}", f"countries with borders: {len(w.borders)}"]
+    borders_only = sorted(set(w.borders) - set(w.countries))
+    cities_only = sorted(set(w.countries) - set(w.borders))
+    if borders_only:
+        out.append("borders-only (no city rows, partial-containment only): " + ", ".join(borders_only))
+    if cities_only:
+        out.append("cities-only (no border polygons): " + ", ".join(cities_only))
     # dataset-consistency check: real datasets put some coastal cities outside
     # coarse border polygons, so violations warn instead of failing the load
-    outside = []
-    for iso2, rec in countries.items():
-        cb = borders.get(iso2)
+    for iso2, rec in w.countries.items():
+        cb = w.borders.get(iso2)
         if cb is None:
             continue
         for city in rec.top_cities(city_limit):
             if not any(polygon_contains(poly, city.location) for poly in cb.polygons):
-                outside.append((iso2, city.name))
-
-    summary = LoadSummary(
-        countries=len(countries),
-        bordered=len(borders),
-        borders_only=borders_only,
-        cities_only=cities_only,
-        cities_outside_borders=tuple(outside),
-    )
-    return WorldModel(countries=countries, borders=borders, region_of=dict(region_of), summary=summary)
+                out.append(f"warning: {iso2} city {city.name!r} lies outside every {iso2} border polygon")
+    return out
 
 
 def country_points(w: WorldModel, iso2: str, mode: str, city_limit: int = DEFAULT_CITY_LIMIT) -> list[GeoPoint]:

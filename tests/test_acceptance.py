@@ -18,7 +18,7 @@ from geonorm.enrichment import PrefixTable
 from geonorm.metrics import Aggregate, accumulate, report
 from geonorm.normality import PairCache, classify, normal_set
 from geonorm.pipeline import Skip, SkipLog, classify_path_with, parse_traceroute_line, to_tuple_path
-from geonorm.sphere import GeoPoint, UnitVec3, angle_between, geo_to_unit, hull_contains, spherical_convex_hull, unit_to_geo
+from geonorm.sphere import GeoPoint, _angle, geo_to_unit, hull_contains, spherical_convex_hull
 from geonorm.synth import write_corpus
 
 from conftest import PIPELINE12, REPO, SMALLWORLD, table_args, world_args
@@ -64,7 +64,7 @@ def brute_force_hull_vertices(points):
     """All-pairs edge half-space test; quadratic-times-n and obviously correct."""
     vecs = []
     for p in points:
-        v = geo_to_unit(p).as_tuple()
+        v = geo_to_unit(p)
         if not any(sum((a - b) ** 2 for a, b in zip(v, u)) <= 1e-18 for u in vecs):
             vecs.append(v)
     if len(vecs) <= 2:
@@ -90,7 +90,7 @@ def brute_force_hull_vertices(points):
 
 def winding_contains(hull, point):
     """Winding number of the hull ring as seen from the query point."""
-    q = geo_to_unit(point).as_tuple()
+    q = geo_to_unit(point)
     ax = min(range(3), key=lambda i: abs(q[i]))
     axis = tuple(1.0 if i == ax else 0.0 for i in range(3))
     e1 = (
@@ -106,8 +106,7 @@ def winding_contains(hull, point):
         q[0] * e1[1] - q[1] * e1[0],
     )
     angles = []
-    for v in hull.vertices:
-        t = v.as_tuple()
+    for t in hull.vertices:
         x = sum(a * b for a, b in zip(t, e1))
         y = sum(a * b for a, b in zip(t, e2))
         angles.append(math.atan2(y, x))
@@ -125,14 +124,14 @@ def winding_contains(hull, point):
 def distance_to_ring(hull, point):
     q = geo_to_unit(point)
     best = math.inf
-    vts = [v.as_tuple() for v in hull.vertices]
+    vts = hull.vertices
     n = len(vts)
     for i in range(n):
         a, b = vts[i], vts[(i + 1) % n]
         for t in range(21):
             m = tuple(a[j] + (b[j] - a[j]) * t / 20 for j in range(3))
             norm = math.sqrt(sum(c * c for c in m))
-            best = min(best, angle_between(q, UnitVec3(*(c / norm for c in m))))
+            best = min(best, _angle(q, tuple(c / norm for c in m)))
     return best
 
 
@@ -155,7 +154,7 @@ class TestCriterion3:
             hull = spherical_convex_hull(pts)
             assert all(hull_contains(hull, p) for p in pts)
             expected = brute_force_hull_vertices(pts)
-            got = {v.as_tuple() for v in hull.vertices}
+            got = set(hull.vertices)
             assert got == expected, f"vertex sets differ: {got ^ expected}"
 
         grid_checks = 0

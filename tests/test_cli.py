@@ -24,6 +24,18 @@ GOOD_LINE = json.dumps({
 })
 
 
+def feature_collection(features):
+    return json.dumps({"type": "FeatureCollection", "features": features})
+
+
+def polygon_with(coord):
+    """A one-feature FeatureCollection, as JSON text, whose ring holds the coordinate text coord."""
+    return (
+        '{"type": "FeatureCollection", "features": [{"properties": {"iso2": "AA"}, '
+        '"geometry": {"type": "Polygon", "coordinates": [[[0, 0], %s, [1, 1]]]}}]}' % coord
+    )
+
+
 class TestValidateWorld:
     def test_ok(self, capsys):
         code, out, err = run(capsys, "validate-world", *world_args())
@@ -52,6 +64,43 @@ class TestValidateWorld:
         )
         assert code == 1
         assert "Broken" in err
+
+    @pytest.mark.parametrize("lon", ["nan", "inf", "-inf"])
+    def test_non_finite_city_longitude_is_located(self, capsys, tmp_path, lon):
+        cities = tmp_path / "cities.csv"
+        cities.write_text((SMALLWORLD / "cities.csv").read_text().replace("AA,Alpha City,2.0,2.0,", f"AA,Alpha City,2.0,{lon},"))
+        argv = ["--cities", str(cities), "--borders", str(SMALLWORLD / "borders.geojson"), "--regions", str(SMALLWORLD / "regions.csv")]
+        for command in (["validate-world"], ["normal-set", "AA", "AD"]):
+            code, out, err = run(capsys, *command, *argv)
+            assert code == 1 and out == ""
+            assert err == f"error: {cities}:2: city 'Alpha City': longitude {float(lon)} is not finite\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "expected a GeoJSON FeatureCollection"),
+        (feature_collection({"a": 1}), "features must be an array, got an object"),
+        (feature_collection([5]), "feature 0 must be an object, got a number"),
+        (feature_collection([{"properties": 5}]), "feature 0: properties must be an object, got a number"),
+        (feature_collection([{"properties": {"iso2": 5}}]), "feature 0: properties.iso2 must be a string, got a number"),
+        (feature_collection([{"properties": {"iso2": "AA"}, "geometry": [1]}]), "feature 0: geometry must be an object, got an array"),
+        (feature_collection([{"properties": {"iso2": "AA"}, "geometry": {"type": "Polygon", "coordinates": 5}}]),
+         "feature 0 (AA): coordinates must be an array, got a number"),
+        (feature_collection([{"properties": {"iso2": "AA"}, "geometry": {"type": "MultiPolygon", "coordinates": [5]}}]),
+         "feature 0 (AA): polygon must be an array, got a number"),
+        (feature_collection([{"properties": {"iso2": "AA"}, "geometry": {"type": "Polygon", "coordinates": [5]}}]),
+         "feature 0: ring must be an array, got a number"),
+        (polygon_with('["x", 1]'), "feature 0: malformed ring coordinate ['x', 1]"),
+        (polygon_with("[true, 1]"), "feature 0: malformed ring coordinate [True, 1]"),
+        (polygon_with("[1]"), "feature 0: malformed ring coordinate [1]"),
+        (polygon_with("[NaN, 1]"), "feature 0: longitude nan is not finite"),
+        pytest.param(polygon_with("[1" + "0" * 400 + ", 1]"), "feature 0: int too large to convert to float", id="huge-int"),
+    ])
+    def test_malformed_borders_is_one_error_line(self, capsys, tmp_path, text, message):
+        borders = tmp_path / "borders.geojson"
+        borders.write_text(text)
+        argv = ["--cities", str(SMALLWORLD / "cities.csv"), "--borders", str(borders), "--regions", str(SMALLWORLD / "regions.csv")]
+        code, out, err = run(capsys, "validate-world", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {borders}:0: {message}\n"
 
 
 class TestNormalSet:
@@ -87,6 +136,13 @@ class TestNormalSet:
         coords = doc["geometry"]["coordinates"]
         assert coords[0] == coords[-1]  # closed ring
         assert len(coords) >= 4
+
+    def test_boundary_step_below_floor_rejected_before_any_build(self, capsys, monkeypatch):
+        # 1e-300 once sampled hull edges until memory ran out
+        monkeypatch.setattr(cli, "normal_set", lambda *a, **k: pytest.fail("a normal set was built"))
+        code, out, err = run(capsys, "normal-set", *world_args(), "AA", "AC", "--boundary-step", "1e-300")
+        assert code == 1 and out == ""
+        assert err == "error: boundary-step must be at least 0.001 degrees, got 1e-300\n"
 
 
 class TestClassifyOne:
@@ -222,7 +278,7 @@ class TestConfigFile:
         ('"ab"', 'must hold a JSON object, got "ab"'),
         ('{"workers": "2"}', "workers must be an integer, got '2'"),
         ('{"boundary_step": "0.1"}', "boundary_step must be a number, got '0.1'"),
-        ('{"boundary_step": NaN}', "boundary-step must be positive, got nan"),
+        ('{"boundary_step": NaN}', "boundary-step must be at least 0.001 degrees, got nan"),
         ('{"city_limit": 2.5}', "city_limit must be an integer, got 2.5"),
         ('{"top_n": true}', "top_n must be an integer, got True"),
         ('{"cities": 5}', "cities must be a string, got 5"),

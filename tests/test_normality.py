@@ -12,7 +12,6 @@ from geonorm.normality import NormalSet, PairCache, _cap, _caps_apart, _hull_cap
 from geonorm.sphere import (
     ANGLE_TOL,
     GeoPoint,
-    UnitVec3,
     _angle,
     _cross,
     _dot,
@@ -24,7 +23,9 @@ from geonorm.sphere import (
     spherical_convex_hull,
     unit_to_geo,
 )
-from geonorm.world import DEFAULT_CITY_LIMIT, City, CountryBorders, CountryRecord, GeoPolygon, WorldModel, country_points
+from geonorm.world import (
+    DEFAULT_CITY_LIMIT, City, CountryBorders, CountryRecord, GeoPolygon, WorldModel, country_points, load_summary,
+)
 
 from conftest import SMALLWORLD as SMALLWORLD_DIR, offset, star_ring
 
@@ -71,7 +72,7 @@ class TestNormalSet:
 
     def test_population_subset_of_border_when_cities_inside_borders(self, small_world):
         # smallworld passes the city-in-border check for every country
-        assert small_world.summary.cities_outside_borders == ()
+        assert not [line for line in load_summary(small_world) if line.startswith("warning:")]
         for a, b in itertools.combinations(sorted(small_world.countries), 2):
             pop = normal_set(small_world, a, b, "population").countries
             border = normal_set(small_world, a, b, "border").countries
@@ -151,6 +152,7 @@ class TestClassify:
         ns = NormalSet(src="FR", dst="ES", mode="population", countries=frozenset({"FR", "ES"}))
         verdict = classify(ns, ["FR", "GB", "US", "ES"])
         assert verdict.benefactors == frozenset({"GB", "US"})
+        assert verdict.countries == frozenset({"FR", "GB", "US", "ES"})
 
     def test_endpoints_never_benefactors_even_mid_path(self):
         ns = NormalSet(src="US", dst="DE", mode="population", countries=frozenset({"US", "DE"}))
@@ -185,7 +187,7 @@ class TestBordersOnlyCountry:
         (tmp_path / "cities.csv").write_text((SMALLWORLD_DIR / "cities.csv").read_text())
         (tmp_path / "regions.csv").write_text((SMALLWORLD_DIR / "regions.csv").read_text() + "ZQ,Africa\n")
         w = load_world(tmp_path / "cities.csv", tmp_path / "borders.geojson", tmp_path / "regions.csv")
-        assert w.summary.borders_only == ("ZQ",)
+        assert "borders-only (no city rows, partial-containment only): ZQ" in load_summary(w)
         ns = normal_set(w, "AA", "AB", "population")
         assert "ZQ" in ns.countries
         with pytest.raises(UnknownCountry):
@@ -235,7 +237,7 @@ def unpruned_normal_set(w, src, dst, mode, boundary_step, samples_of=hull_bounda
     for iso2, rec in w.countries.items():
         if iso2 in members:
             continue
-        if any(_hull_contains_vec(hull, geo_to_unit(c.location).as_tuple()) for c in rec.top_cities(DEFAULT_CITY_LIMIT)):
+        if any(_hull_contains_vec(hull, geo_to_unit(c.location)) for c in rec.top_cities(DEFAULT_CITY_LIMIT)):
             members.add(iso2)
     sample_vecs = samples_of(hull, boundary_step)
     for iso2, cb in w.borders.items():
@@ -299,7 +301,7 @@ class TestCapPruningOracle:
 
 
 def _unit(lat, lon):
-    return geo_to_unit(GeoPoint(lat, lon)).as_tuple()
+    return geo_to_unit(GeoPoint(lat, lon))
 
 
 @st.composite
@@ -344,7 +346,7 @@ class TestPruningLemma:
 
 
 def _hull_of(vecs):
-    return spherical_convex_hull([unit_to_geo(UnitVec3(*_normalized(v))) for v in vecs])
+    return spherical_convex_hull([unit_to_geo(_normalized(v)) for v in vecs])
 
 
 @st.composite
@@ -376,7 +378,7 @@ def hull_and_probes(draw):
         vecs = [c]
     hull = _hull_of(vecs)
     center, floor = _hull_cap(hull)
-    vts = hull._vertex_tuples
+    vts = hull.vertices
     probes = [tuple(-x for x in center)]
     for k, v in enumerate(vts):
         probes.append(tuple(-x for x in v))

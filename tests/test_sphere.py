@@ -9,7 +9,6 @@ from geonorm.sphere import (
     ANGLE_TOL,
     GeoPoint,
     GeoPolygon,
-    UnitVec3,
     _angle,
     _cross,
     _dot,
@@ -17,7 +16,6 @@ from geonorm.sphere import (
     _hull_contains_vec,
     _normalized,
     _polygon_contains_vec,
-    angle_between,
     geo_to_unit,
     hull_boundary_samples,
     hull_contains,
@@ -30,7 +28,7 @@ from conftest import offset, star_ring
 
 
 def approx_vec(v, expected, tol=1e-12):
-    return all(abs(a - b) <= tol for a, b in zip(v.as_tuple(), expected))
+    return all(abs(a - b) <= tol for a, b in zip(v, expected))
 
 
 class TestGeoPoint:
@@ -47,6 +45,11 @@ class TestGeoPoint:
         with pytest.raises(ValidationError):
             GeoPoint(-90.0001, 0)
 
+    @pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lon_rejected(self, lon):
+        with pytest.raises(ValidationError, match="longitude"):
+            GeoPoint(0, lon)
+
     @given(st.floats(-90, 90), st.floats(-1000, 1000))
     def test_normalization_total(self, lat, lon):
         p = GeoPoint(lat, lon)
@@ -59,15 +62,11 @@ class TestEmbedding:
         assert approx_vec(geo_to_unit(GeoPoint(90, 0)), (0, 0, 1), tol=1e-15)
         assert approx_vec(geo_to_unit(GeoPoint(0, 90)), (0, 1, 0), tol=1e-15)
 
-    def test_unit_norm_enforced(self):
-        with pytest.raises(ValidationError):
-            UnitVec3(1, 1, 0)
-
     @given(st.floats(-90, 90), st.floats(-180, 180))
     def test_round_trip(self, lat, lon):
         p = GeoPoint(lat, lon)
         q = unit_to_geo(geo_to_unit(p))
-        assert angle_between(geo_to_unit(p), geo_to_unit(q)) < 1e-9
+        assert _angle(geo_to_unit(p), geo_to_unit(q)) < 1e-9
 
 
 def cap_points(rng, n, center_lat, center_lon, radius_deg):
@@ -112,12 +111,12 @@ class TestHullConstruction:
     def test_triangle_contains_edge_midpoints(self):
         h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 10), GeoPoint(10, 0)])
         assert h.degenerate_kind == "polygon"
-        vts = [v.as_tuple() for v in h.vertices]
+        vts = h.vertices
         for i in range(len(vts)):
             a, b = vts[i], vts[(i + 1) % len(vts)]
             mid = tuple((x + y) / 2 for x, y in zip(a, b))
             norm = math.sqrt(sum(c * c for c in mid))
-            midpoint = unit_to_geo(UnitVec3(*(c / norm for c in mid)))
+            midpoint = unit_to_geo(tuple(c / norm for c in mid))
             assert hull_contains(h, midpoint)
 
     def test_antipodal_pair_raises_with_witness(self):
@@ -134,19 +133,21 @@ class TestHullConstruction:
         rng = random.Random(1)
         pts = cap_points(rng, 100, 40, -30, 10)
         h = spherical_convex_hull(pts)
-        inputs = {geo_to_unit(p).as_tuple() for p in pts}
-        assert all(v.as_tuple() in inputs for v in h.vertices)
+        inputs = {geo_to_unit(p) for p in pts}
+        assert all(v in inputs for v in h.vertices)
         assert all(hull_contains(h, p) for p in pts)
 
     def test_vertices_inside_centroid_hemisphere(self):
         rng = random.Random(2)
-        h = spherical_convex_hull(cap_points(rng, 50, -20, 100, 25))
-        assert all(angle_between(h.centroid, v) < math.pi / 2 for v in h.vertices)
+        pts = cap_points(rng, 50, -20, 100, 25)
+        h = spherical_convex_hull(pts)
+        centroid = _normalized(tuple(sum(geo_to_unit(p)[i] for p in pts) for i in range(3)))
+        assert all(_angle(centroid, v) < math.pi / 2 for v in h.vertices)
 
     def test_polygon_ring_is_counterclockwise(self):
         rng = random.Random(3)
         h = spherical_convex_hull(cap_points(rng, 30, 10, 10, 20))
-        vts = [v.as_tuple() for v in h.vertices]
+        vts = h.vertices
         n = len(vts)
         for i in range(n):
             a, b, c = vts[i], vts[(i + 1) % n], vts[(i + 2) % n]
@@ -178,10 +179,10 @@ class TestHullProperties:
     def test_idempotence(self, pts):
         h = spherical_convex_hull(pts)
         h2 = spherical_convex_hull([unit_to_geo(v) for v in h.vertices])
-        first = {v.as_tuple() for v in h.vertices}
-        second = {v.as_tuple() for v in h2.vertices}
+        first = set(h.vertices)
+        second = set(h2.vertices)
         for a in first:
-            assert any(angle_between(UnitVec3(*a), UnitVec3(*b)) <= 1e-7 for b in second)
+            assert any(_angle(a, b) <= 1e-7 for b in second)
         assert len(first) == len(second)
 
     @given(hull_input(max_points=15), st.floats(-25, 25), st.floats(-25, 25))
@@ -198,7 +199,7 @@ class TestHullProperties:
         rng = random.Random(seed)
         axis_lat, axis_lon = rng.uniform(-90, 90), rng.uniform(-180, 180)
         angle = rng.uniform(0, 2 * math.pi)
-        k = geo_to_unit(GeoPoint(axis_lat, axis_lon)).as_tuple()
+        k = geo_to_unit(GeoPoint(axis_lat, axis_lon))
 
         def rotate(v):
             # Rodrigues rotation about axis k
@@ -212,9 +213,9 @@ class TestHullProperties:
             return tuple(v[i] * c + cross[i] * s + k[i] * kv * (1 - c) for i in range(3))
 
         def rotated_point(p):
-            x, y, z = rotate(geo_to_unit(p).as_tuple())
+            x, y, z = rotate(geo_to_unit(p))
             n = math.sqrt(x * x + y * y + z * z)
-            return unit_to_geo(UnitVec3(x / n, y / n, z / n))
+            return unit_to_geo((x / n, y / n, z / n))
 
         h = spherical_convex_hull(pts)
         h_rot = spherical_convex_hull([rotated_point(p) for p in pts])
@@ -235,9 +236,9 @@ class TestHullProperties:
 
 
 def _distance_to_boundary(h, p):
-    v = geo_to_unit(p).as_tuple()
+    v = geo_to_unit(p)
     best = math.inf
-    vts = [x.as_tuple() for x in h.vertices]
+    vts = h.vertices
     n = len(vts)
     for i in range(n):
         a, b = vts[i], vts[(i + 1) % n]
@@ -245,13 +246,9 @@ def _distance_to_boundary(h, p):
             q = tuple(a[j] + (b[j] - a[j]) * t / 50 for j in range(3))
             norm = math.sqrt(sum(c * c for c in q))
             q = tuple(c / norm for c in q)
-            d = angle_between(UnitVec3(*v), UnitVec3(*q))
+            d = _angle(v, q)
             best = min(best, d)
     return best
-
-
-def _geo(v):
-    return unit_to_geo(UnitVec3(*v))
 
 
 class TestBoundarySamples:
@@ -259,25 +256,24 @@ class TestBoundarySamples:
         h = spherical_convex_hull([GeoPoint(3, 4)])
         samples = hull_boundary_samples(h, 0.5)
         assert len(samples) == 1
-        assert _geo(samples[0]).lat == pytest.approx(3)
+        assert unit_to_geo(samples[0]).lat == pytest.approx(3)
 
     def test_one_degree_arc_quarter_degree_step(self):
         h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 1)])
         samples = hull_boundary_samples(h, 0.25)
         assert len(samples) == 5
-        assert _geo(samples[0]).lon == pytest.approx(0.0, abs=1e-9)
-        assert _geo(samples[-1]).lon == pytest.approx(1.0, abs=1e-9)
+        assert unit_to_geo(samples[0]).lon == pytest.approx(0.0, abs=1e-9)
+        assert unit_to_geo(samples[-1]).lon == pytest.approx(1.0, abs=1e-9)
 
     def test_spacing_never_exceeds_step(self):
         h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 10), GeoPoint(10, 0)])
         samples = hull_boundary_samples(h, 0.2)
-        ring = [UnitVec3(*v) for v in samples]
-        for a, b in zip(ring, ring[1:]):
-            assert angle_between(a, b) <= math.radians(0.2) + 1e-9
+        for a, b in zip(samples, samples[1:]):
+            assert _angle(a, b) <= math.radians(0.2) + 1e-9
 
     def test_vertices_included(self):
         h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 10), GeoPoint(10, 0)])
-        sampled = {(round(g.lat, 9), round(g.lon, 9)) for g in map(_geo, hull_boundary_samples(h, 1.0))}
+        sampled = {(round(g.lat, 9), round(g.lon, 9)) for g in map(unit_to_geo, hull_boundary_samples(h, 1.0))}
         for v in h.vertices:
             g = unit_to_geo(v)
             assert (round(g.lat, 9), round(g.lon, 9)) in sampled
@@ -287,13 +283,20 @@ class TestBoundarySamples:
         with pytest.raises(ValidationError):
             hull_boundary_samples(h, 0)
 
+    @pytest.mark.parametrize("step", [1e-300, 0.000999, math.nan])
+    def test_rejects_step_below_floor(self, step):
+        # the floor caps a build at 360,000 samples; 1e-300 would sample until memory runs out
+        h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 1)])
+        with pytest.raises(ValidationError, match="at least 0.001 degrees"):
+            hull_boundary_samples(h, step)
+
     @given(hull_input(), st.sampled_from([0.05, 0.2, 1.0]))
     def test_samples_match_geopoint_round_trip(self, pts, step):
         # samples were once returned as GeoPoints and converted back to vectors
         h = spherical_convex_hull(pts)
         for v in hull_boundary_samples(h, step):
-            unit = UnitVec3(*v)  # validates unit length
-            assert angle_between(unit, geo_to_unit(unit_to_geo(unit))) <= 1e-12
+            assert abs(_dot(v, v) - 1.0) <= 2e-9  # unit length
+            assert _angle(v, geo_to_unit(unit_to_geo(v))) <= 1e-12
 
 
 SQUARE = GeoPolygon(rings=((GeoPoint(-1, -1), GeoPoint(-1, 1), GeoPoint(1, 1), GeoPoint(1, -1)),))

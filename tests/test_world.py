@@ -3,7 +3,7 @@ import json
 import pytest
 
 from geonorm.errors import ParseError, UnknownCountry, ValidationError
-from geonorm.world import country_points, load_world
+from geonorm.world import country_points, load_summary, load_world
 
 from conftest import SMALLWORLD
 
@@ -29,7 +29,7 @@ class TestLoadWorld:
         assert set(small_world.borders) == set(small_world.countries)
         assert small_world.region_of["AA"] == "Americas"
         assert [c.name for c in small_world.countries["AA"].cities] == ["Alpha City", "Alpha Port", "Alpha Hills"]
-        assert small_world.summary.cities_outside_borders == ()
+        assert load_summary(small_world) == ["countries with cities: 6", "countries with borders: 6"]
 
     def test_cities_sorted_by_population(self, small_world):
         for rec in small_world.countries.values():
@@ -40,7 +40,7 @@ class TestLoadWorld:
         assert set(real_world.countries) == {"CN", "MN", "IN", "VN"}
         for rec in real_world.countries.values():
             assert len(rec.cities) == 15
-        assert real_world.summary.cities_outside_borders == ()
+        assert load_summary(real_world) == ["countries with cities: 4", "countries with borders: 4"]
 
     def test_out_of_range_latitude_names_the_row(self, tmp_path):
         bad = "iso2,city,lat,lon,population\nAA,Nowhere,95,0,100\n"
@@ -79,7 +79,7 @@ class TestLoadWorld:
         regions = (SMALLWORLD / "regions.csv").read_text() + "ZQ,Africa\n"
         paths = write_world(tmp_path, borders=json.dumps(doc), regions=regions)
         w = load_world(*paths)
-        assert w.summary.borders_only == ("ZQ",)
+        assert "borders-only (no city rows, partial-containment only): ZQ" in load_summary(w)
         assert "ZQ" in w.borders
         assert "ZQ" not in w.countries
         # excluded from hull-point generation in either mode as an endpoint
@@ -92,14 +92,14 @@ class TestLoadWorld:
         regions = (SMALLWORLD / "regions.csv").read_text() + "ZR,Asia\n"
         paths = write_world(tmp_path, cities=cities, regions=regions)
         w = load_world(*paths)
-        assert w.summary.cities_only == ("ZR",)
+        assert "cities-only (no border polygons): ZR" in load_summary(w)
         assert "ZR" in w.countries
 
     def test_city_outside_own_borders_is_a_warning(self, tmp_path):
         cities = (SMALLWORLD / "cities.csv").read_text() + "AA,Offshore,2.0,5.0,10\n"
         paths = write_world(tmp_path, cities=cities)
         w = load_world(*paths)
-        assert ("AA", "Offshore") in w.summary.cities_outside_borders
+        assert "warning: AA city 'Offshore' lies outside every AA border polygon" in load_summary(w)
 
     def test_missing_region_is_validation_error(self, tmp_path):
         regions = "iso2,region\n" + "".join(
