@@ -3,14 +3,15 @@
 An Aggregate is a mergeable value: workers each own a private one and the
 results are combined afterwards, so merge must stay associative and
 commutative. Every counter counts paths, not appearances: a country showing
-up three times on one path moves its counters by one.
+up three times on one path moves its counters by one. analyze folds in each
+distinct path signature once, with the number of paths that share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .pipeline import PathClassification, SkipLog, TuplePath
+from .pipeline import PathClassification, PathSignature, SkipLog, TuplePath
 from .world import REGIONS, WorldModel
 
 EXPOSURES = ("physical", "legal", "union")
@@ -71,47 +72,49 @@ class Aggregate:
         return self
 
 
-def _bump(table, key, normal):
+def _bump(table, key, normal, n):
     entry = table.setdefault(key, [0, 0])
-    entry[0] += 1 if normal else 0
-    entry[1] += 1
+    entry[0] += n if normal else 0
+    entry[1] += n
 
 
-def accumulate(agg: Aggregate, tp: TuplePath, pc: PathClassification, w: WorldModel) -> Aggregate:
-    """Fold one classified path into the aggregate.
+def accumulate(agg: Aggregate, tp: TuplePath | PathSignature, pc: PathClassification, w: WorldModel, n: int = 1) -> Aggregate:
+    """Fold n paths with tp's endpoints and the classification pc into the aggregate.
 
-    Endpoint countries count in their source/destination roles only, even
-    when they also appear mid-path; transit means a non-endpoint country
-    present in that exposure. A path's transited counter, by contrast, moves
-    for every country the exposure touches, endpoints included, to keep the
-    paths-transited ratio comparable with endpoint-heavy countries.
+    Of tp only src_country and dst_country are read, so a PathSignature
+    serves too. Endpoint countries count in their source/destination roles
+    only, even when they also appear mid-path; transit means a non-endpoint
+    country present in that exposure. A path's transited counter, by
+    contrast, moves for every country the exposure touches, endpoints
+    included, to keep the paths-transited ratio comparable with
+    endpoint-heavy countries.
     """
     endpoints = {tp.src_country, tp.dst_country}
     for exposure, verdict in (("physical", pc.physical), ("legal", pc.legal), ("union", pc.union)):
-        _bump(agg.role, (tp.src_country, "source", exposure), verdict.normal)
-        _bump(agg.role, (tp.dst_country, "destination", exposure), verdict.normal)
+        _bump(agg.role, (tp.src_country, "source", exposure), verdict.normal, n)
+        _bump(agg.role, (tp.dst_country, "destination", exposure), verdict.normal, n)
         transit = verdict.countries - endpoints
         for iso2 in transit:
-            _bump(agg.role, (iso2, "transit", exposure), verdict.normal)
+            _bump(agg.role, (iso2, "transit", exposure), verdict.normal, n)
         for iso2 in verdict.countries:
             counts = agg.benefactor.setdefault((iso2, exposure), [0, 0, 0, 0])
-            counts[1] += 1
+            counts[1] += n
         for iso2 in transit:
             counts = agg.benefactor[(iso2, exposure)]
-            counts[2] += 1
-            counts[3] += 1 if verdict.normal else 0
+            counts[2] += n
+            counts[3] += n if verdict.normal else 0
         for iso2 in verdict.benefactors:
             counts = agg.benefactor.setdefault((iso2, exposure), [0, 0, 0, 0])
-            counts[0] += 1
-        _bump(agg.global_counts, exposure, verdict.normal)
-        _bump(agg.region_matrix, (w.region_of[tp.src_country], w.region_of[tp.dst_country], exposure), verdict.normal)
+            counts[0] += n
+        _bump(agg.global_counts, exposure, verdict.normal, n)
+        _bump(agg.region_matrix, (w.region_of[tp.src_country], w.region_of[tp.dst_country], exposure), verdict.normal, n)
 
     sev = len(pc.physical.benefactors)
-    agg.severity[sev] = agg.severity.get(sev, 0) + 1
-    _bump(agg.tuple_len, pc.tuple_len, pc.physical.normal)
-    _bump(agg.as_count, pc.as_count, pc.physical.normal)
-    agg.union_added[pc.union_added_countries] = agg.union_added.get(pc.union_added_countries, 0) + 1
-    agg.paths_total += 1
+    agg.severity[sev] = agg.severity.get(sev, 0) + n
+    _bump(agg.tuple_len, pc.tuple_len, pc.physical.normal, n)
+    _bump(agg.as_count, pc.as_count, pc.physical.normal, n)
+    agg.union_added[pc.union_added_countries] = agg.union_added.get(pc.union_added_countries, 0) + n
+    agg.paths_total += n
     return agg
 
 

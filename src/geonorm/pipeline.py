@@ -3,15 +3,19 @@
 Hops whose physical country or origin AS is unknown are dropped and counted,
 which makes every verdict a lower bound on the countries a path exposes
 traffic to. Consecutive duplicate (country, ASN) tuples compress to one.
+
+A path's verdicts and every report counter it moves depend only on its
+PathSignature, so analyze classifies each distinct signature once, and
+classify_path_with is that classifier applied to one path.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
-from itertools import groupby
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .enrichment import Enrichment, parse_ip
 from .errors import ParseError, utf8_error
@@ -20,14 +24,12 @@ from .normality import NormalSet, PathVerdict, classify
 SKIP_REASONS = ("unresolved_source", "unresolved_destination", "empty_path", "unclassifiable_pair")
 
 
-@dataclass(frozen=True)
-class Hop:
+class Hop(NamedTuple):
     ttl: int
     ip: str | None  # None when the router never answered
 
 
-@dataclass(frozen=True)
-class TracerouteRecord:
+class TracerouteRecord(NamedTuple):
     src_ip: str
     dst_ip: str
     timestamp: float
@@ -45,19 +47,28 @@ class Skip:
             raise ValueError(f"unknown skip reason {self.reason!r}")
 
 
-@dataclass(frozen=True)
-class TupleHop:
+class TupleHop(NamedTuple):
     phys_country: str
     asn: int
     legal_country: str | None
 
 
-@dataclass(frozen=True)
-class TuplePath:
+class TuplePath(NamedTuple):
     src_country: str
     dst_country: str
     hops: tuple[TupleHop, ...]
     dropped_hops: int
+
+
+class PathSignature(NamedTuple):
+    """Everything classification and accumulation read from one tuple path."""
+
+    src_country: str
+    dst_country: str
+    physical: frozenset[str]
+    legal: frozenset[str]  # hops whose registration country is known
+    tuple_len: int
+    as_count: int
 
 
 @dataclass(frozen=True)
@@ -81,13 +92,16 @@ def _check_ip(ip, where: str, source: str, line_no: int) -> str:
 def parse_traceroute_line(line: str, source: str = "<line>", line_no: int = 1) -> TracerouteRecord:
     """One JSON object per line: src_ip, dst_ip, timestamp, hops [{ttl, ip|null}].
 
-    Every address must parse as IPv4 or IPv6, and ttl and timestamp must be
-    numbers, not booleans; anything else is a ParseError naming the line.
+    Every address must parse as IPv4 or IPv6, ttl must be an integer and
+    timestamp a finite number, neither a boolean nor a string; anything else
+    is a ParseError naming the line.
     """
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as e:
         raise ParseError(source, line_no, f"invalid JSON at column {e.colno}: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # an over-long integer, or nesting too deep
+        raise ParseError(source, line_no, f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ParseError(source, line_no, "expected a JSON object")
     for key in ("src_ip", "dst_ip", "timestamp", "hops"):
@@ -113,14 +127,13 @@ def parse_traceroute_line(line: str, source: str = "<line>", line_no: int = 1) -
             if not isinstance(ip, str):
                 raise ParseError(source, line_no, f"hop {i}: ip must be a string or null")
             _check_ip(ip, f"hop {i}", source, line_no)
-        hops.append(Hop(ttl=ttl, ip=ip))
-    if isinstance(doc["timestamp"], bool):
-        raise ParseError(source, line_no, f"non-numeric timestamp {doc['timestamp']!r}")
-    try:
-        timestamp = float(doc["timestamp"])
-    except (TypeError, ValueError):
-        raise ParseError(source, line_no, f"non-numeric timestamp {doc['timestamp']!r}") from None
-    return TracerouteRecord(src_ip=src_ip, dst_ip=dst_ip, timestamp=timestamp, hops=tuple(hops))
+        hops.append(Hop(ttl, ip))
+    raw = doc["timestamp"]
+    if type(raw) not in (int, float):
+        raise ParseError(source, line_no, f"non-numeric timestamp {raw!r}")
+    if not abs(raw) <= sys.float_info.max:  # NaN, infinities and integers no float holds
+        raise ParseError(source, line_no, f"non-finite timestamp {raw!r}")
+    return TracerouteRecord(src_ip, dst_ip, float(raw), tuple(hops))
 
 
 def _open_binary(path):
@@ -191,7 +204,8 @@ def to_tuple_path(rec: TracerouteRecord, enrichment: Enrichment) -> TuplePath | 
 
     dropped_hops counts responsive hops that lacked a known country or AS;
     unresponsive hops are simply absent. Endpoint countries come from the
-    geolocation of src_ip and dst_ip, never from first or last hop.
+    geolocation of src_ip and dst_ip, never from first or last hop. A run of
+    hops with the same (country, ASN) keeps its first hop.
     """
     if not rec.hops:
         return Skip("empty_path")
@@ -202,38 +216,54 @@ def to_tuple_path(rec: TracerouteRecord, enrichment: Enrichment) -> TuplePath | 
     if dst_country is None:
         return Skip("unresolved_destination")
 
-    resolved: list[TupleHop] = []
+    resolve, timestamp = enrichment.resolve, rec.timestamp
+    hops: list[TupleHop] = []
     dropped = 0
-    for hop in rec.hops:
-        if hop.ip is None:
+    last_country = last_asn = None
+    for _, ip in rec.hops:
+        if ip is None:
             continue
-        res = enrichment.resolve(hop.ip, rec.timestamp)
-        if res.phys_country is None or res.asn is None:
+        _, country, asn, legal = resolve(ip, timestamp)
+        if country is None or asn is None:
             dropped += 1
-            continue
-        resolved.append(TupleHop(phys_country=res.phys_country, asn=res.asn, legal_country=res.legal_country))
+        elif asn != last_asn or country != last_country:
+            hops.append(TupleHop(country, asn, legal))
+            last_country, last_asn = country, asn
+    return TuplePath(src_country, dst_country, tuple(hops), dropped)
 
-    compressed = tuple(next(group) for _, group in groupby(resolved, key=lambda h: (h.phys_country, h.asn)))
-    return TuplePath(src_country=src_country, dst_country=dst_country, hops=compressed, dropped_hops=dropped)
+
+def signature(tp: TuplePath) -> PathSignature:
+    hops = tp.hops
+    return PathSignature(
+        tp.src_country,
+        tp.dst_country,
+        frozenset([h.phys_country for h in hops]),
+        frozenset([h.legal_country for h in hops if h.legal_country is not None]),
+        len(hops),
+        len({h.asn for h in hops}),
+    )
 
 
-def classify_path_with(tp: TuplePath, ns: NormalSet) -> PathClassification:
-    """Physical, legal, and union verdicts for one tuple path against its pair's normal set.
+def classify_signature(sig: PathSignature, ns: NormalSet) -> PathClassification:
+    """Physical, legal, and union verdicts for a path signature against its pair's normal set.
 
     All three use the same normal set and the physical endpoints; the legal
     set holds only hops whose registration country is known.
     """
-    phys = frozenset(h.phys_country for h in tp.hops)
-    legal = frozenset(h.legal_country for h in tp.hops if h.legal_country is not None)
-    added = legal - phys - {tp.src_country, tp.dst_country}
+    phys, legal = sig.physical, sig.legal
     return PathClassification(
-        physical=classify(ns, phys),
-        legal=classify(ns, legal),
-        union=classify(ns, phys | legal),
-        union_added_countries=len(added),
-        tuple_len=len(tp.hops),
-        as_count=len({h.asn for h in tp.hops}),
+        classify(ns, phys),
+        classify(ns, legal),
+        classify(ns, phys | legal),
+        len(legal - phys - {sig.src_country, sig.dst_country}),
+        sig.tuple_len,
+        sig.as_count,
     )
+
+
+def classify_path_with(tp: TuplePath, ns: NormalSet) -> PathClassification:
+    """classify_signature of one tuple path."""
+    return classify_signature(signature(tp), ns)
 
 
 @dataclass
@@ -243,11 +273,11 @@ class SkipLog:
     counts: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
 
-    def add(self, reason: str):
-        self.counts[reason] = self.counts.get(reason, 0) + 1
+    def add(self, reason: str, n: int = 1):
+        self.counts[reason] = self.counts.get(reason, 0) + n
 
-    def note(self, key: str):
-        self.notes[key] = self.notes.get(key, 0) + 1
+    def note(self, key: str, n: int = 1):
+        self.notes[key] = self.notes.get(key, 0) + n
 
     def merge(self, other: "SkipLog") -> "SkipLog":
         for mine, theirs in ((self.counts, other.counts), (self.notes, other.notes)):

@@ -8,6 +8,7 @@ import pytest
 from geonorm import cli
 from geonorm.cli import main
 from geonorm.pipeline import shard_ranges
+from geonorm.synth import write_corpus
 
 from conftest import PIPELINE12, REPO, SMALLWORLD, WORLD_DATA, table_args, world_args
 
@@ -368,6 +369,23 @@ class TestShardedAnalyze:
         code, _, _ = self.analyze(capsys, PIPELINE12 / "traceroutes.ndjson", tmp_path, workers)
         assert code == 0
         assert tree(tmp_path) == tree(PIPELINE12 / "expected")
+
+    @pytest.fixture(scope="class")
+    def synth_corpus(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("synth") / "synth.ndjson"
+        write_corpus(path, 3000, seed=5)
+        return path
+
+    @pytest.mark.parametrize("cap", [1, 7])
+    def test_signature_cap_changes_no_output(self, capsys, tmp_path, monkeypatch, synth_corpus, cap):
+        reference = tmp_path / "default"
+        assert self.analyze(capsys, synth_corpus, reference, 1)[0] == 0
+        monkeypatch.setattr(cli, "SIGNATURE_CAP", cap)
+        for workers in (1, 2, 8):
+            assert self.analyze(capsys, PIPELINE12 / "traceroutes.ndjson", tmp_path / f"p12-{workers}", workers)[0] == 0
+            assert tree(tmp_path / f"p12-{workers}") == tree(PIPELINE12 / "expected")
+            assert self.analyze(capsys, synth_corpus, tmp_path / f"synth-{workers}", workers)[0] == 0
+            assert tree(tmp_path / f"synth-{workers}") == tree(reference)
 
     def test_runs_in_process_without_fork(self, capsys, tmp_path, monkeypatch):
         import multiprocessing

@@ -3,10 +3,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from geonorm.cli import fold_signatures
 from geonorm.metrics import Aggregate, accumulate, don, report
-from geonorm.normality import PairCache
-from geonorm.pipeline import Hop, Skip, SkipLog, TracerouteRecord, classify_path_with, parse_traceroute_line, to_tuple_path
+from geonorm.normality import NormalSet, PairCache
+from geonorm.pipeline import (
+    Hop, Skip, SkipLog, TracerouteRecord, TupleHop, TuplePath, classify_path_with, parse_traceroute_line,
+    signature, to_tuple_path,
+)
 from geonorm.synth import generate_records
 
 
@@ -252,3 +257,55 @@ class TestReport:
                 total.merge(copy.deepcopy(part))
             dumps.add(json.dumps(report(total, small_world, skip_log=SkipLog()), sort_keys=False))
         assert len(dumps) == 1
+
+
+COUNTRIES = ("AA", "AB", "AC", "AD", "BE", "BF")
+UNCLASSIFIABLE = frozenset({"BE", "BF"})  # treated as spanning more than a hemisphere
+TUPLE_HOPS = st.builds(
+    TupleHop, st.sampled_from(COUNTRIES), st.sampled_from((101, 201, 209, 301, 509)),
+    st.sampled_from(COUNTRIES) | st.none(),
+)
+TUPLE_PATHS = st.builds(
+    TuplePath, st.sampled_from(COUNTRIES), st.sampled_from(COUNTRIES),
+    st.lists(TUPLE_HOPS, max_size=5).map(tuple), st.integers(0, 3),
+) | st.builds(TuplePath, st.sampled_from(sorted(UNCLASSIFIABLE)), st.sampled_from(sorted(UNCLASSIFIABLE)),
+              st.lists(TUPLE_HOPS, max_size=2).map(tuple), st.just(0))
+
+
+class TestSignatureFold:
+    """Counting signatures and folding each once, weighted, moves every counter as the per-path fold does."""
+
+    @settings(max_examples=150)
+    @given(
+        st.lists(TUPLE_PATHS, min_size=1, max_size=6).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), max_size=40)
+        ),
+        st.sampled_from(("exclude", "count_non_normal")),
+    )
+    def test_weighted_fold_equals_per_path_fold(self, small_world, paths, policy):
+        cache = PairCache()
+
+        def normal_set_of(src, dst):
+            if frozenset((src, dst)) == UNCLASSIFIABLE:
+                return NormalSet(src, dst, "population", frozenset((src, dst)), unclassifiable=True)
+            return cache.get_or_build(small_world, src, dst, "population")
+
+        per_path, per_path_skips = Aggregate(), SkipLog()
+        for tp in paths:
+            ns = normal_set_of(tp.src_country, tp.dst_country)
+            if ns.unclassifiable:
+                if policy == "exclude":
+                    per_path_skips.add("unclassifiable_pair")
+                    continue
+                per_path_skips.note("unclassifiable_pair_counted_non_normal")
+            accumulate(per_path, tp, classify_path_with(tp, ns), small_world)
+
+        folded, folded_skips, counts = Aggregate(), SkipLog(), {}
+        for sig in map(signature, paths):
+            counts[sig] = counts.get(sig, 0) + 1
+        fold_signatures(counts, folded, folded_skips, small_world, normal_set_of, policy)
+
+        assert counts == {}
+        assert report(folded, small_world, folded_skips) == report(per_path, small_world, per_path_skips)
+        assert folded_skips == per_path_skips
+        assert as_comparable(folded) == as_comparable(per_path)

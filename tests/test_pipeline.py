@@ -76,6 +76,30 @@ class TestParsing:
         with pytest.raises(ParseError, match="t.ndjson:4: non-numeric timestamp"):
             parse_traceroute_line(json.dumps(doc), source="t.ndjson", line_no=4)
 
+    @pytest.mark.parametrize("text, message", [
+        ('"123"', "non-numeric timestamp '123'"),
+        ('"nan"', "non-numeric timestamp 'nan'"),
+        ("null", "non-numeric timestamp None"),
+        ("[1]", r"non-numeric timestamp \[1\]"),
+        ("NaN", "non-finite timestamp nan"),
+        ("Infinity", "non-finite timestamp inf"),
+        ("-Infinity", "non-finite timestamp -inf"),
+        ("1e400", "non-finite timestamp inf"),
+        pytest.param("1" + "0" * 400, "non-finite timestamp 10{400}$", id="integer-beyond-float"),
+    ])
+    def test_timestamp_must_be_a_finite_number(self, text, message):
+        line = '{"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "hops": [], "timestamp": %s}' % text
+        with pytest.raises(ParseError, match=f"^t.ndjson:4: {message}"):
+            parse_traceroute_line(line, source="t.ndjson", line_no=4)
+
+    @pytest.mark.parametrize("line", [
+        pytest.param("[" * 100_000, id="nesting"),
+        pytest.param('{"timestamp": ' + "1" * 5000 + "}", id="integer-digits"),
+    ])
+    def test_json_beyond_decoder_limits_is_located(self, line):
+        with pytest.raises(ParseError, match="^t.ndjson:4: invalid JSON: "):
+            parse_traceroute_line(line, source="t.ndjson", line_no=4)
+
     @pytest.mark.parametrize("field, doc", [
         ("src_ip", {"src_ip": "not-an-ip", "dst_ip": "2.2.2.2", "hops": []}),
         ("dst_ip", {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.256", "hops": []}),
@@ -284,6 +308,56 @@ class TestToTuplePath:
         tp = to_tuple_path(rec, small_enrichment)
         again = tuple(next(g) for _, g in groupby(tp.hops, key=lambda h: (h.phys_country, h.asn)))
         assert again == tp.hops
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+# addresses that resolve in smallworld, special ones and unknown ones; then spellings ipaddress refuses
+GOOD_ADDRESSES = [
+    "20.1.0.1", "20.1.0.5", "30.9.0.5", "40.1.0.99", "60.9.0.1", "20.5.0.1", "99.9.9.9", "10.0.0.1",
+    "::1", "2001:db8::1", "fe80::1%eth0", "::ffff:20.1.0.5",
+]
+ADDRESSES = st.sampled_from(GOOD_ADDRESSES + ["1.2.3", "20.1.0.1\x00", "\ud800"])
+
+
+@st.composite
+def record_lines(draw):
+    """A well-formed record line with up to two fields of the record or of its hops replaced or removed."""
+    ttl, hops = 0, []
+    for step, ip in draw(st.lists(st.tuples(st.integers(1, 3), st.none() | st.sampled_from(GOOD_ADDRESSES)), max_size=8)):
+        ttl += step
+        hops.append({"ttl": ttl, "ip": ip})
+    doc = {"src_ip": draw(ADDRESSES), "dst_ip": draw(ADDRESSES),
+           "timestamp": draw(st.integers(0, 2**32) | st.floats()), "hops": hops}
+    for _ in range(draw(st.integers(0, 2))):
+        target = draw(st.sampled_from([doc, *hops]))
+        key = draw(st.sampled_from(sorted(target)))
+        if draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+class TestParseFuzz:
+    @settings(max_examples=400)
+    @given(st.one_of(
+        record_lines(),
+        record_lines().flatmap(lambda line: st.integers(0, len(line)).map(lambda i: line[:i])),
+        JSON_VALUES.map(json.dumps),
+        st.text(max_size=40),
+    ))
+    def test_only_parse_errors_escape(self, small_enrichment, line):
+        try:
+            rec = parse_traceroute_line(line, source="f.ndjson", line_no=3)
+        except ParseError as e:
+            assert str(e).startswith("f.ndjson:3: ")
+            return
+        tp = to_tuple_path(rec, small_enrichment)
+        assert isinstance(tp, Skip) or len(tp.hops) + tp.dropped_hops <= len(rec.hops)
 
 
 class TestClassifyPath:
