@@ -483,6 +483,8 @@ def _config_from_args(args) -> RunConfig:
             raise utf8_error(args.config, Path(args.config).read_bytes()) from None
         except json.JSONDecodeError as e:
             raise ValidationError(f"config file {args.config} is not valid JSON: {e.msg}") from None
+        except (ValueError, RecursionError) as e:  # an over-long integer, or nesting too deep
+            raise ValidationError(f"config file {args.config} is not valid JSON: {e}") from None
         if not isinstance(loaded, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object, got {json.dumps(loaded)}")
         unknown = set(loaded) - _CONFIG_KEYS
@@ -498,23 +500,34 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
+def _run(args) -> int:
+    cfg = _config_from_args(args)
+    if args.command == "analyze":
+        return cmd_analyze(cfg, origin_conflict=args.origin_conflict)
+    if args.command == "normal-set":
+        modes = ("population", "border") if args.both_modes else (cfg.mode,)
+        return cmd_normal_set(cfg, args.src, args.dst, modes, export_hull=args.export_hull)
+    if args.command == "classify-one":
+        line = sys.stdin.readline() if args.line == "-" else args.line
+        return cmd_classify_one(cfg, line)
+    if args.command == "validate-world":
+        return cmd_validate_world(cfg)
+    raise AssertionError(f"unhandled command {args.command}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "analyze":
-            return cmd_analyze(cfg, origin_conflict=args.origin_conflict)
-        if args.command == "normal-set":
-            modes = ("population", "border") if args.both_modes else (cfg.mode,)
-            return cmd_normal_set(cfg, args.src, args.dst, modes, export_hull=args.export_hull)
-        if args.command == "classify-one":
-            line = sys.stdin.readline() if args.line == "-" else args.line
-            return cmd_classify_one(cfg, line)
-        if args.command == "validate-world":
-            return cmd_validate_world(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        code = _run(args)
+        sys.stdout.flush()  # so that a reader gone away shows here, not at exit
+        return code
     except GeonormError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the recipe of the signal module's docs: stdout goes to devnull, so
+        # the flush at exit has nowhere left to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

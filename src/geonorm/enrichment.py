@@ -7,6 +7,11 @@ ranges behind is_private, is_loopback, is_link_local, is_multicast,
 is_reserved and is_unspecified) never resolve, whatever the tables say:
 router interfaces in those ranges carry no geographic meaning.
 
+Table rows load as (version, prefix length, network int) through parse_cidr,
+which builds no ipaddress object for the common addr/len spelling. Router
+addresses recur across paths, so Enrichment.resolve memoises address text ->
+HopResolution per process, up to RESOLVE_CAP entries; dated origins bypass it.
+
 Input formats (UTF-8, header row required):
   geo table    csv: cidr,iso2
   origin table csv: cidr,asn
@@ -17,22 +22,18 @@ from __future__ import annotations
 
 import functools
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
+
+from _socket import AF_INET, AF_INET6, inet_pton  # socket's own, at a seventh of its import time
 
 from .errors import ConflictError, ParseError
 from .world import _check_iso2, _read_csv
 
 _MAXLEN = {4: 32, 6: 128}
 
-
-@functools.cache
-def _inet_pton():
-    # imported on first parse, not at import, to keep socket out of the
-    # command line's start-up time
-    import socket
-
-    return socket.inet_pton, socket.AF_INET, socket.AF_INET6
+# Addresses Enrichment.resolve remembers before it clears its memo and starts over
+RESOLVE_CAP = 4096
 
 
 def parse_ip(text: str) -> tuple[int, int]:
@@ -43,22 +44,37 @@ def parse_ip(text: str) -> tuple[int, int]:
     refuses (scope ids such as fe80::1%eth0, malformed text) goes through
     ipaddress. No IPv4 spelling contains a colon and no IPv6 one lacks it.
     """
-    inet_pton, af_inet, af_inet6 = _inet_pton()
     try:
         if ":" in text:
-            return 6, int.from_bytes(inet_pton(af_inet6, text), "big")
-        return 4, int.from_bytes(inet_pton(af_inet, text), "big")
+            return 6, int.from_bytes(inet_pton(AF_INET6, text), "big")
+        return 4, int.from_bytes(inet_pton(AF_INET, text), "big")
     except (OSError, ValueError):
         pass
     addr = ipaddress.ip_address(text)
     return addr.version, int(addr)
 
 
-def _address(ip) -> tuple[int, int]:
-    """(version, int) of an address string or ipaddress object."""
-    if isinstance(ip, str):
-        return parse_ip(ip)
-    return ip.version, int(ip)
+def parse_cidr(text: str) -> tuple[int, int, int]:
+    """(version, prefix length, network int) of a CIDR string.
+
+    Accepts and rejects exactly what strict ipaddress.ip_network does, with
+    its ValueError: addr/len with one to three ASCII digits and no host bits
+    set is read by parse_ip, and every other form goes through ipaddress
+    (a longer length may pass int()'s digit limit, which ip_network words
+    its own way).
+    """
+    addr, _, plen = text.partition("/")
+    if plen.isdigit() and plen.isascii() and len(plen) <= 3:
+        try:
+            version, value = parse_ip(addr)
+        except ValueError:
+            pass
+        else:
+            host_bits = _MAXLEN[version] - int(plen)
+            if host_bits >= 0 and not value & ((1 << host_bits) - 1):
+                return version, int(plen), value
+    net = ipaddress.ip_network(text)
+    return net.version, net.prefixlen, int(net.network_address)
 
 
 class PrefixTable:
@@ -84,25 +100,23 @@ class PrefixTable:
         """
         table = cls()
         for cidr, value in rows:
-            net = ipaddress.ip_network(str(cidr))  # strict: host bits set is a data bug
-            table._insert(net, value, on_conflict)
+            table._insert(*parse_cidr(str(cidr)), value, on_conflict, cidr)  # strict: host bits set is a data bug
         return table
 
-    def _insert(self, net, value, on_conflict):
-        buckets = self._buckets[net.version]
-        host_bits = net.max_prefixlen - net.prefixlen
-        bucket = buckets.get(net.prefixlen)
+    def _insert(self, version, prefixlen, network, value, on_conflict, cidr):
+        """Map the prefix network/prefixlen to value; cidr names it in a ConflictError."""
+        buckets = self._buckets[version]
+        host_bits = _MAXLEN[version] - prefixlen
+        bucket = buckets.get(prefixlen)
         if bucket is None:
-            bucket = buckets[net.prefixlen] = {}
-            self._probes[net.version] = tuple(
-                (net.max_prefixlen - plen, buckets[plen]) for plen in sorted(buckets, reverse=True)
-            )
-        key = int(net.network_address) >> host_bits
+            bucket = buckets[prefixlen] = {}
+            self._probes[version] = tuple((_MAXLEN[version] - plen, buckets[plen]) for plen in sorted(buckets, reverse=True))
+        key = network >> host_bits
         if key in bucket:
             if bucket[key] != value:
                 if on_conflict == "first_wins":
                     return
-                raise ConflictError(f"prefix {net} maps to both {bucket[key]!r} and {value!r}")
+                raise ConflictError(f"prefix {ipaddress.ip_network(str(cidr))} maps to both {bucket[key]!r} and {value!r}")
             return
         bucket[key] = value
         self._count += 1
@@ -117,7 +131,7 @@ class PrefixTable:
 
     def lookup(self, ip):
         """Value of the longest prefix containing ip (a string or ipaddress object), or None."""
-        return self.probe(*_address(ip))
+        return self.probe(*parse_ip(ip)) if isinstance(ip, str) else self.probe(ip.version, int(ip))
 
     def __len__(self):
         return self._count
@@ -147,13 +161,13 @@ def _special_ranges():
     table = PrefixTable()
     gates = {4: bytearray(256), 6: bytearray(256)}
     for net in private + other:
-        table._insert(net, True, "error")
+        table._insert(net.version, net.prefixlen, int(net.network_address), True, "error", net)
         shift = net.max_prefixlen - 8
         first, last = int(net.network_address) >> shift, int(net.broadcast_address) >> shift
         gates[net.version][first:last + 1] = b"\1" * (last - first + 1)
     for net in exceptions:
         if not any(net.version == o.version and net.subnet_of(o) for o in other):
-            table._insert(net, False, "error")
+            table._insert(net.version, net.prefixlen, int(net.network_address), False, "error", net)
     return table, {version: bytes(gate) for version, gate in gates.items()}
 
 
@@ -187,18 +201,20 @@ def resolve_hop(geo: PrefixTable, origin: PrefixTable, registry: ASRegistry, ip)
 
     ip is a string (kept as given in the result) or an ipaddress object.
     """
-    version, value = _address(ip)
-    text = ip if isinstance(ip, str) else str(ip)
+    if isinstance(ip, str):
+        version, value = parse_ip(ip)
+    else:
+        version, value, ip = ip.version, int(ip), str(ip)
     if is_special(version, value):
-        return HopResolution(text, None, None, None)
+        return HopResolution(ip, None, None, None)
     asn = origin.probe(version, value)
     legal = registry.legal_country(asn) if asn is not None else None
-    return HopResolution(text, geo.probe(version, value), asn, legal)
+    return HopResolution(ip, geo.probe(version, value), asn, legal)
 
 
 def _parse_cidr(text, path, line_no):
     try:
-        return ipaddress.ip_network(text)
+        return parse_cidr(text)
     except ValueError as e:
         raise ParseError(str(path), line_no, f"bad prefix {text!r}: {e}") from None
 
@@ -216,16 +232,14 @@ def _parse_asn(text, path, line_no):
 def load_geo_table(path) -> PrefixTable:
     table = PrefixTable()
     for line_no, (cidr, iso2) in _read_csv(path, ("cidr", "iso2")):
-        net = _parse_cidr(cidr, path, line_no)
-        table._insert(net, _check_iso2(iso2, path, line_no), "error")
+        table._insert(*_parse_cidr(cidr, path, line_no), _check_iso2(iso2, path, line_no), "error", cidr)
     return table
 
 
 def load_origin_table(path, on_conflict: str = "error") -> PrefixTable:
     table = PrefixTable()
     for line_no, (cidr, asn) in _read_csv(path, ("cidr", "asn")):
-        net = _parse_cidr(cidr, path, line_no)
-        table._insert(net, _parse_asn(asn, path, line_no), on_conflict)
+        table._insert(*_parse_cidr(cidr, path, line_no), _parse_asn(asn, path, line_no), on_conflict, cidr)
     return table
 
 
@@ -253,6 +267,7 @@ class Enrichment:
     origin: PrefixTable
     registry: ASRegistry
     dated_origins: tuple[tuple[float, float, PrefixTable], ...] = ()
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def origin_for(self, timestamp) -> PrefixTable:
         for start, end, table in self.dated_origins:
@@ -261,5 +276,12 @@ class Enrichment:
         return self.origin
 
     def resolve(self, ip, timestamp=None) -> HopResolution:
-        origin = self.origin_for(timestamp) if self.dated_origins and timestamp is not None else self.origin
-        return resolve_hop(self.geo, origin, self.registry, ip)
+        if self.dated_origins:
+            origin = self.origin_for(timestamp) if timestamp is not None else self.origin
+            return resolve_hop(self.geo, origin, self.registry, ip)
+        res = self._memo.get(ip)
+        if res is None:
+            if len(self._memo) >= RESOLVE_CAP:
+                self._memo.clear()
+            res = self._memo[ip] = resolve_hop(self.geo, self.origin, self.registry, ip)
+        return res

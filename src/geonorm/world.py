@@ -169,6 +169,8 @@ def _load_borders(path):
         raise utf8_error(path, Path(path).read_bytes()) from None
     except json.JSONDecodeError as e:
         raise ParseError(str(path), e.lineno, f"invalid JSON: {e.msg}") from None
+    except (ValueError, RecursionError) as e:  # an over-long integer, or nesting too deep
+        raise ParseError(str(path), 0, f"invalid JSON: {e}") from None
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise ParseError(str(path), 0, "expected a GeoJSON FeatureCollection")
     by_country: dict[str, list[GeoPolygon]] = {}

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -102,6 +103,18 @@ class TestValidateWorld:
         code, out, err = run(capsys, "validate-world", *argv)
         assert code == 1 and out == ""
         assert err == f"error: {borders}:0: {message}\n"
+
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"type": "FeatureCollection", "features": ' + "1" * 5000 + "}", id="integer-digits"),
+        pytest.param("[" * 100_000, id="nesting"),
+    ])
+    def test_borders_the_decoder_refuses_is_one_error_line(self, capsys, tmp_path, text):
+        borders = tmp_path / "borders.geojson"
+        borders.write_text(text)
+        argv = ["--cities", str(SMALLWORLD / "cities.csv"), "--borders", str(borders), "--regions", str(SMALLWORLD / "regions.csv")]
+        code, out, err = run(capsys, "validate-world", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {borders}:0: invalid JSON: ") and err.count("\n") == 1
 
 
 class TestNormalSet:
@@ -284,6 +297,9 @@ class TestConfigFile:
         ('{"top_n": true}', "top_n must be an integer, got True"),
         ('{"cities": 5}', "cities must be a string, got 5"),
         ('{"output_dir": null}', "output_dir must be a string, got None"),
+        # json.load raises ValueError and RecursionError for these, not JSONDecodeError
+        pytest.param('{"top_n": ' + "1" * 5000 + "}", "run.json is not valid JSON: ", id="integer-digits"),
+        pytest.param("[" * 100_000, "run.json is not valid JSON: ", id="nesting"),
     ])
     def test_mistyped_config_is_one_error_line(self, capsys, tmp_path, text, message):
         cfg_path = tmp_path / "run.json"
@@ -433,3 +449,45 @@ class TestShardedAnalyze:
         assert code == 1
         assert "exited with code 3" in err
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+class TestClosedStdout:
+    """A reader that goes away early, as with `| head`, ends the run without a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["normal-set", *world_args(), "AA", "AC", "--both-modes"],
+        ["analyze", *world_args(), *table_args(), "--traceroutes", str(PIPELINE12 / "traceroutes.ndjson")],
+    ], ids=["normal-set", "analyze"])
+    def test_no_traceback(self, tmp_path, argv):
+        if argv[0] == "analyze":
+            argv = [*argv, "--output-dir", str(tmp_path)]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "geonorm.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # before the child can print, so its first write fails
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+        assert err == ""
+        if argv[0] == "analyze":
+            assert tree(tmp_path) == tree(PIPELINE12 / "expected")
+
+
+class TestResolveOnce:
+    def test_one_resolution_per_distinct_router(self, capsys, tmp_path, monkeypatch):
+        from geonorm import enrichment
+
+        rng = random.Random(4)
+        routers = [f"{a}.{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(1, 255)}" for a in (20, 30, 40) for _ in range(15)]
+        lines = []
+        for i in range(400):
+            hops = [{"ttl": t, "ip": rng.choice(routers + [None])} for t in range(1, rng.randint(2, 9))]
+            lines.append(json.dumps({"src_ip": "20.1.0.1", "dst_ip": "30.1.0.1", "timestamp": 1518048000 + i, "hops": hops}))
+        corpus = tmp_path / "traces.ndjson"
+        corpus.write_text("\n".join(lines) + "\n")
+        distinct = {h["ip"] for line in lines for h in json.loads(line)["hops"] if h["ip"] is not None}
+        calls = []
+        real = enrichment.resolve_hop
+        monkeypatch.setattr(enrichment, "resolve_hop", lambda *args: calls.append(args[-1]) or real(*args))
+        code, _, _ = run(capsys, "analyze", *world_args(), *table_args(), "--traceroutes", str(corpus),
+                         "--output-dir", str(tmp_path / "out"), "--workers", "1")
+        assert code == 0
+        assert sorted(calls) == sorted(distinct)

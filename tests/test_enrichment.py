@@ -1,21 +1,29 @@
 import ipaddress
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from geonorm import enrichment as enrichment_mod
 from geonorm.enrichment import (
     ASRegistry,
     Enrichment,
     PrefixTable,
+    _parse_cidr,
     is_special,
     load_as_registry,
     load_geo_table,
     load_origin_table,
+    parse_cidr,
     parse_ip,
     resolve_hop,
 )
 from geonorm.errors import ConflictError, ParseError
+
+from conftest import REPO, SMALLWORLD
 
 
 def table(*rows, on_conflict="error"):
@@ -341,3 +349,168 @@ class TestParseIp:
         assert t.lookup("fe80::1%eth0") is None
         with pytest.raises(ValueError, match="does not appear to be an IPv4 or IPv6 address"):
             t.lookup("not-an-ip")
+
+
+def stdlib_cidr(text):
+    try:
+        net = ipaddress.ip_network(text)
+    except ValueError as e:
+        return "rejected", str(e)
+    return net.version, net.prefixlen, int(net.network_address)
+
+
+def our_cidr(text):
+    try:
+        return parse_cidr(text)
+    except ValueError as e:
+        return "rejected", str(e)
+
+
+@st.composite
+def cidr_text(draw):
+    """CIDR-like text: random networks, host bits set or not, prefixes past the maximum, odd spellings."""
+    version = draw(st.sampled_from([4, 6]))
+    maxlen = 32 if version == 4 else 128
+    plen = draw(st.integers(0, maxlen + 3))
+    value = draw(st.integers(0, 2**maxlen - 1))
+    if draw(st.booleans()):
+        value &= ~((1 << max(maxlen - plen, 0)) - 1) & (2**maxlen - 1)
+    addr = ipaddress.IPv4Address(value) if version == 4 else ipaddress.IPv6Address(value)
+    text = draw(st.sampled_from([str(addr), addr.exploded, str(addr).upper()]))
+    if version == 4 and draw(st.booleans()):
+        octets = text.split(".")
+        i = draw(st.integers(0, 3))
+        octets[i] = "0" + octets[i]  # a leading-zero octet
+        text = ".".join(octets)
+    suffix = draw(st.sampled_from([
+        str(plen), "0" + str(plen), "+" + str(plen), "-" + str(plen), " " + str(plen), str(plen) + " ", "",
+        str(plen).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+        str(plen).translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+        "0" * 5 + str(plen), "²", str(plen) + "/" + str(plen),
+    ]))
+    if draw(st.booleans()):
+        net = (ipaddress.IPv4Network if version == 4 else ipaddress.IPv6Network)((0, min(plen, maxlen)))
+        suffix = str(draw(st.sampled_from([net.netmask, net.hostmask])))  # netmask and hostmask forms
+    if version == 6 and draw(st.integers(0, 4)) == 0:
+        text += draw(st.sampled_from(["%eth0", "%1", "%", "%a/b"]))
+    return text if draw(st.integers(0, 9)) == 0 else f"{text}/{suffix}"
+
+
+CIDR_EXAMPLES = [
+    "1.2.3.0/24", "1.2.3.0/08", "1.0.0.0/08", "1.0.0.0/+8", "1.0.0.0/ 8", "1.0.0.0/8 ", "1.0.0.0/٨",
+    "1.0.0.0/８", "1.0.0.0/²", "1.0.0.0/33", "1.0.0.0/-1", "1.0.0.0/", "/8", "1.0.0.0//8", "1.0.0.0/8/8",
+    "1.2.3.4/24", "1.2.3.4", "1.2.3.4/32", "01.0.0.0/8", "1.0.0.00/32", "0.0.0.0/0", "1.0.0.0/255.0.0.0",
+    "1.0.0.0/0.255.255.255", "1.0.0.0/255.255.0.255", "1.0.0.0/0008",
+    pytest.param("1.0.0.0/" + "0" * 4300 + "8", id="4301-digit-length"),
+    pytest.param("1.0.0.0/" + "0" * 5000 + "8", id="5001-digit-length"),
+    "2001:db8::/32", "2001:DB8::/32", "2001:db8::1/32", "2001:db8::/129", "2001:db8::/032", "::/0", "::",
+    "fe80::%eth0/64", "fe80::1%eth0/64", "fe80::%1/10", "fe80::%/64", "::ffff:1.2.3.0/120", "::ffff:1.2.3.4/128",
+    "2001:db8::/ffff:ffff::", "1::2::3/64", "", "/", "not-a-prefix", "1.2.3.4\x00/32", "\ud800/8",
+]
+
+
+class TestParseCidr:
+    """parse_cidr against ipaddress.ip_network (strict): accept/reject, values and every error text."""
+
+    @pytest.mark.parametrize("text", CIDR_EXAMPLES)
+    def test_examples(self, text):
+        self.agree(text)
+
+    @given(cidr_text())
+    def test_random(self, text):
+        self.agree(text)
+
+    @given(st.text(alphabet="0123456789abcdefABCDEF:./%+ ١１", max_size=50))
+    def test_random_text(self, text):
+        self.agree(text)
+
+    def agree(self, text):
+        want = stdlib_cidr(text)
+        assert our_cidr(text) == want
+        try:
+            _parse_cidr(text, "t.csv", 7)
+        except ParseError as e:
+            assert want[0] == "rejected"
+            assert str(e) == f"t.csv:7: bad prefix {text!r}: {want[1]}"
+        if want[0] == "rejected":
+            return
+        with pytest.raises(ConflictError) as exc:
+            PrefixTable.from_rows([(text, "A"), (text, "B")])
+        assert str(exc.value) == f"prefix {ipaddress.ip_network(text)} maps to both 'A' and 'B'"
+
+    @pytest.mark.parametrize("text", ["2001:DB8::/32", "fe80::%eth0/64", "1.0.0.0/08", "1.0.0.0/255.0.0.0"])
+    def test_loader_conflict_names_the_network(self, tmp_path, text):
+        path = tmp_path / "geo.csv"
+        path.write_text(f"cidr,iso2\n{text},US\n{text},DE\n")
+        with pytest.raises(ConflictError) as exc:
+            load_geo_table(path)
+        assert str(exc.value) == f"prefix {ipaddress.ip_network(text)} maps to both 'US' and 'DE'"
+
+    def test_smallworld_tables_build_no_network_objects(self, monkeypatch):
+        calls = []
+        real = ipaddress.ip_network
+        monkeypatch.setattr(ipaddress, "ip_network", lambda *a, **k: calls.append(a) or real(*a, **k))
+        geo, origin = load_geo_table(SMALLWORLD / "geo.csv"), load_origin_table(SMALLWORLD / "origin.csv")
+        assert calls == []
+        assert len(geo) > 0 and len(origin) > 0
+
+
+ANY_ADDRESS = (
+    st.integers(0, 2**32 - 1).map(lambda v: str(ipaddress.IPv4Address(v)))
+    | st.integers(0, 2**128 - 1).map(lambda v: str(ipaddress.IPv6Address(v)))
+    | address_in_special_network().map(str)
+    | st.sampled_from(["20.1.0.9", "20.2.0.9", "30.5.5.5", "2001:DB8::1", "fe80::1%eth0"])
+)
+
+
+class TestResolveMemo:
+    def enrichment(self):
+        return Enrichment(geo=GEO, origin=ORIGIN, registry=REGISTRY)
+
+    @given(st.lists(ANY_ADDRESS, min_size=1, max_size=30))
+    def test_equals_fresh_resolution(self, ips):
+        enr = self.enrichment()
+        for ip in ips + ips:  # the second pass answers from the memo
+            assert enr.resolve(ip, 1.0) == resolve_hop(GEO, ORIGIN, REGISTRY, ip)
+
+    def test_keyed_by_the_text_as_given(self):
+        enr = self.enrichment()
+        spellings = ["2001:DB8::1", "2001:db8::1", "2001:db8:0:0:0:0:0:1", "20.1.0.9"]
+        for ip in spellings + spellings:
+            assert enr.resolve(ip).ip == ip
+
+    def test_never_exceeds_cap(self, monkeypatch):
+        monkeypatch.setattr(enrichment_mod, "RESOLVE_CAP", 8)
+        enr = self.enrichment()
+        for i in range(100):
+            ip = f"20.1.{i % 23}.{i}"
+            assert enr.resolve(ip) == resolve_hop(GEO, ORIGIN, REGISTRY, ip)
+            assert 1 <= len(enr._memo) <= 8
+
+    def test_dated_origins_bypass_memo(self):
+        enr = Enrichment(
+            geo=GEO, origin=ORIGIN, registry=REGISTRY,
+            dated_origins=((0, 100, table(("20.1.0.0/16", 111))), (100, 200, table(("20.1.0.0/16", 222)))),
+        )
+        assert [enr.resolve("20.1.0.9", ts).asn for ts in (50, 150, 50, 150)] == [111, 222, 111, 222]
+        assert enr._memo == {}
+
+    def test_memo_is_not_part_of_equality(self):
+        a, b = self.enrichment(), self.enrichment()
+        a.resolve("20.1.0.9")
+        assert a == b and "_memo" not in repr(a)
+
+
+def test_socket_module_stays_unimported():
+    # _socket carries inet_pton; the socket module on top of it costs start-up time
+    code = (
+        "import sys, geonorm.cli\n"
+        "from geonorm.enrichment import load_as_registry, load_geo_table, load_origin_table\n"
+        f"d = {str(SMALLWORLD)!r}\n"
+        "load_geo_table(d + '/geo.csv'); load_origin_table(d + '/origin.csv'); load_as_registry(d + '/as_registry.csv')\n"
+        "print('socket' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
