@@ -7,14 +7,15 @@ point set spans more than a hemisphere is unclassifiable: "between" has no
 meaning there, and callers must keep such paths out of normality statistics
 rather than guessing.
 
-Hull-edge samples are unit vectors. Both scans are pruned by bounding caps,
-and every skipped test is one that would fail, so membership is exactly
-that of the unpruned scans. A top city is tested against the hull only
-when it lies in a cap around the hull that covers the hull's ANGLE_TOL
-boundary band (see _hull_cap). A border polygon is tested only against
-runs of samples whose cap can reach the polygon's own exact-width bounding
-cap, first one cap over all samples, then caps over runs of consecutive
-samples.
+Both scans are pruned by bounding caps, and every skipped test is one that
+would fail, so membership is exactly that of the unpruned scans. A top city
+is tested against the hull only when it lies in a cap around the hull that
+covers the hull's ANGLE_TOL boundary band (see _hull_cap). That cap holds
+every hull-edge sample too, and a border polygon is tested only when its
+exact-width bounding cap reaches it: each hull edge's index range is then
+bisected while the range's cap reaches the polygon's, down to RUN_LENGTH
+samples tested one by one. Range caps come from geometry, so a sample is
+computed only when it is tested.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from .sphere import (
     _dot,
     _hull_contains_vec,
     _polygon_contains_vec,
+    check_boundary_step,
     hull_boundary_samples,
     spherical_convex_hull,
 )
 from .world import DEFAULT_CITY_LIMIT, WorldModel, country_points
 
-# Consecutive hull-edge samples per second-level cap (about 1.6 degrees of
-# hull edge at the default step).
+# Samples per bisection leaf, tested one by one (~1.6 degrees of edge at the default step).
 RUN_LENGTH = 32
 
 
@@ -76,6 +77,7 @@ def normal_set(
     Symmetric in src and dst. A country that is both source and destination
     is alone in its own normal set; no hull is built for it.
     """
+    check_boundary_step(boundary_step)
     for iso2 in (src, dst):
         if iso2 not in w.countries:
             raise UnknownCountry(iso2, suggestions=_suggest(w, iso2))
@@ -99,29 +101,30 @@ def normal_set(
                 members.add(iso2)
                 break
 
-    sample_vecs = hull_boundary_samples(hull, boundary_step)
-    samples_cap = _cap(sample_vecs)
-    runs = None  # [(cap, run)], built once some polygon reaches samples_cap
+    samples = hull_boundary_samples(hull, boundary_step)
+    hull_cap = (hull_center, math.acos(max(-1.0, hull_floor)))
     for iso2, cb in w.borders.items():
         if iso2 in members:
             continue
         for poly in cb.polygons:
             poly_cap = poly._cap
-            if _caps_apart(poly_cap, samples_cap):
+            if _caps_apart(poly_cap, hull_cap):
                 continue
-            if runs is None:
-                chunks = [sample_vecs[i : i + RUN_LENGTH] for i in range(0, len(sample_vecs), RUN_LENGTH)]
-                runs = [(_cap(run), run) for run in chunks]
-            if any(
-                _polygon_contains_vec(poly, v)
-                for run_cap, run in runs
-                if not _caps_apart(poly_cap, run_cap)
-                for v in run
-            ):
+            if any(_reaches(samples, poly, poly_cap, r.start, r.stop) for r in samples.edge_ranges):
                 members.add(iso2)
                 break
 
     return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset(members))
+
+
+def _reaches(samples, poly, poly_cap, start, stop) -> bool:
+    """True when one of samples start..stop-1, which lie on one hull edge, lies in poly."""
+    if _caps_apart(poly_cap, samples.cap(start, stop)):
+        return False
+    if stop - start <= RUN_LENGTH:
+        return any(_polygon_contains_vec(poly, samples[i]) for i in range(start, stop))
+    mid = (start + stop) // 2
+    return _reaches(samples, poly, poly_cap, start, mid) or _reaches(samples, poly, poly_cap, mid, stop)
 
 
 def _cap(vecs):

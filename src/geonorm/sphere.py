@@ -8,16 +8,18 @@ great circles to straight lines, so a planar convex hull of the projected
 points is exactly the spherical convex hull, provided every point lies in
 the open hemisphere around the projection center.
 
-Hull-edge samples are unit-vector tuples. Each polygon carries a bounding
-cap of exact width: the cap over its vertices, widened only by CAP_SLACK.
+Hull-edge samples are unit-vector tuples, computed as they are indexed. Each
+polygon carries a bounding cap of exact width: the cap over its vertices,
+widened only by CAP_SLACK.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from .errors import EmptyInput, HemisphereViolation, ValidationError
 
@@ -275,30 +277,64 @@ def hull_contains(h: SphericalHull, p: GeoPoint) -> bool:
     return _hull_contains_vec(h, p._vec)
 
 
-def hull_boundary_samples(h: SphericalHull, step: float = DEFAULT_BOUNDARY_STEP_DEG) -> list[tuple[float, float, float]]:
-    """Unit vectors along every hull edge at angular spacing <= step (degrees), vertices included."""
+def check_boundary_step(step: float) -> None:
+    """Raise ValidationError unless step, in degrees, is at least MIN_BOUNDARY_STEP_DEG."""
     if not step >= MIN_BOUNDARY_STEP_DEG:  # NaN too
         raise ValidationError(f"sampling step must be at least {MIN_BOUNDARY_STEP_DEG} degrees, got {step}")
-    step_rad = math.radians(step)
-    vts = h.vertices
 
-    if h.degenerate_kind == "point":
-        return [vts[0]]
-    if h.degenerate_kind == "arc":
-        a, b = vts
-        ang = _angle(a, b)
-        segs = max(1, math.ceil(ang / step_rad - 1e-9))
-        return [_normalized(_slerp(a, b, i / segs, ang)) for i in range(segs + 1)]
 
-    out: list[tuple[float, float, float]] = []
-    n = len(vts)
-    for i in range(n):
-        a, b = vts[i], vts[(i + 1) % n]
-        ang = _angle(a, b)
-        segs = max(1, math.ceil(ang / step_rad - 1e-9))
-        # endpoint omitted: it opens the next edge
-        out.extend(_normalized(_slerp(a, b, k / segs, ang)) for k in range(segs))
-    return out
+class HullSamples(Sequence):
+    """Read-only sequence of unit vectors along every edge of h at spacing <= step degrees, vertices included.
+
+    An edge from a to b, ang radians long, is cut into segs equal parts; its
+    k-th sample is the slerp point at k / segs. A polygon edge omits its end,
+    which opens the next edge. A bad step raises at once; a sample is computed
+    when first indexed, then kept. edge_ranges holds each edge's index range.
+    """
+
+    def __init__(self, h: SphericalHull, step: float = DEFAULT_BOUNDARY_STEP_DEG):
+        check_boundary_step(step)
+        step_rad = math.radians(step)
+        vts = h.vertices
+        self._edges = []  # (first index, a, b, ang, segs)
+        self._starts = []
+        start = 0
+        for i in range(1 if h.degenerate_kind == "arc" else len(vts)):
+            a, b = vts[i], vts[(i + 1) % len(vts)]
+            ang = _angle(a, b)
+            segs = max(1, math.ceil(ang / step_rad - 1e-9))
+            self._edges.append((start, a, b, ang, segs))
+            self._starts.append(start)
+            start += segs + (h.degenerate_kind == "arc")  # an arc keeps its end
+        self.edge_ranges = tuple(map(range, self._starts, self._starts[1:] + [start]))
+        self._vecs = [vts[0]] if h.degenerate_kind == "point" else [None] * start
+        self._caps = {}
+
+    def __len__(self):
+        return len(self._vecs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self._vecs)))]
+        v = self._vecs[i]
+        if v is None:
+            i %= len(self._vecs)
+            first, a, b, ang, segs = self._edges[bisect.bisect_right(self._starts, i) - 1]
+            v = self._vecs[i] = _normalized(_slerp(a, b, (i - first) / segs, ang))
+        return v
+
+    def cap(self, start: int, stop: int):
+        """Cap (center, angular radius) of samples start..stop-1 on one edge: their middle slerp point, half their span."""
+        found = self._caps.get((start, stop))
+        if found is None:
+            first, a, b, ang, segs = self._edges[bisect.bisect_right(self._starts, start) - 1]
+            lo, hi = start - first, stop - 1 - first
+            center = _normalized(_slerp(a, b, (lo + hi) / (2 * segs), ang))
+            found = self._caps[start, stop] = (center, (hi - lo) * ang / (2 * segs))
+        return found
+
+
+hull_boundary_samples = HullSamples
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import geonorm.normality as normality_mod
-from geonorm.errors import HemisphereViolation, UnknownCountry
+from geonorm.errors import HemisphereViolation, UnknownCountry, ValidationError
 from geonorm.normality import NormalSet, PairCache, _cap, _caps_apart, _hull_cap, classify, normal_set
 from geonorm.sphere import (
     ANGLE_TOL,
@@ -134,6 +134,21 @@ class TestUnclassifiable:
         verdict = classify(ns, ["PX", "QQ", "PY"])
         assert not verdict.normal
         assert verdict.benefactors == frozenset({"QQ"})
+
+
+class TestBoundaryStepCheck:
+    @pytest.mark.parametrize("step", [0, -1, math.nan, 0.000999])
+    def test_rejected_before_any_hull(self, small_world, monkeypatch, step):
+        def no_hull(points):
+            raise AssertionError("hull built before the step was checked")
+
+        monkeypatch.setattr(normality_mod, "spherical_convex_hull", no_hull)
+        # same country, unclassifiable and ordinary pairs
+        for w, a, b in [(small_world, "AA", "AA"), (antipodal_world(), "PX", "PY"), (small_world, "AA", "AC")]:
+            with pytest.raises(ValidationError, match="sampling step must be at least 0.001 degrees"):
+                normal_set(w, a, b, "population", boundary_step=step)
+            with pytest.raises(ValidationError, match="sampling step must be at least 0.001 degrees"):
+                PairCache(boundary_step=step).get_or_build(w, a, b, "border")
 
 
 class TestClassify:
@@ -298,6 +313,30 @@ class TestCapPruningOracle:
         hull = spherical_convex_hull(country_points(w, "GA", "population") + country_points(w, "GO", "population"))
         polys = sum(len(cb.polygons) for iso2, cb in w.borders.items() if iso2 not in ns.countries)
         assert 0 < len(calls) < len(hull_boundary_samples(hull)) * polys // 10
+
+
+class TestLazySampling:
+    # _polygon_contains_vec calls over the builds below when every sample was
+    # computed up front and tested in runs of 32 under one cap each
+    EAGER_SCAN_POLYGON_TESTS = 437
+
+    def test_few_samples_computed(self, small_world, monkeypatch):
+        built, tests = [], []
+
+        def samples_of(hull, step):
+            built.append(hull_boundary_samples(hull, step))
+            return built[-1]
+
+        monkeypatch.setattr(normality_mod, "hull_boundary_samples", samples_of)
+        monkeypatch.setattr(
+            normality_mod, "_polygon_contains_vec", lambda poly, v: tests.append(1) or _polygon_contains_vec(poly, v)
+        )
+        for a, b in itertools.combinations(sorted(small_world.countries), 2):
+            for mode in ("population", "border"):
+                normal_set(small_world, a, b, mode)
+        computed = sum(v is not None for samples in built for v in samples._vecs)
+        assert 0 < computed < sum(map(len, built)) // 10
+        assert 0 < len(tests) <= self.EAGER_SCAN_POLYGON_TESTS
 
 
 def _unit(lat, lon):

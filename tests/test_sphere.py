@@ -16,6 +16,7 @@ from geonorm.sphere import (
     _hull_contains_vec,
     _normalized,
     _polygon_contains_vec,
+    _slerp,
     geo_to_unit,
     hull_boundary_samples,
     hull_contains,
@@ -297,6 +298,91 @@ class TestBoundarySamples:
         for v in hull_boundary_samples(h, step):
             assert abs(_dot(v, v) - 1.0) <= 2e-9  # unit length
             assert _angle(v, geo_to_unit(unit_to_geo(v))) <= 1e-12
+
+
+def eager_samples(h, step):
+    """Reference: every hull-edge sample computed up front, by the formula the lazy sequence must reproduce."""
+    step_rad = math.radians(step)
+    vts = h.vertices
+    if h.degenerate_kind == "point":
+        return [vts[0]]
+    if h.degenerate_kind == "arc":
+        a, b = vts
+        ang = _angle(a, b)
+        segs = max(1, math.ceil(ang / step_rad - 1e-9))
+        return [_normalized(_slerp(a, b, i / segs, ang)) for i in range(segs + 1)]
+    out = []
+    n = len(vts)
+    for i in range(n):
+        a, b = vts[i], vts[(i + 1) % n]
+        ang = _angle(a, b)
+        segs = max(1, math.ceil(ang / step_rad - 1e-9))
+        out.extend(_normalized(_slerp(a, b, k / segs, ang)) for k in range(segs))
+    return out
+
+
+@st.composite
+def sampled_hull(draw):
+    """A point, arc or polygon hull with edges from ~1e-7 rad up to ~3.1 rad, and a sampling step in degrees."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["point", "arc", "triangle", "cloud"]))
+    length = 10 ** draw(st.floats(-7, math.log10(3.1)))
+    c = offset((0.0, 0.0, 1.0), rng.uniform(0, math.pi), rng)
+    t1 = offset(c, math.pi / 2, rng)
+    t2 = _cross(c, t1)
+    along = lambda t, ang: _normalized(tuple(math.cos(ang) * ci + math.sin(ang) * ti for ci, ti in zip(c, t)))
+    if kind == "point":
+        vecs = [c]
+    elif kind == "arc":
+        vecs = [along(t1, -length / 2), along(t1, length / 2)]
+    elif kind == "triangle":
+        # the base is the long edge; its ends stay in the hemisphere around the mean up to length pi
+        vecs = [along(t1, -length / 2), along(t1, length / 2), along(t2, min(1.4, length * rng.uniform(0.05, 1.0)))]
+    else:
+        vecs = [offset(c, min(0.7, length / 2) * math.sqrt(rng.random()), rng) for _ in range(rng.randint(3, 12))]
+    h = spherical_convex_hull([unit_to_geo(v) for v in vecs])
+    return h, draw(st.sampled_from([0.05, 0.2, 1.0, 5.0]))
+
+
+class TestLazySamples:
+    @given(sampled_hull())
+    def test_matches_eager_formula(self, case):
+        h, step = case
+        eager = eager_samples(h, step)
+        samples = hull_boundary_samples(h, step)
+        n = len(eager)
+        assert len(samples) == n
+        # out of order first, so no sample is computed as a side effect of its neighbour
+        for i in (-1, -n, n // 2, n - 1):
+            assert samples[i] == eager[i]
+        assert samples[n // 3 :: 7] == eager[n // 3 :: 7]
+        assert samples[::-1] == eager[::-1]
+        assert list(samples) == eager
+        assert samples[n // 2] is samples[n // 2 - n]
+        with pytest.raises(IndexError):
+            samples[n]
+        with pytest.raises(IndexError):
+            samples[-n - 1]
+
+    @given(sampled_hull(), st.integers(0, 2**32 - 1))
+    def test_range_caps_hold_their_samples(self, case, seed):
+        h, step = case
+        samples = hull_boundary_samples(h, step)
+        ranges = samples.edge_ranges
+        assert len(ranges) == (len(h.vertices) if h.degenerate_kind == "polygon" else 1)
+        assert ranges[0].start == 0 and ranges[-1].stop == len(samples)
+        assert all(r.stop == nxt.start for r, nxt in zip(ranges, ranges[1:]))
+        rng = random.Random(seed)
+        # every edge, the polygon's last one too, which runs from the last vertex back to vertex 0
+        for r in ranges:
+            cuts = [(r.start, r.stop), (r.start, r.start + 1), (r.stop - 1, r.stop)]
+            for _ in range(5):
+                lo = rng.randrange(r.start, r.stop)
+                cuts.append((lo, rng.randrange(lo, r.stop) + 1))
+            for lo, hi in cuts:
+                center, radius = samples.cap(lo, hi)
+                assert radius <= (hi - lo) * math.radians(step) / 2
+                assert all(_angle(center, samples[i]) <= radius + 1e-12 for i in range(lo, hi))
 
 
 SQUARE = GeoPolygon(rings=((GeoPoint(-1, -1), GeoPoint(-1, 1), GeoPoint(1, 1), GeoPoint(1, -1)),))
