@@ -6,7 +6,7 @@ countries, and aggregates degree-of-normality statistics for the physical,
 legal, and union exposure of traffic to nation states.
 """
 
-from .enrichment import ASRegistry, Enrichment, HopResolution, PrefixTable, resolve_hop
+from .enrichment import Enrichment, HopResolution, PrefixTable, resolve_hop
 from .errors import (
     ConflictError,
     EmptyInput,

@@ -391,7 +391,7 @@ def cmd_classify_one(cfg: RunConfig, line: str) -> int:
         if hop.ip is None:
             print(f"  ttl {hop.ttl:3d}  (no response)")
             continue
-        res = enrichment.resolve(hop.ip, rec.timestamp)
+        res = enrichment.resolve(hop.ip)
         if res.phys_country is None or res.asn is None:
             print(f"  ttl {hop.ttl:3d}  {hop.ip:<15s} dropped (country or AS unknown)")
         else:

@@ -2,15 +2,14 @@
 
 Addresses are handled as (version, int) pairs: each one is parsed once and
 every table probe works on the integer. Tables are immutable after load.
-Addresses in the running Python's ipaddress special-purpose registry (the
-ranges behind is_private, is_loopback, is_link_local, is_multicast,
-is_reserved and is_unspecified) never resolve, whatever the tables say:
-router interfaces in those ranges carry no geographic meaning.
+Addresses in SPECIAL_RANGES, a frozen special-purpose table, never resolve,
+whatever the tables say: router interfaces in those ranges carry no
+geographic meaning.
 
 Table rows load as (version, prefix length, network int) through parse_cidr,
 which builds no ipaddress object for the common addr/len spelling. Router
 addresses recur across paths, so Enrichment.resolve memoises address text ->
-HopResolution per process, up to RESOLVE_CAP entries; dated origins bypass it.
+HopResolution per process, up to RESOLVE_CAP entries.
 
 Input formats (UTF-8, header row required):
   geo table    csv: cidr,iso2
@@ -20,7 +19,6 @@ Input formats (UTF-8, header row required):
 
 from __future__ import annotations
 
-import functools
 import ipaddress
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
@@ -129,87 +127,69 @@ class PrefixTable:
                 return found
         return None
 
-    def lookup(self, ip):
-        """Value of the longest prefix containing ip (a string or ipaddress object), or None."""
-        return self.probe(*parse_ip(ip)) if isinstance(ip, str) else self.probe(ip.version, int(ip))
+    def lookup(self, ip: str):
+        """Value of the longest prefix containing the address string ip, or None."""
+        return self.probe(*parse_ip(ip))
 
     def __len__(self):
         return self._count
 
 
-@functools.cache
-def _special_ranges():
-    """(PrefixTable of special ranges, version -> first-octet gate).
+# Special-purpose ranges (RFC 6890 and the IANA special-purpose address
+# registries): the 26 CIDRs ipaddress.collapse_addresses makes of the 42
+# networks behind Python 3.11.7's is_private, is_loopback, is_link_local,
+# is_multicast, is_reserved and is_unspecified. Frozen, because CPython
+# changed is_private in 3.12.4 and 3.13 (gh-113171) and reports must not
+# depend on the interpreter. tests/test_enrichment.py pins the table's digest.
+SPECIAL_RANGES = (
+    "0.0.0.0/8", "10.0.0.0/8", "127.0.0.0/8", "169.254.0.0/16", "172.16.0.0/12",
+    "192.0.0.0/29", "192.0.0.170/31", "192.0.2.0/24", "192.168.0.0/16", "198.18.0.0/15",
+    "198.51.100.0/24", "203.0.113.0/24", "224.0.0.0/3",
+    "::/3", "2001::/23", "2001:db8::/32", "4000::/2", "8000::/2", "c000::/3", "e000::/4",
+    "f000::/5", "f800::/6", "fc00::/7", "fe00::/9", "fe80::/10", "ff00::/8",
+)
 
-    The ranges come from the running Python's ipaddress registry, so they
-    follow its version. The table maps each range to True; a range that
-    is_private lists as an exception maps to False unless a non-private
-    special range also covers it. The gate holds one byte per leading octet,
-    set when some range overlaps that octet, so most public addresses skip
-    the probe. Built on first use to keep import time low.
+
+def _special_table():
+    """(PrefixTable of SPECIAL_RANGES, version -> first-octet gate).
+
+    The gate holds one byte per leading octet, set when some range overlaps
+    that octet, so most public addresses skip the probe.
     """
-    v4, v6 = ipaddress.IPv4Address._constants, ipaddress.IPv6Address._constants
-    private = [*v4._private_networks, *v6._private_networks]
-    other = [
-        v4._loopback_network, v4._linklocal_network, v4._multicast_network, v4._reserved_network,
-        ipaddress.ip_network(v4._unspecified_address),
-        *v6._reserved_networks, v6._linklocal_network, v6._multicast_network,
-        # IPv6 is_loopback and is_unspecified test for ::1 and :: directly
-        ipaddress.ip_network(ipaddress.IPv6Address(1)), ipaddress.ip_network(ipaddress.IPv6Address(0)),
-    ]
-    exceptions = [*getattr(v4, "_private_networks_exceptions", ()), *getattr(v6, "_private_networks_exceptions", ())]
     table = PrefixTable()
     gates = {4: bytearray(256), 6: bytearray(256)}
-    for net in private + other:
-        table._insert(net.version, net.prefixlen, int(net.network_address), True, "error", net)
-        shift = net.max_prefixlen - 8
-        first, last = int(net.network_address) >> shift, int(net.broadcast_address) >> shift
-        gates[net.version][first:last + 1] = b"\1" * (last - first + 1)
-    for net in exceptions:
-        if not any(net.version == o.version and net.subnet_of(o) for o in other):
-            table._insert(net.version, net.prefixlen, int(net.network_address), False, "error", net)
+    for cidr in SPECIAL_RANGES:
+        version, prefixlen, network = parse_cidr(cidr)
+        table._insert(version, prefixlen, network, True, "error", cidr)
+        shift, host_bits = _MAXLEN[version] - 8, _MAXLEN[version] - prefixlen
+        first, last = network >> shift, (network | ((1 << host_bits) - 1)) >> shift
+        gates[version][first:last + 1] = b"\1" * (last - first + 1)
     return table, {version: bytes(gate) for version, gate in gates.items()}
 
 
+_SPECIAL, _GATES = _special_table()
+
+
 def is_special(version: int, value: int) -> bool:
-    """True when the address (version, value) is in a special-purpose range."""
-    table, gates = _special_ranges()
-    if not gates[version][value >> (_MAXLEN[version] - 8)]:
+    """True when the address (version, value) is in SPECIAL_RANGES."""
+    if not _GATES[version][value >> (_MAXLEN[version] - 8)]:
         return False
-    return table.probe(version, value) is True
-
-
-@dataclass(frozen=True)
-class ASRegistry:
-    """AS number -> iso2 of legal registration."""
-
-    mapping: Mapping[int, str]
-
-    def legal_country(self, asn):
-        return self.mapping.get(asn)
+    return _SPECIAL.probe(version, value) is not None
 
 
 class HopResolution(NamedTuple):
-    ip: str
     phys_country: str | None
     asn: int | None
     legal_country: str | None
 
 
-def resolve_hop(geo: PrefixTable, origin: PrefixTable, registry: ASRegistry, ip) -> HopResolution:
-    """Resolve one hop address; unknowns are values, never guessed.
-
-    ip is a string (kept as given in the result) or an ipaddress object.
-    """
-    if isinstance(ip, str):
-        version, value = parse_ip(ip)
-    else:
-        version, value, ip = ip.version, int(ip), str(ip)
+def resolve_hop(geo: PrefixTable, origin: PrefixTable, registry: Mapping[int, str], ip: str) -> HopResolution:
+    """Resolve one hop address string; unknowns are values, never guessed."""
+    version, value = parse_ip(ip)
     if is_special(version, value):
-        return HopResolution(ip, None, None, None)
+        return HopResolution(None, None, None)
     asn = origin.probe(version, value)
-    legal = registry.legal_country(asn) if asn is not None else None
-    return HopResolution(ip, geo.probe(version, value), asn, legal)
+    return HopResolution(geo.probe(version, value), asn, registry.get(asn))
 
 
 def _parse_cidr(text, path, line_no):
@@ -243,7 +223,8 @@ def load_origin_table(path, on_conflict: str = "error") -> PrefixTable:
     return table
 
 
-def load_as_registry(path) -> ASRegistry:
+def load_as_registry(path) -> dict[int, str]:
+    """AS number -> iso2 of legal registration."""
     mapping: dict[int, str] = {}
     for line_no, (asn, iso2) in _read_csv(path, ("asn", "iso2")):
         asn_i = _parse_asn(asn, path, line_no)
@@ -251,34 +232,20 @@ def load_as_registry(path) -> ASRegistry:
         if asn_i in mapping and mapping[asn_i] != iso2:
             raise ConflictError(f"{path}: AS{asn_i} registered to both {mapping[asn_i]} and {iso2}")
         mapping[asn_i] = iso2
-    return ASRegistry(mapping=mapping)
+    return mapping
 
 
 @dataclass(frozen=True)
 class Enrichment:
-    """The three lookup tables a pipeline run needs, bundled.
-
-    dated_origins optionally supplies per-day origin snapshots as
-    (start_ts, end_ts, table) triples with end exclusive; records falling in
-    a range resolve against that snapshot, everything else against origin.
-    """
+    """The three lookup tables a pipeline run needs, with a per-process resolution memo."""
 
     geo: PrefixTable
     origin: PrefixTable
-    registry: ASRegistry
-    dated_origins: tuple[tuple[float, float, PrefixTable], ...] = ()
+    registry: Mapping[int, str]
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def origin_for(self, timestamp) -> PrefixTable:
-        for start, end, table in self.dated_origins:
-            if start <= timestamp < end:
-                return table
-        return self.origin
-
-    def resolve(self, ip, timestamp=None) -> HopResolution:
-        if self.dated_origins:
-            origin = self.origin_for(timestamp) if timestamp is not None else self.origin
-            return resolve_hop(self.geo, origin, self.registry, ip)
+    def resolve(self, ip: str, timestamp=None) -> HopResolution:
+        """resolve_hop over the bundled tables, memoised; timestamp is accepted and ignored."""
         res = self._memo.get(ip)
         if res is None:
             if len(self._memo) >= RESOLVE_CAP:

@@ -216,14 +216,14 @@ def to_tuple_path(rec: TracerouteRecord, enrichment: Enrichment) -> TuplePath | 
     if dst_country is None:
         return Skip("unresolved_destination")
 
-    resolve, timestamp = enrichment.resolve, rec.timestamp
+    resolve = enrichment.resolve
     hops: list[TupleHop] = []
     dropped = 0
     last_country = last_asn = None
     for _, ip in rec.hops:
         if ip is None:
             continue
-        _, country, asn, legal = resolve(ip, timestamp)
+        country, asn, legal = resolve(ip)
         if country is None or asn is None:
             dropped += 1
         elif asn != last_asn or country != last_country:

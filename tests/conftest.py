@@ -17,6 +17,7 @@ TESTS = Path(__file__).parent
 REPO = TESTS.parent
 SMALLWORLD = TESTS / "data" / "smallworld"
 PIPELINE12 = TESTS / "data" / "pipeline12"
+SPECIAL_EDGES = TESTS / "data" / "special_edges"
 WORLD_DATA = REPO / "data" / "world"
 
 

@@ -11,7 +11,7 @@ from geonorm.cli import main
 from geonorm.pipeline import shard_ranges
 from geonorm.synth import write_corpus
 
-from conftest import PIPELINE12, REPO, SMALLWORLD, WORLD_DATA, table_args, world_args
+from conftest import PIPELINE12, REPO, SMALLWORLD, SPECIAL_EDGES, WORLD_DATA, table_args, world_args
 
 
 def run(capsys, *argv):
@@ -365,6 +365,16 @@ class TestNonUtf8Input:
 
 def tree(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_special_edges_report(capsys, tmp_path):
+    # hops at the edges of every special range; the same bytes on every Python version
+    code, _, _ = run(
+        capsys, "analyze", *world_args(), *table_args(SPECIAL_EDGES),
+        "--traceroutes", str(SPECIAL_EDGES / "traceroutes.ndjson"), "--output-dir", str(tmp_path),
+    )
+    assert code == 0
+    assert tree(tmp_path) == tree(SPECIAL_EDGES / "expected")
 
 
 class TestShardedAnalyze:

@@ -1,4 +1,6 @@
+import hashlib
 import ipaddress
+import json
 import os
 import random
 import subprocess
@@ -9,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from geonorm import enrichment as enrichment_mod
 from geonorm.enrichment import (
-    ASRegistry,
+    SPECIAL_RANGES,
     Enrichment,
     PrefixTable,
     _parse_cidr,
@@ -23,7 +25,7 @@ from geonorm.enrichment import (
 )
 from geonorm.errors import ConflictError, ParseError
 
-from conftest import REPO, SMALLWORLD
+from conftest import REPO, SMALLWORLD, SPECIAL_EDGES
 
 
 def table(*rows, on_conflict="error"):
@@ -131,7 +133,7 @@ class TestLpmOracle:
 
 GEO = table(("20.0.0.0/8", "AA"), ("30.0.0.0/8", "DE"))
 ORIGIN = table(("20.1.0.0/16", 100), ("30.0.0.0/8", 300))
-REGISTRY = ASRegistry(mapping={100: "US", 300: "BG"})
+REGISTRY = {100: "US", 300: "BG"}
 
 
 class TestResolveHop:
@@ -156,7 +158,7 @@ class TestResolveHop:
         # even when the tables would claim to know them
         geo = table(("0.0.0.0/0", "XX"))
         origin = table(("0.0.0.0/0", 1))
-        res = resolve_hop(geo, origin, ASRegistry(mapping={1: "XX"}), ip)
+        res = resolve_hop(geo, origin, {1: "XX"}, ip)
         assert res.phys_country is None and res.asn is None and res.legal_country is None
 
     def test_legal_unknown_whenever_asn_unknown(self):
@@ -218,20 +220,70 @@ class TestLoaders:
             load_as_registry(path)
 
 
-class TestEnrichmentBundle:
-    def test_dated_origin_snapshot_selected_by_timestamp(self):
-        day1 = table(("20.1.0.0/16", 111))
-        day2 = table(("20.1.0.0/16", 222))
-        enr = Enrichment(
-            geo=GEO,
-            origin=table(("20.1.0.0/16", 999)),
-            registry=ASRegistry(mapping={111: "US", 222: "DE", 999: "FR"}),
-            dated_origins=((0, 100, day1), (100, 200, day2)),
-        )
-        assert enr.resolve("20.1.0.9", timestamp=50).asn == 111
-        assert enr.resolve("20.1.0.9", timestamp=150).asn == 222
-        assert enr.resolve("20.1.0.9", timestamp=5000).asn == 999
-        assert enr.resolve("20.1.0.9").asn == 999
+SPECIAL_NETWORKS = [ipaddress.ip_network(cidr) for cidr in SPECIAL_RANGES]
+
+
+def reference_special(addr) -> bool:
+    """Membership in SPECIAL_RANGES by ipaddress containment, which no interpreter version changes."""
+    return any(addr in net for net in SPECIAL_NETWORKS)
+
+
+def edges(net):
+    """Addresses at first-1, first, last and last+1 of net, where they exist."""
+    first, last = int(net.network_address), int(net.broadcast_address)
+    make = ipaddress.IPv4Address if net.version == 4 else ipaddress.IPv6Address
+    return [make(v) for v in (first - 1, first, last, last + 1) if 0 <= v < 2 ** net.max_prefixlen]
+
+
+# gh-113171 changed is_private at these addresses in Python 3.12.4 and 3.13; the table keeps 3.11.7's answer
+GH_113171_CASES = [
+    ("2001:1::1", True), ("2001:3::1", True), ("2001:20::1", True), ("64:ff9b:1::1", True), ("192.0.0.171", True),
+    ("192.0.0.9", False), ("192.0.0.10", False), ("2002::1", False), ("100.64.0.1", False),
+]
+
+
+@st.composite
+def address_in_special_network(draw):
+    net = draw(st.sampled_from(SPECIAL_NETWORKS))
+    offset = draw(st.integers(0, net.num_addresses - 1))
+    return net.network_address + offset
+
+
+class TestSpecialRanges:
+    """The one-probe special-range check against the literal table, read through ipaddress containment."""
+
+    def test_table_digest(self):
+        # any edit to the table changes which hops every report drops
+        digest = hashlib.sha256("\n".join(SPECIAL_RANGES).encode()).hexdigest()
+        assert digest == "f59d5b370a0782ebf0bdcb38d85b948532796cf49680f977a272b131e49aa06f"
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_ipv4(self, value):
+        assert is_special(4, value) == reference_special(ipaddress.IPv4Address(value))
+
+    @given(st.integers(0, 2**128 - 1) | st.integers(0, 2**64 - 1) | st.integers(0, 2**32 - 1))
+    def test_random_ipv6(self, value):
+        assert is_special(6, value) == reference_special(ipaddress.IPv6Address(value))
+
+    @given(address_in_special_network())
+    def test_inside_every_network(self, addr):
+        assert is_special(addr.version, int(addr))
+
+    @pytest.mark.parametrize("net", SPECIAL_NETWORKS, ids=str)
+    def test_network_edges(self, net):
+        for addr in edges(net):
+            assert is_special(addr.version, int(addr)) == reference_special(addr), addr
+
+    @pytest.mark.parametrize("text, special", GH_113171_CASES)
+    def test_ranges_gh_113171_changed(self, text, special):
+        assert is_special(*parse_ip(text)) is special
+
+    def test_special_edges_fixture_holds_every_edge(self):
+        # tests/data/special_edges has one record per address; test_cli compares its report byte for byte
+        lines = (SPECIAL_EDGES / "traceroutes.ndjson").read_text().splitlines()
+        hops = {hop["ip"] for line in lines for hop in json.loads(line)["hops"]}
+        wanted = {str(addr) for net in SPECIAL_NETWORKS for addr in edges(net)} | {text for text, _ in GH_113171_CASES}
+        assert wanted <= hops
 
 
 def stdlib_special(addr) -> bool:
@@ -259,15 +311,24 @@ def stdlib_special_networks():
     return nets
 
 
-@st.composite
-def address_in_special_network(draw):
-    net = draw(st.sampled_from(stdlib_special_networks()))
-    offset = draw(st.integers(0, net.num_addresses - 1))
-    return net.network_address + offset
+ON_PYTHON_3117 = sys.version_info[:3] == (3, 11, 7)
 
 
-class TestSpecialRanges:
-    """The one-probe special-range check against ipaddress's own predicates."""
+@pytest.mark.skipif(not ON_PYTHON_3117, reason="SPECIAL_RANGES is Python 3.11.7's special set")
+class TestSpecialRangesMatchPython3117:
+    """On the interpreter the table was taken from, it equals ipaddress's own predicates."""
+
+    def test_table_is_the_collapsed_stdlib_set(self):
+        v4, v6 = ipaddress.IPv4Address._constants, ipaddress.IPv6Address._constants
+        stdlib = [  # the networks stdlib_special's predicates consult
+            *v4._private_networks, v4._loopback_network, v4._linklocal_network, v4._multicast_network,
+            v4._reserved_network, ipaddress.ip_network(v4._unspecified_address),
+            *v6._private_networks, *v6._reserved_networks, v6._linklocal_network, v6._multicast_network,
+            ipaddress.ip_network("::1"), ipaddress.ip_network("::"),
+        ]
+        for version in (4, 6):
+            collapsed = list(ipaddress.collapse_addresses([n for n in stdlib if n.version == version]))
+            assert collapsed == [n for n in SPECIAL_NETWORKS if n.version == version]
 
     @given(st.integers(0, 2**32 - 1))
     def test_random_ipv4(self, value):
@@ -279,17 +340,11 @@ class TestSpecialRanges:
         addr = ipaddress.IPv6Address(value)
         assert is_special(6, value) == stdlib_special(addr)
 
-    @given(address_in_special_network())
-    def test_inside_every_stdlib_special_network(self, addr):
-        assert is_special(addr.version, int(addr)) == stdlib_special(addr)
-
-    @pytest.mark.parametrize("net", stdlib_special_networks(), ids=str)
-    def test_network_edges(self, net):
-        first, last = int(net.network_address), int(net.broadcast_address)
-        for value in (first - 1, first, last, last + 1):
-            if 0 <= value < 2 ** net.max_prefixlen:
-                addr = ipaddress.IPv4Address(value) if net.version == 4 else ipaddress.IPv6Address(value)
-                assert is_special(net.version, value) == stdlib_special(addr), addr
+    # other versions may name or fill the private constants differently, so they are read only on 3.11.7
+    @pytest.mark.parametrize("net", stdlib_special_networks() if ON_PYTHON_3117 else [], ids=str)
+    def test_stdlib_network_edges(self, net):
+        for addr in edges(net):
+            assert is_special(addr.version, int(addr)) == stdlib_special(addr), addr
 
 
 def stdlib_parse(text):
@@ -342,10 +397,10 @@ class TestParseIp:
         for text in spellings:
             assert our_parse(text) == stdlib_parse(text) == (6, value), text
 
-    def test_lookup_accepts_objects_and_strings(self):
+    def test_lookup_parses_the_string(self):
         t = table(("2001:db8::/32", "DE"), ("1.2.0.0/16", "US"))
-        assert t.lookup(ipaddress.ip_address("2001:db8::5")) == t.lookup("2001:DB8::5") == "DE"
-        assert t.lookup(ipaddress.ip_address("1.2.3.4")) == t.lookup("1.2.3.4") == "US"
+        assert t.lookup("2001:DB8::5") == t.lookup("2001:db8:0:0:0:0:0:5") == "DE"
+        assert t.lookup("1.2.3.4") == "US"
         assert t.lookup("fe80::1%eth0") is None
         with pytest.raises(ValueError, match="does not appear to be an IPv4 or IPv6 address"):
             t.lookup("not-an-ip")
@@ -477,7 +532,8 @@ class TestResolveMemo:
         enr = self.enrichment()
         spellings = ["2001:DB8::1", "2001:db8::1", "2001:db8:0:0:0:0:0:1", "20.1.0.9"]
         for ip in spellings + spellings:
-            assert enr.resolve(ip).ip == ip
+            assert enr.resolve(ip) == resolve_hop(GEO, ORIGIN, REGISTRY, ip)
+        assert sorted(enr._memo) == sorted(spellings)
 
     def test_never_exceeds_cap(self, monkeypatch):
         monkeypatch.setattr(enrichment_mod, "RESOLVE_CAP", 8)
@@ -486,14 +542,6 @@ class TestResolveMemo:
             ip = f"20.1.{i % 23}.{i}"
             assert enr.resolve(ip) == resolve_hop(GEO, ORIGIN, REGISTRY, ip)
             assert 1 <= len(enr._memo) <= 8
-
-    def test_dated_origins_bypass_memo(self):
-        enr = Enrichment(
-            geo=GEO, origin=ORIGIN, registry=REGISTRY,
-            dated_origins=((0, 100, table(("20.1.0.0/16", 111))), (100, 200, table(("20.1.0.0/16", 222)))),
-        )
-        assert [enr.resolve("20.1.0.9", ts).asn for ts in (50, 150, 50, 150)] == [111, 222, 111, 222]
-        assert enr._memo == {}
 
     def test_memo_is_not_part_of_equality(self):
         a, b = self.enrichment(), self.enrichment()
