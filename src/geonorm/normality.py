@@ -8,14 +8,17 @@ meaning there, and callers must keep such paths out of normality statistics
 rather than guessing.
 
 Both scans are pruned by bounding caps, and every skipped test is one that
-would fail, so membership is exactly that of the unpruned scans. A top city
-is tested against the hull only when it lies in a cap around the hull that
-covers the hull's ANGLE_TOL boundary band (see _hull_cap). That cap holds
-every hull-edge sample too, and a border polygon is tested only when its
-exact-width bounding cap reaches it: each hull edge's index range is then
-bisected while the range's cap reaches the polygon's, down to RUN_LENGTH
-samples tested one by one. Range caps come from geometry, so a sample is
-computed only when it is tested.
+would fail, so membership is exactly that of the unpruned scans. The hull
+gets a cap that covers its ANGLE_TOL boundary band (see _hull_cap), and
+every hull-edge sample too. Each country's top cities get one cap, built
+once per world and city limit (see _city_caps); a country whose cap misses
+the hull's is skipped, and the others' cities are tested only when they lie
+in the hull's cap. A border polygon whose exact-width cap misses the hull's
+is skipped, and for the others only the samples that HullSamples.near finds
+within the polygon's cap, in closed form per hull edge, are computed and
+tested. Two caps of radii r and r' are apart when their centers' dot product
+is below cos(r + r'), which is tested in cos/sin form and only when
+r + r' < pi.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ from .sphere import (
     spherical_convex_hull,
 )
 from .world import DEFAULT_CITY_LIMIT, WorldModel, country_points
-
-# Samples per bisection leaf, tested one by one (~1.6 degrees of edge at the default step).
-RUN_LENGTH = 32
-
 
 @dataclass(frozen=True)
 class NormalSet:
@@ -91,40 +90,57 @@ def normal_set(
         return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset({src, dst}), unclassifiable=True)
 
     members = {src, dst}
-    hull_center, hull_floor = _hull_cap(hull)
-    for iso2, rec in w.countries.items():
-        if iso2 in members:
+    hull_center, hull_cos, hull_sin = _hull_cap(hull)
+    for iso2, center, cos_r, sin_r, vecs in _city_caps(w, city_limit):
+        if iso2 in members or _apart(hull_center, hull_cos, hull_sin, center, cos_r, sin_r):
             continue
-        for c in rec.top_cities(city_limit):
-            v = c.location._vec
-            if _dot(hull_center, v) >= hull_floor and _hull_contains_vec(hull, v):
+        for v in vecs:
+            if _dot(hull_center, v) >= hull_cos and _hull_contains_vec(hull, v):
                 members.add(iso2)
                 break
 
     samples = hull_boundary_samples(hull, boundary_step)
-    hull_cap = (hull_center, math.acos(max(-1.0, hull_floor)))
     for iso2, cb in w.borders.items():
         if iso2 in members:
             continue
         for poly in cb.polygons:
-            poly_cap = poly._cap
-            if _caps_apart(poly_cap, hull_cap):
+            center, _, cos_r, sin_r = poly._cap
+            if _apart(hull_center, hull_cos, hull_sin, center, cos_r, sin_r):
                 continue
-            if any(_reaches(samples, poly, poly_cap, r.start, r.stop) for r in samples.edge_ranges):
+            if any(_polygon_contains_vec(poly, samples[i]) for i in samples.near(center, cos_r)):
                 members.add(iso2)
                 break
 
     return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset(members))
 
 
-def _reaches(samples, poly, poly_cap, start, stop) -> bool:
-    """True when one of samples start..stop-1, which lie on one hull edge, lies in poly."""
-    if _caps_apart(poly_cap, samples.cap(start, stop)):
-        return False
-    if stop - start <= RUN_LENGTH:
-        return any(_polygon_contains_vec(poly, samples[i]) for i in range(start, stop))
-    mid = (start + stop) // 2
-    return _reaches(samples, poly, poly_cap, start, mid) or _reaches(samples, poly, poly_cap, mid, stop)
+def _apart(c1, cos1, sin1, c2, cos2, sin2) -> bool:
+    """True when caps (c1, r1) and (c2, r2), given the cosines and sines of their radii, share no point.
+
+    That is when the angle between c1 and c2 exceeds r1 + r2, tested as
+    _dot(c1, c2) < cos(r1 + r2) while r1 + r2 < pi, which is when
+    cos1 + cos2 > 0. A cosine of -inf never prunes.
+    """
+    return cos1 + cos2 > 0.0 and _dot(c1, c2) < cos1 * cos2 - sin1 * sin2
+
+
+def _city_caps(w: WorldModel, city_limit: int):
+    """Per country with cities: (iso2, cap center, cos r, sin r, top-city vectors).
+
+    r is the radius of _cap over the vectors plus CAP_SLACK, which covers the
+    rounding of that acos (~2e-8 rad). Built on first use and kept on w, one
+    table per city_limit.
+    """
+    table = w._city_caps.get(city_limit)
+    if table is None:
+        rows = []
+        for iso2, rec in w.countries.items():
+            vecs = tuple(c.location._vec for c in rec.top_cities(city_limit))
+            center, radius = _cap(vecs)
+            r = min(math.pi, radius + CAP_SLACK)
+            rows.append((iso2, center, math.cos(r), math.sin(r), vecs))
+        table = w._city_caps[city_limit] = tuple(rows)
+    return table
 
 
 def _cap(vecs):
@@ -145,11 +161,11 @@ def _cap(vecs):
 
 
 def _hull_cap(hull):
-    """(center, floor) such that _hull_contains_vec(hull, v) is False whenever _dot(center, v) < floor.
+    """(center, floor, sin r) such that _hull_contains_vec(hull, v) is False whenever _dot(center, v) < floor.
 
     The cap is _cap over the hull vertices, widened to cover the tolerant
     boundary band of _hull_contains_vec, plus CAP_SLACK; floor is the cosine
-    of its radius, or -inf (no pruning) when the widened radius reaches pi/2.
+    of its radius r, or -inf (no pruning) when r reaches pi/2.
 
     For a polygon the band is {v : n.v >= -ANGLE_TOL for every edge normal n},
     which reaches ANGLE_TOL / sin(theta / 2) past a vertex with interior angle
@@ -174,20 +190,9 @@ def _hull_cap(hull):
     elif hull.degenerate_kind == "arc" and radius < CAP_SLACK:
         radius = math.pi
     radius += CAP_SLACK
-    return center, (math.cos(radius) if radius < math.pi / 2 else -math.inf)
-
-
-def _caps_apart(a, b) -> bool:
-    """True when caps a and b, as (center, angular radius), are more than CAP_SLACK apart.
-
-    By the triangle inequality no point of b then lies within a's radius of
-    a's center. Radii summing to pi or more always meet.
-    """
-    (ca, ra), (cb, rb) = a, b
-    reach = ra + rb + CAP_SLACK
-    if reach >= math.pi:
-        return False
-    return math.acos(max(-1.0, min(1.0, _dot(ca, cb)))) > reach
+    if radius >= math.pi / 2:
+        return center, -math.inf, 1.0
+    return center, math.cos(radius), math.sin(radius)
 
 
 def _suggest(w: WorldModel, iso2: str):

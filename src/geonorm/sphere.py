@@ -8,9 +8,12 @@ great circles to straight lines, so a planar convex hull of the projected
 points is exactly the spherical convex hull, provided every point lies in
 the open hemisphere around the projection center.
 
-Hull-edge samples are unit-vector tuples, computed as they are indexed. Each
-polygon carries a bounding cap of exact width: the cap over its vertices,
-widened only by CAP_SLACK.
+Hull-edge samples are unit-vector tuples, computed as they are indexed; the
+samples that can lie near a point are found in closed form from each edge's
+great circle, without computing any. Each polygon carries a bounding cap of
+exact width, the cap over its vertices widened only by CAP_SLACK, built from
+its vertex vectors alone; the projected rings that exact containment needs
+are built the first time a point inside that cap is tested.
 """
 
 from __future__ import annotations
@@ -196,14 +199,24 @@ class SphericalHull:
 
 
 def _dedup(vectors):
+    """vectors without any that lie within DEDUP_TOL (chord) of an earlier kept one, in input order.
+
+    Kept vectors are filed by x in slabs 2 * DEDUP_TOL wide, so a vector
+    needs comparing only with those in its own slab and the two beside it.
+    """
     kept: list[tuple[float, float, float]] = []
+    slabs: dict[int, list] = {}
+    tol2 = DEDUP_TOL * DEDUP_TOL
     for v in vectors:
-        for k in kept:
-            dx, dy, dz = v[0] - k[0], v[1] - k[1], v[2] - k[2]
-            if dx * dx + dy * dy + dz * dz <= DEDUP_TOL * DEDUP_TOL:
-                break
-        else:
+        x, y, z = v
+        slab = math.floor(x / (2 * DEDUP_TOL))
+        if not any(
+            (x - k[0]) * (x - k[0]) + (y - k[1]) * (y - k[1]) + (z - k[2]) * (z - k[2]) <= tol2
+            for s in (slab - 1, slab, slab + 1)
+            for k in slabs.get(s, ())
+        ):
             kept.append(v)
+            slabs.setdefault(slab, []).append(v)
     return kept
 
 
@@ -269,7 +282,8 @@ def _hull_contains_vec(h: SphericalHull, p) -> bool:
     if h.degenerate_kind == "arc":
         # _dedup and the hemisphere check keep an arc's ends distinct and not antipodal
         return _near_arc(p, vts[0], vts[1], h._edge_normals[0])
-    return all(_dot(n, p) >= -ANGLE_TOL for n in h._edge_normals)
+    px, py, pz = p
+    return all(n[0] * px + n[1] * py + n[2] * pz >= -ANGLE_TOL for n in h._edge_normals)
 
 
 def hull_contains(h: SphericalHull, p: GeoPoint) -> bool:
@@ -289,26 +303,26 @@ class HullSamples(Sequence):
     An edge from a to b, ang radians long, is cut into segs equal parts; its
     k-th sample is the slerp point at k / segs. A polygon edge omits its end,
     which opens the next edge. A bad step raises at once; a sample is computed
-    when first indexed, then kept. edge_ranges holds each edge's index range.
+    when first indexed, then kept. edge_ranges holds each edge's index range,
+    and near() finds the samples close to a point without computing any.
     """
 
     def __init__(self, h: SphericalHull, step: float = DEFAULT_BOUNDARY_STEP_DEG):
         check_boundary_step(step)
         step_rad = math.radians(step)
         vts = h.vertices
-        self._edges = []  # (first index, a, b, ang, segs)
+        self._edges = []  # (first index, a, b, ang, segs, tangent at a for near(), when segs > 2)
         self._starts = []
         start = 0
         for i in range(1 if h.degenerate_kind == "arc" else len(vts)):
             a, b = vts[i], vts[(i + 1) % len(vts)]
             ang = _angle(a, b)
             segs = max(1, math.ceil(ang / step_rad - 1e-9))
-            self._edges.append((start, a, b, ang, segs))
+            self._edges.append((start, a, b, ang, segs, _cross(h._edge_normals[i], a) if segs > 2 else None))
             self._starts.append(start)
             start += segs + (h.degenerate_kind == "arc")  # an arc keeps its end
         self.edge_ranges = tuple(map(range, self._starts, self._starts[1:] + [start]))
         self._vecs = [vts[0]] if h.degenerate_kind == "point" else [None] * start
-        self._caps = {}
 
     def __len__(self):
         return len(self._vecs)
@@ -319,19 +333,44 @@ class HullSamples(Sequence):
         v = self._vecs[i]
         if v is None:
             i %= len(self._vecs)
-            first, a, b, ang, segs = self._edges[bisect.bisect_right(self._starts, i) - 1]
+            first, a, b, ang, segs, _ = self._edges[bisect.bisect_right(self._starts, i) - 1]
             v = self._vecs[i] = _normalized(_slerp(a, b, (i - first) / segs, ang))
         return v
 
-    def cap(self, start: int, stop: int):
-        """Cap (center, angular radius) of samples start..stop-1 on one edge: their middle slerp point, half their span."""
-        found = self._caps.get((start, stop))
-        if found is None:
-            first, a, b, ang, segs = self._edges[bisect.bisect_right(self._starts, start) - 1]
-            lo, hi = start - first, stop - 1 - first
-            center = _normalized(_slerp(a, b, (lo + hi) / (2 * segs), ang))
-            found = self._caps[start, stop] = (center, (hi - lo) * ang / (2 * segs))
-        return found
+    def near(self, center, cos_r):
+        """Indices of the samples that may lie within r of the unit vector center, where cos_r = cos r.
+
+        Every other sample s has _dot(center, s) < cos_r, up to rounding
+        (~1e-15). On an edge from a, with tangent t at a, the sample at arc
+        angle theta from a is cos(theta) a + sin(theta) t, so _dot(center, s)
+        is rho cos(theta - theta0), where (rho, theta0) is the polar form of
+        (center.a, center.t). That reaches cos_r only within
+        acos(cos_r / rho) of theta0 or of theta0 + 2 pi, and the window
+        tested is that wide plus CAP_SLACK. Edges of at most two segments
+        are tested whole.
+        """
+        cx, cy, cz = center
+        for (first, a, _, ang, segs, t), r in zip(self._edges, self.edge_ranges):
+            if segs <= 2:
+                yield from r
+                continue
+            along = cx * a[0] + cy * a[1] + cz * a[2]
+            across = cx * t[0] + cy * t[1] + cz * t[2]
+            rho2 = along * along + across * across
+            if cos_r > 0.0 and rho2 < cos_r * cos_r:
+                continue  # center is farther than r from the edge's great circle
+            rho = math.sqrt(rho2)
+            half = math.acos(min(1.0, cos_r / rho)) + CAP_SLACK if cos_r > -rho else math.pi
+            if half >= math.pi:
+                yield from r
+                continue
+            theta0 = math.atan2(across, along)
+            per_rad = segs / ang
+            for mid in (theta0, theta0 + 2 * math.pi) if theta0 < 0.0 else (theta0,):
+                lo = max(0, math.ceil((mid - half) * per_rad))
+                hi = min(len(r) - 1, math.floor((mid + half) * per_rad))
+                if lo <= hi:
+                    yield from range(first + lo, first + hi + 1)
 
 
 hull_boundary_samples = HullSamples
@@ -358,14 +397,29 @@ class GeoPolygon:
         return tuple(tuple(p._vec for p in ring) for ring in self.rings)
 
     @cached_property
-    def _frame(self):
-        """Projection center/basis, projected rings, edge normals, and a bounding cap."""
-        outer = self._ring_vecs[0]
-        center = _normalized(_mean(outer))
+    def _cap(self):
+        """(center, cap_cos, cos_r, sin_r): _polygon_contains_vec rejects every p with _dot(center, p) < cap_cos.
+
+        The cap is centred on the outer ring's mean direction and reaches the
+        farthest ring vertex plus CAP_SLACK. Every vertex is less than pi/2
+        from the center (checked here), so the cap is convex and holds every
+        minor-arc edge and the even-odd interior; the ANGLE_TOL edge band
+        reaches at most ~2 * ANGLE_TOL past a vertex. r is the cap's radius
+        plus CAP_SLACK once more, for pruning against other caps.
+        """
+        center = _normalized(_mean(self._ring_vecs[0]))
         for ring in self._ring_vecs:
             for v in ring:
                 if _dot(center, v) <= 1e-9:
                     raise ValidationError("polygon ring spans a hemisphere or more")
+        cap_ang = max(_angle(center, v) for ring in self._ring_vecs for v in ring)
+        r = cap_ang + 2 * CAP_SLACK
+        return center, math.cos(cap_ang + CAP_SLACK), math.cos(r), math.sin(r)
+
+    @cached_property
+    def _frame(self):
+        """Projection center/basis, projected rings, edge normals, and the cap cosine of _cap."""
+        center, cap_cos, _, _ = self._cap
         e1, e2 = _tangent_basis(center)
         rings_2d = tuple(
             tuple(_gnomonic(center, e1, e2, v) for v in ring) for ring in self._ring_vecs
@@ -379,19 +433,7 @@ class GeoPolygon:
                 nn = _norm(c)
                 if nn > 1e-15:
                     edges.append((a, b, (c[0] / nn, c[1] / nn, c[2] / nn)))
-        # Bounding cap over the ring vertices. Every vertex is less than pi/2
-        # from the center (checked above), so the cap is convex and holds
-        # every minor-arc edge and the even-odd interior; the ANGLE_TOL edge
-        # band reaches at most ~2 * ANGLE_TOL past a vertex.
-        cap_ang = max(_angle(center, v) for ring in self._ring_vecs for v in ring)
-        cap_cos = math.cos(cap_ang + CAP_SLACK)
         return center, e1, e2, rings_2d, tuple(edges), cap_cos
-
-    @cached_property
-    def _cap(self):
-        """(center, angular radius) of the cap outside which _polygon_contains_vec rejects every point."""
-        center, *_, cap_cos = self._frame
-        return center, math.acos(cap_cos)
 
 
 def _even_odd(rings_2d, x, y):
@@ -420,8 +462,9 @@ def _polygon_contains_vec(poly: GeoPolygon, p) -> bool:
     x, y = _dot(e1, p) / d, _dot(e2, p) / d
     if _even_odd(rings_2d, x, y):
         return True
-    # points on any border edge (outer or hole) count as inside
-    return any(_near_arc(p, a, b, n) for a, b, n in edges)
+    # points on any border edge (outer or hole) count as inside; _near_arc's first test is inlined
+    px, py, pz = p
+    return any(abs(n[0] * px + n[1] * py + n[2] * pz) <= ANGLE_TOL and _near_arc(p, a, b, n) for a, b, n in edges)
 
 
 def polygon_contains(poly: GeoPolygon, p: GeoPoint) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -55,6 +55,8 @@ class WorldModel:
     countries: Mapping[str, CountryRecord]
     borders: Mapping[str, CountryBorders]
     region_of: Mapping[str, str]
+    # per city_limit, the top-city cap table normality builds on first use
+    _city_caps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _read_csv(path, expected_header):

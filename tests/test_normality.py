@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import geonorm.normality as normality_mod
 from geonorm.errors import HemisphereViolation, UnknownCountry, ValidationError
-from geonorm.normality import NormalSet, PairCache, _cap, _caps_apart, _hull_cap, classify, normal_set
+from geonorm.normality import NormalSet, PairCache, _apart, _hull_cap, classify, normal_set
 from geonorm.sphere import (
     ANGLE_TOL,
     GeoPoint,
@@ -25,6 +25,7 @@ from geonorm.sphere import (
 )
 from geonorm.world import (
     DEFAULT_CITY_LIMIT, City, CountryBorders, CountryRecord, GeoPolygon, WorldModel, country_points, load_summary,
+    load_world,
 )
 
 from conftest import SMALLWORLD as SMALLWORLD_DIR, offset, star_ring
@@ -316,9 +317,10 @@ class TestCapPruningOracle:
 
 
 class TestLazySampling:
-    # _polygon_contains_vec calls over the builds below when every sample was
-    # computed up front and tested in runs of 32 under one cap each
-    EAGER_SCAN_POLYGON_TESTS = 437
+    # _polygon_contains_vec calls over the builds below with closed-form
+    # sample windows (437 when every sample was computed up front and tested
+    # in runs of 32 under one cap each, 281 with bisected runs)
+    EAGER_SCAN_POLYGON_TESTS = 171
 
     def test_few_samples_computed(self, small_world, monkeypatch):
         built, tests = [], []
@@ -339,49 +341,62 @@ class TestLazySampling:
         assert 0 < len(tests) <= self.EAGER_SCAN_POLYGON_TESTS
 
 
+class TestCityCaps:
+    def test_one_table_per_world_and_city_limit(self):
+        w = load_world(SMALLWORLD_DIR / "cities.csv", SMALLWORLD_DIR / "borders.geojson", SMALLWORLD_DIR / "regions.csv")
+        assert w._city_caps == {}  # loading builds none
+        normal_set(w, "AA", "AD", "population")
+        table = w._city_caps[DEFAULT_CITY_LIMIT]
+        for a, b in itertools.combinations(sorted(w.countries), 2):
+            normal_set(w, a, b, "border")
+        assert list(w._city_caps) == [DEFAULT_CITY_LIMIT] and w._city_caps[DEFAULT_CITY_LIMIT] is table
+        normal_set(w, "AA", "AD", "population", city_limit=2)
+        assert sorted(w._city_caps) == [2, DEFAULT_CITY_LIMIT] and w._city_caps[DEFAULT_CITY_LIMIT] is table
+        assert [len(row[-1]) for row in w._city_caps[2]] == [min(2, len(rec.cities)) for rec in w.countries.values()]
+
+    def test_worlds_do_not_share_tables(self, small_world):
+        normal_set(small_world, "AA", "AD", "population")
+        assert grid_world()._city_caps == {}
+
+
 def _unit(lat, lon):
     return geo_to_unit(GeoPoint(lat, lon))
 
 
 @st.composite
-def polygon_and_run(draw):
-    """A random star polygon and a run of unit vectors near the edge of its bounding cap."""
+def cap_pair(draw):
+    """Two caps whose rims pass within about 0.01 rad of each other, radii up to pi, and points of the second."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    radius = draw(st.sampled_from([0.2, 2.0, 20.0, 50.0]))
-    lat, lon = rng.uniform(radius - 80, 80 - radius), rng.uniform(-180, 180)
-    poly = GeoPolygon(rings=(star_ring(rng, lat, lon, radius, rng.randint(3, 12)),))
-    poly_center, poly_r = poly._cap
-    # run radii up to pi, so some cap pairs have radii summing past pi
-    run_r = draw(st.sampled_from([0.0, 1e-4, 0.01, 0.3, 1.5, 3.0]))
-    gap = draw(st.floats(-0.05, 0.05))
-    run_center = offset(poly_center, min(math.pi, max(0.0, poly_r + run_r + gap)), rng)
-    run = [offset(run_center, run_r * math.sqrt(rng.random()), rng) for _ in range(rng.randint(1, 40))]
-    return poly, run
+    r1, r2 = (draw(st.sampled_from([0.0, 1e-6, 0.01, 0.5, 1.5, 2.0, 3.0])) for _ in range(2))
+    c1 = offset((0.0, 0.0, 1.0), rng.uniform(0, math.pi), rng)
+    c2 = offset(c1, min(math.pi, max(0.0, r1 + r2 + draw(st.floats(-0.01, 0.01)))), rng)
+    points = [offset(c2, r2 * math.sqrt(rng.random()), rng) for _ in range(20)]
+    # the point of the second cap nearest the first's center
+    if r2 < _angle(c1, c2):
+        points.append(_normalized(tuple(math.cos(r2) * x + math.sin(r2) * y for x, y in zip(c2, _tangent_toward(c2, c1)))))
+    return (c1, r1), (c2, r2), points
 
 
-class TestPruningLemma:
-    @given(polygon_and_run())
-    def test_pruned_runs_hold_no_contained_vector(self, case):
-        poly, run = case
-        run_cap = _cap(run)
-        center, radius = run_cap
-        assert all(_angle(center, v) <= radius + 1e-7 for v in run)
-        if _caps_apart(poly._cap, run_cap):
-            # the polygon's own bounding-cap test rejects every vector of the run
-            poly_center, *_, cap_cos = poly._frame
-            assert all(_dot(poly_center, v) < cap_cos for v in run)
-            assert not any(_polygon_contains_vec(poly, v) for v in run)
+def _tangent_toward(a, b):
+    return _normalized(tuple(bi - _dot(a, b) * ai for ai, bi in zip(a, b)))
 
-    def test_caps_with_radii_summing_to_pi_always_meet(self):
-        poly = GeoPolygon(rings=((GeoPoint(0, 0), GeoPoint(0, 1), GeoPoint(1, 1), GeoPoint(1, 0)),))
-        _, poly_r = poly._cap
-        far = _unit(0.5, -179.5)
-        for run_r in (math.pi - poly_r, math.pi - poly_r + 0.1, math.pi):
-            assert not _caps_apart(poly._cap, (far, run_r))
-        # a sphere-wide run has no useful cap at all
-        everywhere = [_unit(0, 0), _unit(0, 180), _unit(90, 0), _unit(-90, 0), _unit(0, 90), _unit(0, -90)]
-        assert _cap(everywhere)[1] == math.pi
-        assert not _caps_apart(poly._cap, _cap(everywhere))
+
+class TestApart:
+    @given(cap_pair())
+    def test_apart_caps_share_no_point(self, case):
+        (c1, r1), (c2, r2), points = case
+        if _apart(c1, math.cos(r1), math.sin(r1), c2, math.cos(r2), math.sin(r2)):
+            assert r1 + r2 < math.pi
+            assert all(_angle(c1, p) > r1 - 1e-12 for p in points)
+
+    def test_radii_summing_to_pi_always_meet(self):
+        c, far = _unit(0, 0), _unit(0, 180)
+        for r1, r2 in ((1.0, math.pi - 1.0), (1.0, math.pi - 0.9), (0.0, math.pi), (math.pi / 2, math.pi / 2)):
+            assert not _apart(c, math.cos(r1), math.sin(r1), far, math.cos(r2), math.sin(r2))
+
+    def test_no_hull_floor_never_prunes(self):
+        assert not _apart(_unit(0, 0), -math.inf, 1.0, _unit(0, 180), 1.0, 0.0)
+        assert _apart(_unit(0, 0), math.cos(0.1), math.sin(0.1), _unit(0, 180), 1.0, 0.0)
 
 
 def _hull_of(vecs):
@@ -416,7 +431,7 @@ def hull_and_probes(draw):
     else:
         vecs = [c]
     hull = _hull_of(vecs)
-    center, floor = _hull_cap(hull)
+    center, floor, _ = _hull_cap(hull)
     vts = hull.vertices
     probes = [tuple(-x for x in center)]
     for k, v in enumerate(vts):
@@ -447,14 +462,14 @@ class TestHullCap:
     @given(hull_and_probes())
     def test_skipped_vectors_are_outside_the_hull(self, case):
         hull, probes = case
-        center, floor = _hull_cap(hull)
+        center, floor, _ = _hull_cap(hull)
         for p in probes:
             if _dot(center, p) < floor:
                 assert not _hull_contains_vec(hull, p)
 
     def test_fat_hull_prunes(self):
         hull = _hull_of([_unit(0, 0), _unit(0, 10), _unit(10, 0)])
-        center, floor = _hull_cap(hull)
+        center, floor, _ = _hull_cap(hull)
         assert math.cos(math.radians(8)) < floor
         assert _dot(center, _unit(-2, -2)) < floor
 
@@ -465,7 +480,7 @@ class TestHullCap:
         apex = (math.cos(half * 1e-4), 0.0, math.sin(half * 1e-4))
         hull = _hull_of([(math.cos(half), -math.sin(half), 0.0), (math.cos(half), math.sin(half), 0.0), apex])
         assert hull.degenerate_kind == "polygon"
-        center, floor = _hull_cap(hull)
+        center, floor, _ = _hull_cap(hull)
         antipode = tuple(-x for x in center)
         assert _hull_contains_vec(hull, antipode)
         assert floor == -math.inf

@@ -2,15 +2,18 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from geonorm.errors import EmptyInput, HemisphereViolation, ValidationError
 from geonorm.sphere import (
     ANGLE_TOL,
+    CAP_SLACK,
+    DEDUP_TOL,
     GeoPoint,
     GeoPolygon,
     _angle,
     _cross,
+    _dedup,
     _dot,
     _even_odd,
     _hull_contains_vec,
@@ -364,25 +367,128 @@ class TestLazySamples:
         with pytest.raises(IndexError):
             samples[-n - 1]
 
-    @given(sampled_hull(), st.integers(0, 2**32 - 1))
-    def test_range_caps_hold_their_samples(self, case, seed):
-        h, step = case
-        samples = hull_boundary_samples(h, step)
-        ranges = samples.edge_ranges
-        assert len(ranges) == (len(h.vertices) if h.degenerate_kind == "polygon" else 1)
-        assert ranges[0].start == 0 and ranges[-1].stop == len(samples)
-        assert all(r.stop == nxt.start for r, nxt in zip(ranges, ranges[1:]))
-        rng = random.Random(seed)
-        # every edge, the polygon's last one too, which runs from the last vertex back to vertex 0
-        for r in ranges:
-            cuts = [(r.start, r.stop), (r.start, r.start + 1), (r.stop - 1, r.stop)]
-            for _ in range(5):
-                lo = rng.randrange(r.start, r.stop)
-                cuts.append((lo, rng.randrange(lo, r.stop) + 1))
-            for lo, hi in cuts:
-                center, radius = samples.cap(lo, hi)
-                assert radius <= (hi - lo) * math.radians(step) / 2
-                assert all(_angle(center, samples[i]) <= radius + 1e-12 for i in range(lo, hi))
+
+
+@st.composite
+def edge_and_cap(draw):
+    """An arc or triangle hull, one of its edges, and a cap whose rim lies near that edge's samples.
+
+    Edges run from 1e-6 to 3 rad and steps from 0.05 to 5 degrees. Caps sit
+    across the edge's great circle, over its ends, around its pole (rims
+    grazing the circle), at radius pi/2 or more, or beyond its start, where
+    the center's polar angle along the edge is near +-pi. Half of the radii
+    are then snapped to the exact angle of a random sample.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["arc", "triangle"]))
+    length = 10 ** draw(st.floats(-6, math.log10(3.0)))
+    step = draw(st.floats(0.05, 5.0))
+    c = offset((0.0, 0.0, 1.0), rng.uniform(0, math.pi), rng)
+    t1 = offset(c, math.pi / 2, rng)
+    t2 = _cross(c, t1)
+    along = lambda u, ang: _normalized(tuple(math.cos(ang) * ci + math.sin(ang) * ui for ci, ui in zip(c, u)))
+    vecs = [along(t1, -length / 2), along(t1, length / 2)]
+    if kind == "triangle":
+        vecs.append(along(t2, min(1.4, length * rng.uniform(0.05, 1.0))))
+    h = spherical_convex_hull([unit_to_geo(v) for v in vecs])
+    assume(h.degenerate_kind != "point")
+    samples = hull_boundary_samples(h, step)
+    e = rng.randrange(len(samples.edge_ranges))
+    a, b = h.vertices[e], h.vertices[(e + 1) % len(h.vertices)]
+    n = _normalized(_cross(a, b))
+    t = _cross(n, a)
+    ang = _angle(a, b)
+    on_circle = lambda theta: tuple(math.cos(theta) * ai + math.sin(theta) * ti for ai, ti in zip(a, t))
+    tilt = lambda p, d: _normalized(tuple(math.cos(d) * pi + math.sin(d) * ni for pi, ni in zip(p, n)))
+    place = draw(st.sampled_from(["circle", "end", "pole", "wide", "wrap"]))
+    radius = 10 ** rng.uniform(-6, 0)
+    if place == "circle":
+        center = tilt(on_circle(rng.uniform(-0.2, 1.2) * ang), rng.choice((-1, 1)) * radius * rng.uniform(0.9, 1.1))
+    elif place == "end":
+        center = offset(rng.choice((a, b)), radius * rng.uniform(0.0, 1.2), rng)
+    elif place == "pole":
+        d = 10 ** rng.uniform(-6, -1)
+        center = offset(rng.choice((n, tuple(-x for x in n))), d, rng)
+        radius = math.pi / 2 - d * rng.uniform(0.5, 1.5)
+    elif place == "wide":
+        center = offset(c, rng.uniform(0, math.pi), rng)
+        radius = rng.uniform(math.pi / 2, 3.0)
+    else:
+        center = tilt(on_circle(rng.choice((-1, 1)) * (math.pi - rng.uniform(0, 1e-3))), rng.uniform(-1e-3, 1e-3))
+        radius = _angle(center, b) * rng.uniform(0.9, 1.1)
+    if rng.random() < 0.5:
+        radius = _angle(center, samples[rng.randrange(len(samples))])
+    return samples, center, max(radius, 1e-6)
+
+
+class TestSampleWindows:
+    @given(edge_and_cap())
+    def test_samples_outside_the_windows_are_outside_the_cap(self, case):
+        # as a polygon's cap: it rejects dot < cap_cos, and near() gets the radius plus CAP_SLACK
+        samples, center, radius = case
+        cap_cos = math.cos(radius)
+        found = list(samples.near(center, math.cos(radius + CAP_SLACK)))
+        assert len(set(found)) == len(found)
+        assert all(0 <= i < len(samples) for i in found)
+        for i in set(range(len(samples))) - set(found):
+            assert _dot(center, samples[i]) < cap_cos
+
+    def test_window_is_narrow(self):
+        # a 0.01-rad cap on the middle of a 1-rad arc, sampled every 0.05 degrees
+        h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, math.degrees(1.0))])
+        samples = hull_boundary_samples(h, 0.05)
+        found = list(samples.near(geo_to_unit(GeoPoint(0.005, math.degrees(0.5))), math.cos(0.01)))
+        # the window is 0.02 rad wide, about 23 samples of 1,146
+        assert 20 <= len(found) <= 24
+        assert sum(v is not None for v in samples._vecs) == 0  # found without computing a sample
+
+    def test_far_cap_finds_nothing(self):
+        h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 30), GeoPoint(20, 10)])
+        samples = hull_boundary_samples(h, 0.05)
+        assert list(samples.near(geo_to_unit(GeoPoint(-40, 10)), math.cos(0.1))) == []
+
+
+def _dedup_reference(vectors):
+    """The keep-first rule, comparing each vector with every kept one."""
+    kept = []
+    for v in vectors:
+        if not any(sum((vi - ki) * (vi - ki) for vi, ki in zip(v, k)) <= DEDUP_TOL * DEDUP_TOL for k in kept):
+            kept.append(v)
+    return kept
+
+
+@st.composite
+def near_duplicates(draw):
+    """Vectors in clusters DEDUP_TOL wide around slab boundaries, with exact copies and exact DEDUP_TOL offsets."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    out = []
+    for _ in range(rng.randint(1, 6)):
+        base = offset((0.0, 0.0, 1.0), rng.uniform(0, math.pi), rng)
+        # a slab edge: a multiple of 2 * DEDUP_TOL
+        x0 = round(base[0] / (2 * DEDUP_TOL)) * 2 * DEDUP_TOL
+        for _ in range(rng.randint(1, 12)):
+            kind = rng.random()
+            if out and kind < 0.2:
+                out.append(rng.choice(out))
+            elif out and kind < 0.4:
+                v = list(rng.choice(out))
+                v[rng.randrange(3)] += rng.choice((-1, 1)) * DEDUP_TOL
+                out.append(tuple(v))
+            else:
+                jitter = lambda: rng.choice((-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2)) * DEDUP_TOL * rng.uniform(0.99, 1.01)
+                out.append((x0 + jitter(), base[1] + jitter(), base[2] + jitter()))
+    rng.shuffle(out)
+    return out
+
+
+class TestDedup:
+    @given(near_duplicates())
+    def test_matches_quadratic_keep_first(self, vectors):
+        assert _dedup(vectors) == _dedup_reference(vectors)
+
+    def test_exactly_tol_apart_is_a_duplicate(self):
+        v = (0.0, 0.6, 0.8)
+        assert _dedup([v, (DEDUP_TOL, 0.6, 0.8), (2.5 * DEDUP_TOL, 0.6, 0.8)]) == [v, (2.5 * DEDUP_TOL, 0.6, 0.8)]
 
 
 SQUARE = GeoPolygon(rings=((GeoPoint(-1, -1), GeoPoint(-1, 1), GeoPoint(1, 1), GeoPoint(1, -1)),))
@@ -503,6 +609,20 @@ class TestPolygonCap:
         poly, probes = case
         for p in probes:
             assert _polygon_contains_vec(poly, p) == _polygon_contains_uncapped(poly, p)
+
+    def test_cap_is_built_without_the_frame(self):
+        poly = GeoPolygon(rings=SQUARE.rings)
+        center, cap_cos, cos_r, sin_r = poly._cap
+        assert "_frame" not in poly.__dict__
+        frame = poly._frame
+        assert frame[0] == center and frame[-1] == cap_cos
+        assert math.acos(cos_r) == pytest.approx(math.acos(cap_cos) + CAP_SLACK, abs=1e-12)
+        assert math.asin(sin_r) == pytest.approx(math.acos(cos_r), abs=1e-12)
+
+    def test_hemisphere_check_runs_with_the_cap(self):
+        band = GeoPolygon(rings=((GeoPoint(0, -100), GeoPoint(0, 0), GeoPoint(0, 100), GeoPoint(1, 100), GeoPoint(1, -100)),))
+        with pytest.raises(ValidationError, match="polygon ring spans a hemisphere or more"):
+            band._cap
 
     def test_cap_is_exact_width(self):
         center, *_, cap_cos = SQUARE._frame
