@@ -32,7 +32,6 @@ from .sphere import (
     GeoPolygon,
     SphericalHull,
     geo_to_unit,
-    hull_boundary_samples,
     hull_contains,
     polygon_contains,
     spherical_convex_hull,

@@ -28,7 +28,7 @@ from .pipeline import (
     Skip, SkipLog, classify_path_with, classify_signature, parse_traceroute_line, read_traceroutes, shard_ranges,
     signature, to_tuple_path,
 )
-from .sphere import DEFAULT_BOUNDARY_STEP_DEG, MIN_BOUNDARY_STEP_DEG, spherical_convex_hull, unit_to_geo
+from .sphere import spherical_convex_hull, unit_to_geo
 from .world import DEFAULT_CITY_LIMIT, country_points, load_summary, load_world
 
 
@@ -36,7 +36,6 @@ from .world import DEFAULT_CITY_LIMIT, country_points, load_summary, load_world
 # untyped from JSON, and a bool is not a count.
 _FIELD_TYPES = {
     "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a number", lambda v: type(v) in (int, float)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string", lambda v: v is None or isinstance(v, str)),
 }
@@ -52,12 +51,12 @@ class RunConfig:
     as_registry: str | None = None
     traceroutes: str | None = None
     mode: str = "population"
-    boundary_step: float = DEFAULT_BOUNDARY_STEP_DEG
     city_limit: int = DEFAULT_CITY_LIMIT
     workers: int = 1
     unclassifiable_policy: str = "exclude"
     top_n: int = 10
     output_dir: str = "."
+    boundary_step = None  # not a field, so nothing sets it: perfbench/chain.py reads it and passes it to PairCache
 
     def validate(self):
         for f in fields(self):
@@ -68,8 +67,6 @@ class RunConfig:
         for name in ("workers", "top_n", "city_limit"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name.replace('_', '-')} must be >= 1, got {getattr(self, name)}")
-        if not self.boundary_step >= MIN_BOUNDARY_STEP_DEG:  # NaN too
-            raise ValidationError(f"boundary-step must be at least {MIN_BOUNDARY_STEP_DEG} degrees, got {self.boundary_step}")
         if self.mode not in ("population", "border"):
             raise ValidationError(f"mode must be population or border, got {self.mode!r}")
         if self.unclassifiable_policy not in ("exclude", "count_non_normal"):
@@ -205,9 +202,10 @@ def fold_signatures(counts, agg, skips, w, normal_set_of, policy):
 
 def cmd_analyze(cfg: RunConfig, origin_conflict: str = "error") -> int:
     _require(cfg, "cities", "borders", "regions", "geo_table", "origin_table", "as_registry", "traceroutes")
+    _make_output_dir(Path(cfg.output_dir))  # before any record is read
     w = _load_world(cfg)
     enrichment = _load_enrichment(cfg, origin_conflict)
-    cache = PairCache(boundary_step=cfg.boundary_step, city_limit=cfg.city_limit)
+    cache = PairCache(city_limit=cfg.city_limit)
 
     normal_set_of = partial(cache.get_or_build, w, mode=cfg.mode)
 
@@ -256,7 +254,6 @@ def _header(cfg):
         "inputs": inputs,
         "config": {
             "mode": cfg.mode,
-            "boundary_step": cfg.boundary_step,
             "city_limit": cfg.city_limit,
             "unclassifiable_policy": cfg.unclassifiable_policy,
             "top_n": cfg.top_n,
@@ -268,8 +265,22 @@ def _fmt(value):
     return "" if value is None else (f"{value:.6f}" if isinstance(value, float) else str(value))
 
 
+def _make_output_dir(output_dir: Path):
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise GeonormError(f"cannot create output directory {output_dir}: {e.strerror}") from None
+
+
 def _write_outputs(doc, output_dir: Path):
-    output_dir.mkdir(parents=True, exist_ok=True)
+    _make_output_dir(output_dir)
+    try:
+        _stage_outputs(doc, output_dir)
+    except OSError as e:
+        raise GeonormError(f"cannot write the report under {output_dir}: {e.strerror}") from None
+
+
+def _stage_outputs(doc, output_dir: Path):
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=output_dir))
     try:
         (staging / "report.json").write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -356,7 +367,7 @@ def cmd_normal_set(cfg: RunConfig, src: str, dst: str, modes, export_hull: str |
     _require(cfg, "cities", "borders", "regions")
     w = _load_world(cfg)
     for mode in modes:
-        ns = normal_set(w, src, dst, mode, boundary_step=cfg.boundary_step, city_limit=cfg.city_limit)
+        ns = normal_set(w, src, dst, mode, city_limit=cfg.city_limit)
         label = "unclassifiable (pair spans more than a hemisphere)" if ns.unclassifiable else ", ".join(sorted(ns.countries))
         print(f"{mode}: {label}")
         if export_hull and not ns.unclassifiable and src != dst:
@@ -378,7 +389,10 @@ def _export_hull(w, src, dst, mode, cfg, path):
         "properties": {"src": src, "dst": dst, "mode": mode, "kind": hull.degenerate_kind},
         "geometry": {"type": "LineString", "coordinates": coordinates},
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    except OSError as e:
+        raise GeonormError(f"cannot write the hull ring to {path}: {e.strerror}") from None
 
 
 def cmd_classify_one(cfg: RunConfig, line: str) -> int:
@@ -401,7 +415,7 @@ def cmd_classify_one(cfg: RunConfig, line: str) -> int:
     if isinstance(tp, Skip):
         print(f"skipped: {tp.reason}")
         return 1
-    ns = normal_set(w, tp.src_country, tp.dst_country, cfg.mode, boundary_step=cfg.boundary_step, city_limit=cfg.city_limit)
+    ns = normal_set(w, tp.src_country, tp.dst_country, cfg.mode, city_limit=cfg.city_limit)
     pc = classify_path_with(tp, ns)
     tuples = " ".join(f"({h.phys_country},AS{h.asn})" for h in tp.hops) or "(empty)"
     print(f"tuple path: {tp.src_country} -> {tp.dst_country} via {tuples}")
@@ -439,7 +453,6 @@ def _build_parser():
             p.add_argument("--origin-table")
             p.add_argument("--as-registry")
         p.add_argument("--mode", choices=("population", "border"))
-        p.add_argument("--boundary-step", type=float)
         p.add_argument("--city-limit", type=int)
 
     p = sub.add_parser("analyze", help="classify a traceroute file and write the exposure report")

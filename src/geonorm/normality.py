@@ -1,41 +1,33 @@
 """Geographically-normal country sets per (source, destination) pair.
 
 A country is normal for a pair when any of its top cities falls inside the
-pair's convex hull, or when any point sampled along the hull's edges falls
-inside the country's borders (partial containment). A pair whose combined
-point set spans more than a hemisphere is unclassifiable: "between" has no
-meaning there, and callers must keep such paths out of normality statistics
-rather than guessing.
+pair's convex hull, or when any of its border polygons is at least partially
+inside it (see _meets). A pair whose combined point set spans more than a
+hemisphere is unclassifiable: "between" has no meaning there, and callers
+must keep such paths out of normality statistics rather than guessing.
 
 Both scans are pruned by bounding caps, and every skipped test is one that
-would fail, so membership is exactly that of the unpruned scans. The hull
-gets a cap that covers its ANGLE_TOL boundary band (see _hull_cap), and
-every hull-edge sample too. Each country's top cities get one cap, built
-once per world and city limit (see _city_caps); a country whose cap misses
-the hull's is skipped, and the others' cities are tested only when they lie
-in the hull's cap. A border polygon whose exact-width cap misses the hull's
-is skipped, and for the others only the samples that HullSamples.near finds
-within the polygon's cap, in closed form per hull edge, are computed and
-tested. Two caps of radii r and r' are apart when their centers' dot product
-is below cos(r + r'), which is tested in cos/sin form and only when
-r + r' < pi.
+would fail, so membership is exactly that of the unpruned scans. Caps cover
+the hull with its ANGLE_TOL band (_hull_cap), each hull edge (_hull_edges),
+each country's top cities (_city_caps, built once per world and city limit)
+and each border polygon (GeoPolygon._cap). Caps of radii r and r' are apart
+when their centers' dot product is below cos(r + r'), tested in cos/sin
+form and only when r + r' < pi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .errors import HemisphereViolation, UnknownCountry
 from .sphere import (
     ANGLE_TOL,
     CAP_SLACK,
-    DEFAULT_BOUNDARY_STEP_DEG,
+    _arc_meets,
     _dot,
     _hull_contains_vec,
     _polygon_contains_vec,
-    check_boundary_step,
-    hull_boundary_samples,
     spherical_convex_hull,
 )
 from .world import DEFAULT_CITY_LIMIT, WorldModel, country_points
@@ -68,7 +60,6 @@ def normal_set(
     dst: str,
     mode: str = "population",
     *,
-    boundary_step: float = DEFAULT_BOUNDARY_STEP_DEG,
     city_limit: int = DEFAULT_CITY_LIMIT,
 ) -> NormalSet:
     """Compute the normal set for one country pair.
@@ -76,7 +67,6 @@ def normal_set(
     Symmetric in src and dst. A country that is both source and destination
     is alone in its own normal set; no hull is built for it.
     """
-    check_boundary_step(boundary_step)
     for iso2 in (src, dst):
         if iso2 not in w.countries:
             raise UnknownCountry(iso2, suggestions=_suggest(w, iso2))
@@ -99,19 +89,53 @@ def normal_set(
                 members.add(iso2)
                 break
 
-    samples = hull_boundary_samples(hull, boundary_step)
+    edges = _hull_edges(hull)
     for iso2, cb in w.borders.items():
         if iso2 in members:
             continue
         for poly in cb.polygons:
             center, _, cos_r, sin_r = poly._cap
-            if _apart(hull_center, hull_cos, hull_sin, center, cos_r, sin_r):
-                continue
-            if any(_polygon_contains_vec(poly, samples[i]) for i in samples.near(center, cos_r)):
+            if not _apart(hull_center, hull_cos, hull_sin, center, cos_r, sin_r) and _meets(poly, hull, edges):
                 members.add(iso2)
                 break
 
     return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset(members))
+
+
+def _hull_edges(hull):
+    """(a, b, n, cap center, cos r, sin r) per edge a-b of hull, n its unit normal: none for a point, one for an arc.
+
+    The cap is _cap over a and b plus CAP_SLACK, which covers its acos and
+    the ANGLE_TOL band of _arc_meets.
+    """
+    vts = hull.vertices
+    edges = []
+    for i in range({"point": 0, "arc": 1}.get(hull.degenerate_kind, len(vts))):
+        a, b = vts[i], vts[(i + 1) % len(vts)]
+        center, radius = _cap((a, b))
+        r = radius + CAP_SLACK
+        edges.append((a, b, hull._edge_normals[i], center, math.cos(r), math.sin(r)))
+    return edges
+
+
+def _meets(poly, hull, edges) -> bool:
+    """True when border polygon poly and hull share a point, within ANGLE_TOL; edges is _hull_edges(hull).
+
+    They do when an edge of poly meets a hull edge. Only hull edges whose
+    cap reaches poly's cap, of radius r, and whose great circle passes
+    within r of its center, which needs r < pi/2 to be read from sin r, can
+    meet one. Failing that, neither boundary crosses the other, so one
+    outer-ring vertex in the hull or one hull vertex in poly decides.
+    """
+    center, _, cos_r, sin_r = poly._cap
+    for a, b, n, edge_center, edge_cos, edge_sin in edges:
+        if _apart(edge_center, edge_cos, edge_sin, center, cos_r, sin_r):
+            continue
+        if cos_r > 0.0 and abs(_dot(n, center)) > sin_r:
+            continue
+        if _arc_meets(a, b, n, poly._edges):
+            return True
+    return _hull_contains_vec(hull, poly._ring_vecs[0][0]) or _polygon_contains_vec(poly, hull.vertices[0])
 
 
 def _apart(c1, cos1, sin1, c2, cos2, sin2) -> bool:
@@ -225,7 +249,7 @@ class PairCache:
     Not thread-safe: each analyze shard is a process with its own cache.
     """
 
-    boundary_step: float = DEFAULT_BOUNDARY_STEP_DEG
+    boundary_step: InitVar[float | None] = None  # accepted and ignored: perfbench/chain.py still passes it
     city_limit: int = DEFAULT_CITY_LIMIT
     hits: int = 0
     misses: int = 0
@@ -237,7 +261,7 @@ class PairCache:
         if found is not None:
             self.hits += 1
             return found
-        ns = normal_set(w, src, dst, mode, boundary_step=self.boundary_step, city_limit=self.city_limit)
+        ns = normal_set(w, src, dst, mode, city_limit=self.city_limit)
         self.misses += 1
         self._entries[key] = ns
         return ns

@@ -32,7 +32,6 @@ class Hop(NamedTuple):
 class TracerouteRecord(NamedTuple):
     src_ip: str
     dst_ip: str
-    timestamp: float
     hops: tuple[Hop, ...]
 
 
@@ -94,7 +93,8 @@ def parse_traceroute_line(line: str, source: str = "<line>", line_no: int = 1) -
 
     Every address must parse as IPv4 or IPv6, ttl must be an integer and
     timestamp a finite number, neither a boolean nor a string; anything else
-    is a ParseError naming the line.
+    is a ParseError naming the line. The timestamp is checked but not kept,
+    since no result depends on it.
     """
     try:
         doc = json.loads(line)
@@ -133,7 +133,7 @@ def parse_traceroute_line(line: str, source: str = "<line>", line_no: int = 1) -
         raise ParseError(source, line_no, f"non-numeric timestamp {raw!r}")
     if not abs(raw) <= sys.float_info.max:  # NaN, infinities and integers no float holds
         raise ParseError(source, line_no, f"non-finite timestamp {raw!r}")
-    return TracerouteRecord(src_ip, dst_ip, float(raw), tuple(hops))
+    return TracerouteRecord(src_ip, dst_ip, tuple(hops))
 
 
 def _open_binary(path):

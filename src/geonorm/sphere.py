@@ -8,17 +8,17 @@ great circles to straight lines, so a planar convex hull of the projected
 points is exactly the spherical convex hull, provided every point lies in
 the open hemisphere around the projection center.
 
-Hull-edge samples are unit-vector tuples, computed as they are indexed; the
-samples that can lie near a point are found in closed form from each edge's
-great circle, without computing any. Each polygon carries a bounding cap of
-exact width, the cap over its vertices widened only by CAP_SLACK, built from
-its vertex vectors alone; the projected rings that exact containment needs
-are built the first time a point inside that cap is tested.
+Two minor arcs meet when they cross, by the sign test of S2's
+S2EdgeCrosser, or when an end of one lies within ANGLE_TOL of the other
+(_arc_meets). Each polygon carries a bounding cap of exact width, the cap
+over its vertices widened only by CAP_SLACK, and its edge normals, both
+built from its vertex vectors alone; the projected rings that point
+containment needs are built the first time a point inside that cap is
+tested.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -38,12 +38,6 @@ DEDUP_TOL = 1e-9
 # the dot products, acos and cos behind cap radii and cap tests (at most
 # ~3e-8 rad) and the ANGLE_TOL edge band, with room to spare.
 CAP_SLACK = 1e-6
-
-# Default spacing of hull-edge samples, degrees of arc (~5.5 km).
-DEFAULT_BOUNDARY_STEP_DEG = 0.05
-# Smallest spacing accepted. A hull lies in an open hemisphere, so its
-# perimeter is under 360 degrees and a build makes under 360,000 samples.
-MIN_BOUNDARY_STEP_DEG = 0.001
 
 
 def _normalize_lon(lon: float) -> float:
@@ -124,16 +118,6 @@ def unit_to_geo(v: tuple[float, float, float]) -> GeoPoint:
     lat = math.degrees(math.asin(max(-1.0, min(1.0, z))))
     lon = math.degrees(math.atan2(y, x)) if (x != 0.0 or y != 0.0) else 0.0
     return GeoPoint(lat, lon)
-
-
-def _slerp(a, b, t, ang=None):
-    ang = _angle(a, b) if ang is None else ang
-    if ang < 1e-15:
-        return a
-    s = math.sin(ang)
-    ca = math.sin((1.0 - t) * ang) / s
-    cb = math.sin(t * ang) / s
-    return (ca * a[0] + cb * b[0], ca * a[1] + cb * b[1], ca * a[2] + cb * b[2])
 
 
 def _tangent_basis(center):
@@ -275,6 +259,37 @@ def _near_arc(p, a, b, n) -> bool:
     return _angle(p, a) <= ANGLE_TOL or _angle(p, b) <= ANGLE_TOL
 
 
+def _arc_meets(a, b, n, edges) -> bool:
+    """True when the minor arc a-b crosses or comes within ANGLE_TOL of an arc (c, d, m) in edges; n, m are unit normals.
+
+    They cross when the orientations ACB, CBD, BDA and DAC agree, as in S2's
+    S2EdgeCrosser: c, d on opposite sides of the circle of a-b, a, b on
+    opposite sides of that of c-d, and the circles meeting on the arcs, not
+    at their antipodes. Otherwise they are closest at an end, so they touch
+    when an end is _near_arc the other arc. An arc c-d with both ends more
+    than 2 * ANGLE_TOL to one side of the circle of a-b is skipped: no point
+    of it is that close, and _near_arc reaches about 1.5 * ANGLE_TOL.
+    """
+    nx, ny, nz = n
+    for c, d, m in edges:
+        nc = nx * c[0] + ny * c[1] + nz * c[2]
+        nd = nx * d[0] + ny * d[1] + nz * d[2]
+        if (nc > 2 * ANGLE_TOL and nd > 2 * ANGLE_TOL) or (nc < -2 * ANGLE_TOL and nd < -2 * ANGLE_TOL):
+            continue
+        ma = m[0] * a[0] + m[1] * a[1] + m[2] * a[2]
+        mb = m[0] * b[0] + m[1] * b[1] + m[2] * b[2]
+        if (nc > 0.0 and nd < 0.0 and mb > 0.0 and ma < 0.0) or (nc < 0.0 and nd > 0.0 and mb < 0.0 and ma > 0.0):
+            return True
+        if (
+            (-ANGLE_TOL <= nc <= ANGLE_TOL and _near_arc(c, a, b, n))
+            or (-ANGLE_TOL <= nd <= ANGLE_TOL and _near_arc(d, a, b, n))
+            or (-ANGLE_TOL <= ma <= ANGLE_TOL and _near_arc(a, c, d, m))
+            or (-ANGLE_TOL <= mb <= ANGLE_TOL and _near_arc(b, c, d, m))
+        ):
+            return True
+    return False
+
+
 def _hull_contains_vec(h: SphericalHull, p) -> bool:
     vts = h.vertices
     if h.degenerate_kind == "point":
@@ -289,91 +304,6 @@ def _hull_contains_vec(h: SphericalHull, p) -> bool:
 def hull_contains(h: SphericalHull, p: GeoPoint) -> bool:
     """True iff p is inside or on the boundary of h (tolerance ANGLE_TOL radians)."""
     return _hull_contains_vec(h, p._vec)
-
-
-def check_boundary_step(step: float) -> None:
-    """Raise ValidationError unless step, in degrees, is at least MIN_BOUNDARY_STEP_DEG."""
-    if not step >= MIN_BOUNDARY_STEP_DEG:  # NaN too
-        raise ValidationError(f"sampling step must be at least {MIN_BOUNDARY_STEP_DEG} degrees, got {step}")
-
-
-class HullSamples(Sequence):
-    """Read-only sequence of unit vectors along every edge of h at spacing <= step degrees, vertices included.
-
-    An edge from a to b, ang radians long, is cut into segs equal parts; its
-    k-th sample is the slerp point at k / segs. A polygon edge omits its end,
-    which opens the next edge. A bad step raises at once; a sample is computed
-    when first indexed, then kept. edge_ranges holds each edge's index range,
-    and near() finds the samples close to a point without computing any.
-    """
-
-    def __init__(self, h: SphericalHull, step: float = DEFAULT_BOUNDARY_STEP_DEG):
-        check_boundary_step(step)
-        step_rad = math.radians(step)
-        vts = h.vertices
-        self._edges = []  # (first index, a, b, ang, segs, tangent at a for near(), when segs > 2)
-        self._starts = []
-        start = 0
-        for i in range(1 if h.degenerate_kind == "arc" else len(vts)):
-            a, b = vts[i], vts[(i + 1) % len(vts)]
-            ang = _angle(a, b)
-            segs = max(1, math.ceil(ang / step_rad - 1e-9))
-            self._edges.append((start, a, b, ang, segs, _cross(h._edge_normals[i], a) if segs > 2 else None))
-            self._starts.append(start)
-            start += segs + (h.degenerate_kind == "arc")  # an arc keeps its end
-        self.edge_ranges = tuple(map(range, self._starts, self._starts[1:] + [start]))
-        self._vecs = [vts[0]] if h.degenerate_kind == "point" else [None] * start
-
-    def __len__(self):
-        return len(self._vecs)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self._vecs)))]
-        v = self._vecs[i]
-        if v is None:
-            i %= len(self._vecs)
-            first, a, b, ang, segs, _ = self._edges[bisect.bisect_right(self._starts, i) - 1]
-            v = self._vecs[i] = _normalized(_slerp(a, b, (i - first) / segs, ang))
-        return v
-
-    def near(self, center, cos_r):
-        """Indices of the samples that may lie within r of the unit vector center, where cos_r = cos r.
-
-        Every other sample s has _dot(center, s) < cos_r, up to rounding
-        (~1e-15). On an edge from a, with tangent t at a, the sample at arc
-        angle theta from a is cos(theta) a + sin(theta) t, so _dot(center, s)
-        is rho cos(theta - theta0), where (rho, theta0) is the polar form of
-        (center.a, center.t). That reaches cos_r only within
-        acos(cos_r / rho) of theta0 or of theta0 + 2 pi, and the window
-        tested is that wide plus CAP_SLACK. Edges of at most two segments
-        are tested whole.
-        """
-        cx, cy, cz = center
-        for (first, a, _, ang, segs, t), r in zip(self._edges, self.edge_ranges):
-            if segs <= 2:
-                yield from r
-                continue
-            along = cx * a[0] + cy * a[1] + cz * a[2]
-            across = cx * t[0] + cy * t[1] + cz * t[2]
-            rho2 = along * along + across * across
-            if cos_r > 0.0 and rho2 < cos_r * cos_r:
-                continue  # center is farther than r from the edge's great circle
-            rho = math.sqrt(rho2)
-            half = math.acos(min(1.0, cos_r / rho)) + CAP_SLACK if cos_r > -rho else math.pi
-            if half >= math.pi:
-                yield from r
-                continue
-            theta0 = math.atan2(across, along)
-            per_rad = segs / ang
-            for mid in (theta0, theta0 + 2 * math.pi) if theta0 < 0.0 else (theta0,):
-                lo = max(0, math.ceil((mid - half) * per_rad))
-                hi = min(len(r) - 1, math.floor((mid + half) * per_rad))
-                if lo <= hi:
-                    yield from range(first + lo, first + hi + 1)
-
-
-hull_boundary_samples = HullSamples
 
 
 @dataclass(frozen=True)
@@ -417,23 +347,23 @@ class GeoPolygon:
         return center, math.cos(cap_ang + CAP_SLACK), math.cos(r), math.sin(r)
 
     @cached_property
-    def _frame(self):
-        """Projection center/basis, projected rings, edge normals, and the cap cosine of _cap."""
-        center, cap_cos, _, _ = self._cap
-        e1, e2 = _tangent_basis(center)
-        rings_2d = tuple(
-            tuple(_gnomonic(center, e1, e2, v) for v in ring) for ring in self._ring_vecs
-        )
+    def _edges(self):
+        """(a, b, n) for every edge of every ring, n the unit normal of a x b; zero-length edges are left out."""
         edges = []
         for ring in self._ring_vecs:
-            n = len(ring)
-            for i in range(n):
-                a, b = ring[i], ring[(i + 1) % n]
+            for a, b in zip(ring, ring[1:] + ring[:1]):
                 c = _cross(a, b)
                 nn = _norm(c)
                 if nn > 1e-15:
                     edges.append((a, b, (c[0] / nn, c[1] / nn, c[2] / nn)))
-        return center, e1, e2, rings_2d, tuple(edges), cap_cos
+        return tuple(edges)
+
+    @cached_property
+    def _frame(self):
+        """Basis of the tangent plane at the _cap center, and the rings projected onto it."""
+        center = self._cap[0]
+        e1, e2 = _tangent_basis(center)
+        return e1, e2, tuple(tuple(_gnomonic(center, e1, e2, v) for v in ring) for ring in self._ring_vecs)
 
 
 def _even_odd(rings_2d, x, y):
@@ -452,19 +382,17 @@ def _even_odd(rings_2d, x, y):
 
 
 def _polygon_contains_vec(poly: GeoPolygon, p) -> bool:
-    center, e1, e2, rings_2d, edges, cap_cos = poly._frame
+    center, cap_cos, _, _ = poly._cap
     d = _dot(center, p)
-    # cheap rejection outside the bounding cap
-    if d < cap_cos:
+    # cheap rejection outside the bounding cap, before any projection is built
+    if d < cap_cos or d <= 1e-9:
         return False
-    if d <= 1e-9:
-        return False
-    x, y = _dot(e1, p) / d, _dot(e2, p) / d
-    if _even_odd(rings_2d, x, y):
+    e1, e2, rings_2d = poly._frame
+    if _even_odd(rings_2d, _dot(e1, p) / d, _dot(e2, p) / d):
         return True
     # points on any border edge (outer or hole) count as inside; _near_arc's first test is inlined
     px, py, pz = p
-    return any(abs(n[0] * px + n[1] * py + n[2] * pz) <= ANGLE_TOL and _near_arc(p, a, b, n) for a, b, n in edges)
+    return any(abs(n[0] * px + n[1] * py + n[2] * pz) <= ANGLE_TOL and _near_arc(p, a, b, n) for a, b, n in poly._edges)
 
 
 def polygon_contains(poly: GeoPolygon, p: GeoPoint) -> bool:

@@ -151,12 +151,17 @@ class TestNormalSet:
         assert coords[0] == coords[-1]  # closed ring
         assert len(coords) >= 4
 
-    def test_boundary_step_below_floor_rejected_before_any_build(self, capsys, monkeypatch):
-        # 1e-300 once sampled hull edges until memory ran out
-        monkeypatch.setattr(cli, "normal_set", lambda *a, **k: pytest.fail("a normal set was built"))
-        code, out, err = run(capsys, "normal-set", *world_args(), "AA", "AC", "--boundary-step", "1e-300")
-        assert code == 1 and out == ""
-        assert err == "error: boundary-step must be at least 0.001 degrees, got 1e-300\n"
+    def test_export_hull_to_a_missing_directory_is_one_error_line(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "h.json"
+        code, out, err = run(capsys, "normal-set", *world_args(), "AA", "AC", "--export-hull", str(target))
+        assert code == 1
+        assert err == f"error: cannot write the hull ring to {target}: No such file or directory\n"
+
+    def test_boundary_step_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["normal-set", *world_args(), "AA", "AC", "--boundary-step", "0.05"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --boundary-step 0.05" in capsys.readouterr().err
 
 
 class TestClassifyOne:
@@ -251,6 +256,29 @@ class TestAnalyze:
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["global_don"] == {"physical": None, "legal": None, "union": None}
 
+    def test_output_dir_under_a_file_fails_before_any_record(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "read_traceroutes", lambda *a, **k: pytest.fail("a record was read"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(
+            capsys, "analyze", *world_args(), *table_args(),
+            "--traceroutes", str(PIPELINE12 / "traceroutes.ndjson"), "--output-dir", str(blocker / "out"),
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: cannot create output directory {blocker / 'out'}: Not a directory\n"
+
+    def test_unwritable_output_is_one_error_line(self, capsys, tmp_path, monkeypatch):
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.tempfile, "mkdtemp", full)
+        code, out, err = run(
+            capsys, "analyze", *world_args(), *table_args(),
+            "--traceroutes", str(PIPELINE12 / "traceroutes.ndjson"), "--output-dir", str(tmp_path),
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: cannot write the report under {tmp_path}: No space left on device\n"
+
     def test_invalid_worker_count_rejected(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "analyze", *world_args(), *table_args(),
@@ -291,8 +319,7 @@ class TestConfigFile:
         ("5", "must hold a JSON object, got 5"),
         ('"ab"', 'must hold a JSON object, got "ab"'),
         ('{"workers": "2"}', "workers must be an integer, got '2'"),
-        ('{"boundary_step": "0.1"}', "boundary_step must be a number, got '0.1'"),
-        ('{"boundary_step": NaN}', "boundary-step must be at least 0.001 degrees, got nan"),
+        ('{"boundary_step": 0.05}', "unknown keys ['boundary_step']"),
         ('{"city_limit": 2.5}', "city_limit must be an integer, got 2.5"),
         ('{"top_n": true}', "top_n must be an integer, got True"),
         ('{"cities": 5}', "cities must be a string, got 5"),

@@ -17,7 +17,7 @@ from geonorm.synth import generate_records
 
 def record(src_ip, dst_ip, ips):
     return TracerouteRecord(
-        src_ip=src_ip, dst_ip=dst_ip, timestamp=0.0,
+        src_ip=src_ip, dst_ip=dst_ip,
         hops=tuple(Hop(ttl=i + 1, ip=ip) for i, ip in enumerate(ips)),
     )
 

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import random
@@ -7,19 +6,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 import geonorm.normality as normality_mod
-from geonorm.errors import HemisphereViolation, UnknownCountry, ValidationError
-from geonorm.normality import NormalSet, PairCache, _apart, _hull_cap, classify, normal_set
+from geonorm.errors import HemisphereViolation, UnknownCountry
+from geonorm.normality import NormalSet, PairCache, _apart, _hull_cap, _hull_edges, _meets, classify, normal_set
 from geonorm.sphere import (
     ANGLE_TOL,
     GeoPoint,
     _angle,
+    _arc_meets,
     _cross,
     _dot,
     _hull_contains_vec,
     _normalized,
     _polygon_contains_vec,
     geo_to_unit,
-    hull_boundary_samples,
     spherical_convex_hull,
     unit_to_geo,
 )
@@ -92,7 +91,7 @@ class TestNormalSet:
 
     def test_partial_containment_via_border_crossing(self, small_world):
         # BE-BF hulls cross AB territory; population mode finds Beta City
-        # inside, border mode finds AB via hull-edge samples in its borders
+        # inside, border mode finds AB's border crossing the hull's edges
         for mode in ("population", "border"):
             assert "AB" in normal_set(small_world, "BE", "BF", mode).countries
 
@@ -137,21 +136,6 @@ class TestUnclassifiable:
         assert verdict.benefactors == frozenset({"QQ"})
 
 
-class TestBoundaryStepCheck:
-    @pytest.mark.parametrize("step", [0, -1, math.nan, 0.000999])
-    def test_rejected_before_any_hull(self, small_world, monkeypatch, step):
-        def no_hull(points):
-            raise AssertionError("hull built before the step was checked")
-
-        monkeypatch.setattr(normality_mod, "spherical_convex_hull", no_hull)
-        # same country, unclassifiable and ordinary pairs
-        for w, a, b in [(small_world, "AA", "AA"), (antipodal_world(), "PX", "PY"), (small_world, "AA", "AC")]:
-            with pytest.raises(ValidationError, match="sampling step must be at least 0.001 degrees"):
-                normal_set(w, a, b, "population", boundary_step=step)
-            with pytest.raises(ValidationError, match="sampling step must be at least 0.001 degrees"):
-                PairCache(boundary_step=step).get_or_build(w, a, b, "border")
-
-
 class TestClassify:
     def test_same_country_rule(self):
         ns = NormalSet(src="US", dst="US", mode="population", countries=frozenset({"US"}))
@@ -187,7 +171,7 @@ class TestClassify:
 
 
 class TestBordersOnlyCountry:
-    def test_included_through_hull_edge_samples(self, tmp_path):
+    def test_included_through_partial_containment(self, tmp_path):
         # ZQ has borders straddling the AA-AB hull's lower edge but no city
         # rows: it must still join the normal set via partial containment
         import json
@@ -211,6 +195,12 @@ class TestBordersOnlyCountry:
 
 
 class TestPairCache:
+    def test_boundary_step_keyword_is_ignored(self, small_world):
+        # perfbench/chain.py still passes it
+        cache = PairCache(boundary_step=1e-300)
+        assert cache == PairCache()
+        assert cache.get_or_build(small_world, "BE", "BF", "border") == normal_set(small_world, "BE", "BF", "border")
+
     def test_reversed_pair_hits_cache(self, small_world):
         cache = PairCache()
         first = cache.get_or_build(small_world, "AA", "AB", "population")
@@ -240,8 +230,20 @@ class TestPairCache:
         )
 
 
-def unpruned_normal_set(w, src, dst, mode, boundary_step, samples_of=hull_boundary_samples):
-    """Reference: normal_set as it was before cap pruning, every sample against every polygon."""
+def hull_edges(hull):
+    vts = hull.vertices
+    count = {"point": 0, "arc": 1}.get(hull.degenerate_kind, len(vts))
+    return [(vts[i], vts[(i + 1) % len(vts)], hull._edge_normals[i]) for i in range(count)]
+
+
+def exact_normal_set(w, src, dst, mode):
+    """Reference: "at least partially inside" by brute force, with no caps.
+
+    A country is normal when a top city is in the hull, or when one of its
+    border polygons shares a point with the hull: a vertex of any ring in the
+    hull, a hull vertex in the polygon, or a crossing or touching pair out of
+    every hull edge and every polygon edge.
+    """
     if src == dst:
         return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset({src}))
     points = country_points(w, src, mode, DEFAULT_CITY_LIMIT) + country_points(w, dst, mode, DEFAULT_CITY_LIMIT)
@@ -251,16 +253,16 @@ def unpruned_normal_set(w, src, dst, mode, boundary_step, samples_of=hull_bounda
         return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset({src, dst}), unclassifiable=True)
     members = {src, dst}
     for iso2, rec in w.countries.items():
-        if iso2 in members:
-            continue
         if any(_hull_contains_vec(hull, geo_to_unit(c.location)) for c in rec.top_cities(DEFAULT_CITY_LIMIT)):
             members.add(iso2)
-    sample_vecs = samples_of(hull, boundary_step)
     for iso2, cb in w.borders.items():
-        if iso2 in members:
-            continue
-        if any(_polygon_contains_vec(poly, v) for poly in cb.polygons for v in sample_vecs):
-            members.add(iso2)
+        for poly in cb.polygons:
+            if (
+                any(_hull_contains_vec(hull, v) for ring in poly._ring_vecs for v in ring)
+                or any(_polygon_contains_vec(poly, v) for v in hull.vertices)
+                or any(_arc_meets(a, b, n, [edge]) for a, b, n in hull_edges(hull) for edge in poly._edges)
+            ):
+                members.add(iso2)
     return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset(members))
 
 
@@ -288,57 +290,123 @@ def grid_world(seed=3, rows=6, cols=6):
 
 
 class TestCapPruningOracle:
-    """The cap-pruned scan against the unpruned reference, over every pair."""
+    """The cap-pruned scan against the brute-force reference, over every pair."""
 
     @pytest.mark.parametrize("world_name", ["small_world", "real_world", "grid_world"])
-    def test_identical_to_unpruned(self, request, world_name, monkeypatch):
+    def test_identical_to_brute_force(self, request, world_name):
         w = grid_world() if world_name == "grid_world" else request.getfixturevalue(world_name)
-        # samples are a pure function of (hull, step); sharing them saves a second sampling pass
-        samples_of = functools.cache(hull_boundary_samples)
-        monkeypatch.setattr(normality_mod, "hull_boundary_samples", samples_of)
         for a, b in itertools.combinations(sorted(w.countries), 2):
             for mode in ("population", "border"):
-                for step in (0.05, 0.2):
-                    expected = unpruned_normal_set(w, a, b, mode, step, samples_of)
-                    assert normal_set(w, a, b, mode, boundary_step=step) == expected
+                assert normal_set(w, a, b, mode) == exact_normal_set(w, a, b, mode)
 
     def test_grid_world_prunes(self, monkeypatch):
         # the oracle above is only meaningful if pruning happens there
         w = grid_world()
-        calls = []
+        pairs = []
         monkeypatch.setattr(
-            normality_mod, "_polygon_contains_vec", lambda poly, v: calls.append(1) or _polygon_contains_vec(poly, v)
+            normality_mod, "_arc_meets", lambda a, b, n, edges: pairs.append(len(edges)) or _arc_meets(a, b, n, edges)
         )
         # a diagonal pair: with exact-width polygon caps no polygon reaches a same-row hull
         ns = normal_set(w, "GA", "GO", "population")
         hull = spherical_convex_hull(country_points(w, "GA", "population") + country_points(w, "GO", "population"))
-        polys = sum(len(cb.polygons) for iso2, cb in w.borders.items() if iso2 not in ns.countries)
-        assert 0 < len(calls) < len(hull_boundary_samples(hull)) * polys // 10
+        edges = sum(len(poly._edges) for iso2, cb in w.borders.items() if iso2 not in ns.countries for poly in cb.polygons)
+        assert 0 < sum(pairs) < len(hull.vertices) * edges // 10
 
 
-class TestLazySampling:
-    # _polygon_contains_vec calls over the builds below with closed-form
-    # sample windows (437 when every sample was computed up front and tested
-    # in runs of 32 under one cap each, 281 with bisected runs)
-    EAGER_SCAN_POLYGON_TESTS = 171
+class TestExactPartialContainment:
+    """Members that hull-edge samples every 0.05 degrees never found."""
 
-    def test_few_samples_computed(self, small_world, monkeypatch):
-        built, tests = [], []
-
-        def samples_of(hull, step):
-            built.append(hull_boundary_samples(hull, step))
-            return built[-1]
-
-        monkeypatch.setattr(normality_mod, "hull_boundary_samples", samples_of)
-        monkeypatch.setattr(
-            normality_mod, "_polygon_contains_vec", lambda poly, v: tests.append(1) or _polygon_contains_vec(poly, v)
+    def test_cityless_island_inside_the_hull(self, small_world):
+        island = GeoPolygon(rings=((GeoPoint(-5.2, 8.05), GeoPoint(-5.2, 8.45), GeoPoint(-4.8, 8.45), GeoPoint(-4.8, 8.05)),))
+        w = WorldModel(
+            countries=small_world.countries,
+            borders={**small_world.borders, "ZI": CountryBorders(iso2="ZI", polygons=(island,))},
+            region_of={**small_world.region_of, "ZI": "Africa"},
         )
-        for a, b in itertools.combinations(sorted(small_world.countries), 2):
+        for mode in ("population", "border"):
+            hull = spherical_convex_hull(country_points(w, "BE", mode) + country_points(w, "BF", mode))
+            assert all(_hull_contains_vec(hull, v) for v in island._ring_vecs[0])
+            assert "ZI" in normal_set(w, "BE", "BF", mode).countries
+
+    def test_sliver_across_a_hull_corner(self, small_world):
+        # a thin strip cuts the AA-AB hull's corner at Alpha Port, crossing both
+        # of its edges within 0.01 degrees of the vertex, where no 0.05-degree
+        # sample lies; no vertex of either lies in the other
+        hull = spherical_convex_hull(country_points(small_world, "AA", "population") + country_points(small_world, "AB", "population"))
+        k = hull.vertices.index(geo_to_unit(GeoPoint(1.0, 1.0)))
+        v, u, w_ = hull.vertices[k], hull.vertices[k - 1], hull.vertices[(k + 1) % len(hull.vertices)]
+        toward = lambda t: _normalized(tuple(ti - _dot(v, t) * vi for vi, ti in zip(v, t)))
+        s = math.radians(0.01)
+        p1, p2 = (_normalized(tuple(math.cos(s) * vi + math.sin(s) * ti for vi, ti in zip(v, toward(t)))) for t in (w_, u))
+        along = _normalized(tuple(a - b for a, b in zip(p1, p2)))
+        inward = _normalized(tuple(vi - (a + b) / 2 for vi, a, b in zip(v, p1, p2)))
+        shift = 0.3 * _angle(v, _normalized(tuple((a + b) / 2 for a, b in zip(p1, p2))))
+        move = lambda p, d, x: _normalized(tuple(pi + x * di for pi, di in zip(p, d)))
+        q1, q2 = move(p1, along, 10 * s), move(p2, along, -10 * s)
+        strip = (q1, move(q1, inward, shift), move(q2, inward, shift), q2)
+        sliver = GeoPolygon(rings=(tuple(unit_to_geo(q) for q in strip),))
+        assert not any(_hull_contains_vec(hull, q) for q in sliver._ring_vecs[0])
+        assert not any(_polygon_contains_vec(sliver, x) for x in hull.vertices)
+        w = WorldModel(
+            countries=small_world.countries,
+            borders={**small_world.borders, "ZS": CountryBorders(iso2="ZS", polygons=(sliver,))},
+            region_of={**small_world.region_of, "ZS": "Africa"},
+        )
+        assert "ZS" in normal_set(w, "AA", "AB", "population").countries
+
+
+def _square(lat0, lon0, lat1, lon1):
+    return (GeoPoint(lat0, lon0), GeoPoint(lat0, lon1), GeoPoint(lat1, lon1), GeoPoint(lat1, lon0))
+
+
+class TestMeets:
+    """_meets on a hull over the square lat 0..4, lon 0..4, whose southern edge lies on the equator."""
+
+    HULL = spherical_convex_hull(_square(0, 0, 4, 4))
+
+    def meets(self, *rings, hull=HULL):
+        return _meets(GeoPolygon(rings=rings), hull, _hull_edges(hull))
+
+    def test_polygon_around_the_hull(self):
+        assert self.meets(_square(-10, -10, 14, 14))
+
+    def test_hull_inside_a_hole(self):
+        assert not self.meets(_square(-10, -10, 14, 14), _square(-2, -2, 6, 6))
+
+    def test_polygon_inside_the_hull(self):
+        assert self.meets(_square(1, 1, 3, 3))
+
+    def test_polygon_apart(self):
+        assert not self.meets(_square(-3, 1, -1, 3))
+
+    @pytest.mark.parametrize("gap, meets", [(0.0, True), (0.5, True), (3.0, False)])
+    def test_vertex_touching_an_edge_within_angle_tol(self, gap, meets):
+        # a triangle below the equator whose apex lies gap * ANGLE_TOL south of the hull's southern edge
+        apex = GeoPoint(-math.degrees(gap * ANGLE_TOL), 2)
+        assert self.meets((apex, GeoPoint(-1, 1), GeoPoint(-1, 3))) == meets
+
+    def test_arc_and_point_hulls(self):
+        arc = spherical_convex_hull([GeoPoint(2, -5), GeoPoint(2, 5)])
+        point = spherical_convex_hull([GeoPoint(2, 2)])
+        assert (arc.degenerate_kind, len(_hull_edges(arc)), len(_hull_edges(point))) == ("arc", 1, 0)
+        assert self.meets(_square(0, 0, 4, 4), hull=arc)  # crosses two edges, no vertex inside
+        assert self.meets(_square(0, 0, 4, 4), hull=point)
+        assert not self.meets(_square(3, 3, 4, 4), hull=point)
+
+
+class TestFrames:
+    def test_crossing_tests_build_no_projection(self):
+        # only a hull vertex inside a polygon's cap needs the polygon's gnomonic
+        # rings, and no smallworld hull has its first vertex in a polygon cap
+        # that the crossing tests reach
+        w = load_world(SMALLWORLD_DIR / "cities.csv", SMALLWORLD_DIR / "borders.geojson", SMALLWORLD_DIR / "regions.csv")
+        for a, b in itertools.combinations(sorted(w.countries), 2):
             for mode in ("population", "border"):
-                normal_set(small_world, a, b, mode)
-        computed = sum(v is not None for samples in built for v in samples._vecs)
-        assert 0 < computed < sum(map(len, built)) // 10
-        assert 0 < len(tests) <= self.EAGER_SCAN_POLYGON_TESTS
+                normal_set(w, a, b, mode)
+        polys = [poly for cb in w.borders.values() for poly in cb.polygons]
+        tested = [poly for poly in polys if "_edges" in poly.__dict__]
+        framed = [poly for poly in polys if "_frame" in poly.__dict__]
+        assert tested and not framed
 
 
 class TestCityCaps:
@@ -493,20 +561,17 @@ class TestHullCap:
 
 
 class TestTraceContract:
-    def test_hull_and_samples_built_once_per_build(self, small_world, monkeypatch):
-        # perfbench/chain.py times these two calls by swapping module globals
-        calls = {"hull": 0, "samples": 0}
+    def test_hull_built_once_per_build(self, small_world, monkeypatch):
+        # perfbench/chain.py times this call by swapping the module global
+        calls = []
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted(points):
+            calls.append(1)
+            return spherical_convex_hull(points)
 
-        monkeypatch.setattr(normality_mod, "spherical_convex_hull", counted("hull", spherical_convex_hull))
-        monkeypatch.setattr(normality_mod, "hull_boundary_samples", counted("samples", hull_boundary_samples))
+        monkeypatch.setattr(normality_mod, "spherical_convex_hull", counted)
         for a, b in itertools.combinations(sorted(small_world.countries), 2):
             for mode in ("population", "border"):
-                calls.update(hull=0, samples=0)
+                calls.clear()
                 assert not normal_set(small_world, a, b, mode).unclassifiable
-                assert calls == {"hull": 1, "samples": 1}
+                assert len(calls) == 1

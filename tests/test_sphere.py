@@ -12,6 +12,7 @@ from geonorm.sphere import (
     GeoPoint,
     GeoPolygon,
     _angle,
+    _arc_meets,
     _cross,
     _dedup,
     _dot,
@@ -19,9 +20,7 @@ from geonorm.sphere import (
     _hull_contains_vec,
     _normalized,
     _polygon_contains_vec,
-    _slerp,
     geo_to_unit,
-    hull_boundary_samples,
     hull_contains,
     polygon_contains,
     spherical_convex_hull,
@@ -232,12 +231,6 @@ class TestHullProperties:
                 # disagreement is only allowed within the rotation tolerance band
                 assert _distance_to_boundary(h, q) <= 1e-6
 
-    @given(hull_input())
-    def test_boundary_samples_contained(self, pts):
-        h = spherical_convex_hull(pts)
-        for v in hull_boundary_samples(h, 0.5):
-            assert _hull_contains_vec(h, v)
-
 
 def _distance_to_boundary(h, p):
     v = geo_to_unit(p)
@@ -255,197 +248,112 @@ def _distance_to_boundary(h, p):
     return best
 
 
-class TestBoundarySamples:
-    def test_point_hull_yields_single_point(self):
-        h = spherical_convex_hull([GeoPoint(3, 4)])
-        samples = hull_boundary_samples(h, 0.5)
-        assert len(samples) == 1
-        assert unit_to_geo(samples[0]).lat == pytest.approx(3)
-
-    def test_one_degree_arc_quarter_degree_step(self):
-        h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 1)])
-        samples = hull_boundary_samples(h, 0.25)
-        assert len(samples) == 5
-        assert unit_to_geo(samples[0]).lon == pytest.approx(0.0, abs=1e-9)
-        assert unit_to_geo(samples[-1]).lon == pytest.approx(1.0, abs=1e-9)
-
-    def test_spacing_never_exceeds_step(self):
-        h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 10), GeoPoint(10, 0)])
-        samples = hull_boundary_samples(h, 0.2)
-        for a, b in zip(samples, samples[1:]):
-            assert _angle(a, b) <= math.radians(0.2) + 1e-9
-
-    def test_vertices_included(self):
-        h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 10), GeoPoint(10, 0)])
-        sampled = {(round(g.lat, 9), round(g.lon, 9)) for g in map(unit_to_geo, hull_boundary_samples(h, 1.0))}
-        for v in h.vertices:
-            g = unit_to_geo(v)
-            assert (round(g.lat, 9), round(g.lon, 9)) in sampled
-
-    def test_rejects_nonpositive_step(self):
-        h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 1)])
-        with pytest.raises(ValidationError):
-            hull_boundary_samples(h, 0)
-
-    @pytest.mark.parametrize("step", [1e-300, 0.000999, math.nan])
-    def test_rejects_step_below_floor(self, step):
-        # the floor caps a build at 360,000 samples; 1e-300 would sample until memory runs out
-        h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 1)])
-        with pytest.raises(ValidationError, match="at least 0.001 degrees"):
-            hull_boundary_samples(h, step)
-
-    @given(hull_input(), st.sampled_from([0.05, 0.2, 1.0]))
-    def test_samples_match_geopoint_round_trip(self, pts, step):
-        # samples were once returned as GeoPoints and converted back to vectors
-        h = spherical_convex_hull(pts)
-        for v in hull_boundary_samples(h, step):
-            assert abs(_dot(v, v) - 1.0) <= 2e-9  # unit length
-            assert _angle(v, geo_to_unit(unit_to_geo(v))) <= 1e-12
+def _on_arc(p, a, b):
+    return _angle(a, p) + _angle(p, b) - _angle(a, b) <= 1e-12
 
 
-def eager_samples(h, step):
-    """Reference: every hull-edge sample computed up front, by the formula the lazy sequence must reproduce."""
-    step_rad = math.radians(step)
-    vts = h.vertices
-    if h.degenerate_kind == "point":
-        return [vts[0]]
-    if h.degenerate_kind == "arc":
-        a, b = vts
-        ang = _angle(a, b)
-        segs = max(1, math.ceil(ang / step_rad - 1e-9))
-        return [_normalized(_slerp(a, b, i / segs, ang)) for i in range(segs + 1)]
-    out = []
-    n = len(vts)
-    for i in range(n):
-        a, b = vts[i], vts[(i + 1) % n]
-        ang = _angle(a, b)
-        segs = max(1, math.ceil(ang / step_rad - 1e-9))
-        out.extend(_normalized(_slerp(a, b, k / segs, ang)) for k in range(segs))
-    return out
+def _point_arc_distance(p, a, b):
+    """Angle from p to the nearest point of the minor arc a-b."""
+    n = _normalized(_cross(a, b))
+    q = tuple(pi - _dot(n, p) * ni for pi, ni in zip(p, n))
+    if math.sqrt(_dot(q, q)) > 1e-12 and _on_arc(_normalized(q), a, b):
+        return _angle(p, _normalized(q))
+    return min(_angle(p, a), _angle(p, b))
+
+
+def arc_distance(a, b, c, d):
+    """Reference: the angle between the minor arcs a-b and c-d, from their circles' meeting points and their ends."""
+    x = _cross(_normalized(_cross(a, b)), _normalized(_cross(c, d)))
+    if math.sqrt(_dot(x, x)) > 1e-12:
+        x = _normalized(x)
+        for y in (x, tuple(-xi for xi in x)):
+            if _on_arc(y, a, b) and _on_arc(y, c, d):
+                return 0.0
+    return min(
+        _point_arc_distance(c, a, b), _point_arc_distance(d, a, b),
+        _point_arc_distance(a, c, d), _point_arc_distance(b, c, d),
+    )
 
 
 @st.composite
-def sampled_hull(draw):
-    """A point, arc or polygon hull with edges from ~1e-7 rad up to ~3.1 rad, and a sampling step in degrees."""
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["point", "arc", "triangle", "cloud"]))
-    length = 10 ** draw(st.floats(-7, math.log10(3.1)))
-    c = offset((0.0, 0.0, 1.0), rng.uniform(0, math.pi), rng)
-    t1 = offset(c, math.pi / 2, rng)
-    t2 = _cross(c, t1)
-    along = lambda t, ang: _normalized(tuple(math.cos(ang) * ci + math.sin(ang) * ti for ci, ti in zip(c, t)))
-    if kind == "point":
-        vecs = [c]
-    elif kind == "arc":
-        vecs = [along(t1, -length / 2), along(t1, length / 2)]
-    elif kind == "triangle":
-        # the base is the long edge; its ends stay in the hemisphere around the mean up to length pi
-        vecs = [along(t1, -length / 2), along(t1, length / 2), along(t2, min(1.4, length * rng.uniform(0.05, 1.0)))]
-    else:
-        vecs = [offset(c, min(0.7, length / 2) * math.sqrt(rng.random()), rng) for _ in range(rng.randint(3, 12))]
-    h = spherical_convex_hull([unit_to_geo(v) for v in vecs])
-    return h, draw(st.sampled_from([0.05, 0.2, 1.0, 5.0]))
+def arc_pairs(draw):
+    """Two minor arcs up to 2.5 rad long, as ((a, b), (c, d)).
 
-
-class TestLazySamples:
-    @given(sampled_hull())
-    def test_matches_eager_formula(self, case):
-        h, step = case
-        eager = eager_samples(h, step)
-        samples = hull_boundary_samples(h, step)
-        n = len(eager)
-        assert len(samples) == n
-        # out of order first, so no sample is computed as a side effect of its neighbour
-        for i in (-1, -n, n // 2, n - 1):
-            assert samples[i] == eager[i]
-        assert samples[n // 3 :: 7] == eager[n // 3 :: 7]
-        assert samples[::-1] == eager[::-1]
-        assert list(samples) == eager
-        assert samples[n // 2] is samples[n // 2 - n]
-        with pytest.raises(IndexError):
-            samples[n]
-        with pytest.raises(IndexError):
-            samples[-n - 1]
-
-
-
-@st.composite
-def edge_and_cap(draw):
-    """An arc or triangle hull, one of its edges, and a cap whose rim lies near that edge's samples.
-
-    Edges run from 1e-6 to 3 rad and steps from 0.05 to 5 degrees. Caps sit
-    across the edge's great circle, over its ends, around its pole (rims
-    grazing the circle), at radius pi/2 or more, or beyond its start, where
-    the center's polar angle along the edge is near +-pi. Half of the radii
-    are then snapped to the exact angle of a random sample.
+    Kinds: unrelated arcs near each other; arcs crossing inside both; an end
+    within 0.5 * ANGLE_TOL of the other arc, or 3 to 20 ANGLE_TOL off it
+    and heading away; arcs on one great circle, overlapping or apart; and
+    arcs whose great circles meet only at points antipodal to the other arc.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["arc", "triangle"]))
-    length = 10 ** draw(st.floats(-6, math.log10(3.0)))
-    step = draw(st.floats(0.05, 5.0))
-    c = offset((0.0, 0.0, 1.0), rng.uniform(0, math.pi), rng)
-    t1 = offset(c, math.pi / 2, rng)
-    t2 = _cross(c, t1)
-    along = lambda u, ang: _normalized(tuple(math.cos(ang) * ci + math.sin(ang) * ui for ci, ui in zip(c, u)))
-    vecs = [along(t1, -length / 2), along(t1, length / 2)]
-    if kind == "triangle":
-        vecs.append(along(t2, min(1.4, length * rng.uniform(0.05, 1.0))))
-    h = spherical_convex_hull([unit_to_geo(v) for v in vecs])
-    assume(h.degenerate_kind != "point")
-    samples = hull_boundary_samples(h, step)
-    e = rng.randrange(len(samples.edge_ranges))
-    a, b = h.vertices[e], h.vertices[(e + 1) % len(h.vertices)]
+    kind = draw(st.sampled_from(["random", "cross", "touch", "miss", "collinear", "antipodal"]))
+    length = lambda: 10 ** rng.uniform(-6, math.log10(1.5 if kind == "antipodal" else 2.5))
+    tangent = lambda p: _normalized(_cross(p, (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))))
+    go = lambda p, t, ang: _normalized(tuple(math.cos(ang) * pi + math.sin(ang) * ti for pi, ti in zip(p, t)))
+
+    def through(p, frac, t=None):
+        t, ang = t or tangent(p), length()
+        return go(p, t, -frac * ang), go(p, t, (1 - frac) * ang)
+
+    x = offset((0.0, 0.0, 1.0), rng.uniform(0, math.pi), rng)
+    a, b = through(x, rng.choice((0.0, 1.0, rng.random())))
     n = _normalized(_cross(a, b))
-    t = _cross(n, a)
-    ang = _angle(a, b)
-    on_circle = lambda theta: tuple(math.cos(theta) * ai + math.sin(theta) * ti for ai, ti in zip(a, t))
-    tilt = lambda p, d: _normalized(tuple(math.cos(d) * pi + math.sin(d) * ni for pi, ni in zip(p, n)))
-    place = draw(st.sampled_from(["circle", "end", "pole", "wide", "wrap"]))
-    radius = 10 ** rng.uniform(-6, 0)
-    if place == "circle":
-        center = tilt(on_circle(rng.uniform(-0.2, 1.2) * ang), rng.choice((-1, 1)) * radius * rng.uniform(0.9, 1.1))
-    elif place == "end":
-        center = offset(rng.choice((a, b)), radius * rng.uniform(0.0, 1.2), rng)
-    elif place == "pole":
-        d = 10 ** rng.uniform(-6, -1)
-        center = offset(rng.choice((n, tuple(-x for x in n))), d, rng)
-        radius = math.pi / 2 - d * rng.uniform(0.5, 1.5)
-    elif place == "wide":
-        center = offset(c, rng.uniform(0, math.pi), rng)
-        radius = rng.uniform(math.pi / 2, 3.0)
+    if kind == "random":
+        c, d = through(offset(x, 2 * _angle(a, b) * rng.random(), rng), rng.random())
+    elif kind == "cross":
+        c, d = through(x, rng.uniform(0.05, 0.95))
+    elif kind in ("touch", "miss"):
+        side = rng.choice((-1, 1))
+        if kind == "touch":
+            c = offset(x, rng.choice((0.0, 0.25, 0.5)) * ANGLE_TOL, rng)
+            d = go(c, tangent(c), length())
+        else:
+            c = go(x, tuple(side * ni for ni in n), rng.uniform(3, 20) * ANGLE_TOL)
+            # away from the circle of a-b, tilted along it by up to 45 degrees
+            away = _normalized(tuple(side * ni + rng.uniform(-1, 1) * ti for ni, ti in zip(n, _cross(n, c))))
+            d = go(c, away, length())
+    elif kind == "collinear":
+        forward = _cross(n, b)
+        gap = rng.choice((-0.5 * _angle(a, b), 0.0, 0.3 * ANGLE_TOL, 5 * ANGLE_TOL, 0.1))
+        off = rng.choice((0.0, 0.3 * ANGLE_TOL, 5 * ANGLE_TOL))
+        c = go(b, forward, gap)
+        d = go(c, _cross(n, c), length())
+        c, d = (go(p, n, off) for p in (c, d))
     else:
-        center = tilt(on_circle(rng.choice((-1, 1)) * (math.pi - rng.uniform(0, 1e-3))), rng.uniform(-1e-3, 1e-3))
-        radius = _angle(center, b) * rng.uniform(0.9, 1.1)
+        anti = tuple(-xi for xi in x)
+        a, b = through(x, rng.uniform(0.2, 0.8))
+        c, d = through(anti, rng.uniform(0.2, 0.8))
     if rng.random() < 0.5:
-        radius = _angle(center, samples[rng.randrange(len(samples))])
-    return samples, center, max(radius, 1e-6)
+        c, d = d, c
+    return (a, b), (c, d)
 
 
-class TestSampleWindows:
-    @given(edge_and_cap())
-    def test_samples_outside_the_windows_are_outside_the_cap(self, case):
-        # as a polygon's cap: it rejects dot < cap_cos, and near() gets the radius plus CAP_SLACK
-        samples, center, radius = case
-        cap_cos = math.cos(radius)
-        found = list(samples.near(center, math.cos(radius + CAP_SLACK)))
-        assert len(set(found)) == len(found)
-        assert all(0 <= i < len(samples) for i in found)
-        for i in set(range(len(samples))) - set(found):
-            assert _dot(center, samples[i]) < cap_cos
+class TestArcMeets:
+    @given(arc_pairs())
+    def test_matches_the_slow_reference(self, case):
+        (a, b), (c, d) = case
+        dist = arc_distance(a, b, c, d)
+        assume(not 0.5 * ANGLE_TOL < dist < 3 * ANGLE_TOL)  # where _near_arc's band may go either way
+        n, m = _normalized(_cross(a, b)), _normalized(_cross(c, d))
+        assert _arc_meets(a, b, n, [(c, d, m)]) == (dist <= ANGLE_TOL)
+        assert _arc_meets(c, d, m, [(a, b, n)]) == (dist <= ANGLE_TOL)
 
-    def test_window_is_narrow(self):
-        # a 0.01-rad cap on the middle of a 1-rad arc, sampled every 0.05 degrees
-        h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, math.degrees(1.0))])
-        samples = hull_boundary_samples(h, 0.05)
-        found = list(samples.near(geo_to_unit(GeoPoint(0.005, math.degrees(0.5))), math.cos(0.01)))
-        # the window is 0.02 rad wide, about 23 samples of 1,146
-        assert 20 <= len(found) <= 24
-        assert sum(v is not None for v in samples._vecs) == 0  # found without computing a sample
+    def test_circles_meeting_only_at_the_antipodes(self):
+        # the equator from lon -10 to 10 and the meridian at lon 180 from lat -10 to 10:
+        # each arc's ends straddle the other's great circle, yet they are 180 degrees apart
+        a, b = geo_to_unit(GeoPoint(0, -10)), geo_to_unit(GeoPoint(0, 10))
+        c, d = geo_to_unit(GeoPoint(-10, 180)), geo_to_unit(GeoPoint(10, 180))
+        n, m = _normalized(_cross(a, b)), _normalized(_cross(c, d))
+        assert _dot(n, c) * _dot(n, d) < 0 and _dot(m, a) * _dot(m, b) < 0
+        assert not _arc_meets(a, b, n, [(c, d, m)])
+        c, d = geo_to_unit(GeoPoint(-10, 0)), geo_to_unit(GeoPoint(10, 0))
+        assert _arc_meets(a, b, n, [(c, d, _normalized(_cross(c, d)))])
 
-    def test_far_cap_finds_nothing(self):
-        h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 30), GeoPoint(20, 10)])
-        samples = hull_boundary_samples(h, 0.05)
-        assert list(samples.near(geo_to_unit(GeoPoint(-40, 10)), math.cos(0.1))) == []
+    def test_ends_touch_within_angle_tol(self):
+        a, b = geo_to_unit(GeoPoint(0, 0)), geo_to_unit(GeoPoint(0, 10))
+        n = _normalized(_cross(a, b))
+        for lat, meets in ((math.degrees(ANGLE_TOL) / 2, True), (math.degrees(ANGLE_TOL) * 3, False)):
+            c, d = geo_to_unit(GeoPoint(lat, 5)), geo_to_unit(GeoPoint(5, 5))
+            assert _arc_meets(a, b, n, [(c, d, _normalized(_cross(c, d)))]) == meets
 
 
 def _dedup_reference(vectors):
@@ -552,13 +460,14 @@ def _polygon_contains_uncapped(poly, p):
     The hemisphere guard, then even-odd in the gnomonic plane, then the
     ANGLE_TOL band around every edge and vertex.
     """
-    center, e1, e2, rings_2d, edges, _ = poly._frame
+    center = poly._cap[0]
+    e1, e2, rings_2d = poly._frame
     d = _dot(center, p)
     if d <= 1e-9:
         return False
     if _even_odd(rings_2d, _dot(e1, p) / d, _dot(e2, p) / d):
         return True
-    for a, b, n in edges:
+    for a, b, n in poly._edges:
         if abs(_dot(n, p)) <= ANGLE_TOL:
             if _dot(_cross(n, a), p) >= -ANGLE_TOL and _dot(_cross(b, n), p) >= -ANGLE_TOL:
                 return True
@@ -578,7 +487,7 @@ def polygon_and_probes(draw):
     radius = draw(st.floats(0.2, 50))
     lat, lon = rng.uniform(radius - 80, 80 - radius), rng.uniform(-180, 180)
     poly = GeoPolygon(rings=(star_ring(rng, lat, lon, radius, rng.randint(3, 12)),))
-    center, *_ = poly._frame
+    center = poly._cap[0]
     ring = poly._ring_vecs[0]
     cap_ang = max(_angle(center, v) for v in ring)
     probes = []
@@ -614,8 +523,6 @@ class TestPolygonCap:
         poly = GeoPolygon(rings=SQUARE.rings)
         center, cap_cos, cos_r, sin_r = poly._cap
         assert "_frame" not in poly.__dict__
-        frame = poly._frame
-        assert frame[0] == center and frame[-1] == cap_cos
         assert math.acos(cos_r) == pytest.approx(math.acos(cap_cos) + CAP_SLACK, abs=1e-12)
         assert math.asin(sin_r) == pytest.approx(math.acos(cos_r), abs=1e-12)
 
@@ -625,6 +532,6 @@ class TestPolygonCap:
             band._cap
 
     def test_cap_is_exact_width(self):
-        center, *_, cap_cos = SQUARE._frame
+        center, cap_cos, _, _ = SQUARE._cap
         cap_ang = max(_angle(center, v) for v in SQUARE._ring_vecs[0])
         assert cap_ang < math.acos(cap_cos) <= cap_ang + 2e-6
