@@ -355,6 +355,20 @@ class TestArcMeets:
             c, d = geo_to_unit(GeoPoint(lat, 5)), geo_to_unit(GeoPoint(5, 5))
             assert _arc_meets(a, b, n, [(c, d, _normalized(_cross(c, d)))]) == meets
 
+    @pytest.mark.parametrize(
+        "lon_c, lon_d, meets",
+        [(5, 15, True), (2, 8, True), (10, 20, True), (11, 20, False), (180, 190, False)],
+        ids=["overlapping", "nested", "sharing-an-end", "apart", "antipodal"],
+    )
+    def test_arcs_on_one_great_circle(self, lon_c, lon_d, meets):
+        # both arcs on the equator: every end is on the other's circle, so only the touch tests can decide
+        a, b = geo_to_unit(GeoPoint(0, 0)), geo_to_unit(GeoPoint(0, 10))
+        c, d = geo_to_unit(GeoPoint(0, lon_c)), geo_to_unit(GeoPoint(0, lon_d))
+        n, m = _normalized(_cross(a, b)), _normalized(_cross(c, d))
+        assert (arc_distance(a, b, c, d) <= ANGLE_TOL) == meets
+        assert _arc_meets(a, b, n, [(c, d, m)]) == meets
+        assert _arc_meets(c, d, m, [(a, b, n)]) == meets
+
 
 def _dedup_reference(vectors):
     """The keep-first rule, comparing each vector with every kept one."""
