@@ -56,6 +56,7 @@ class RunConfig:
     unclassifiable_policy: str = "exclude"
     top_n: int = 10
     output_dir: str = "."
+    origin_conflict: str = "error"
     boundary_step = None  # not a field, so nothing sets it: perfbench/chain.py reads it and passes it to PairCache
 
     def validate(self):
@@ -71,6 +72,8 @@ class RunConfig:
             raise ValidationError(f"mode must be population or border, got {self.mode!r}")
         if self.unclassifiable_policy not in ("exclude", "count_non_normal"):
             raise ValidationError(f"unclassifiable-policy must be exclude or count_non_normal, got {self.unclassifiable_policy!r}")
+        if self.origin_conflict not in ("error", "first_wins"):
+            raise ValidationError(f"origin-conflict must be error or first_wins, got {self.origin_conflict!r}")
 
 
 def _sha256(path) -> str:
@@ -94,10 +97,10 @@ def _load_world(cfg):
     return load_world(cfg.cities, cfg.borders, cfg.regions)
 
 
-def _load_enrichment(cfg, origin_conflict="error"):
+def _load_enrichment(cfg):
     return Enrichment(
         geo=load_geo_table(cfg.geo_table),
-        origin=load_origin_table(cfg.origin_table, on_conflict=origin_conflict),
+        origin=load_origin_table(cfg.origin_table, on_conflict=cfg.origin_conflict),
         registry=load_as_registry(cfg.as_registry),
     )
 
@@ -200,11 +203,11 @@ def fold_signatures(counts, agg, skips, w, normal_set_of, policy):
     counts.clear()
 
 
-def cmd_analyze(cfg: RunConfig, origin_conflict: str = "error") -> int:
+def cmd_analyze(cfg: RunConfig) -> int:
     _require(cfg, "cities", "borders", "regions", "geo_table", "origin_table", "as_registry", "traceroutes")
     _make_output_dir(Path(cfg.output_dir))  # before any record is read
     w = _load_world(cfg)
-    enrichment = _load_enrichment(cfg, origin_conflict)
+    enrichment = _load_enrichment(cfg)
     cache = PairCache(city_limit=cfg.city_limit)
 
     normal_set_of = partial(cache.get_or_build, w, mode=cfg.mode)
@@ -257,6 +260,7 @@ def _header(cfg):
             "city_limit": cfg.city_limit,
             "unclassifiable_policy": cfg.unclassifiable_policy,
             "top_n": cfg.top_n,
+            "origin_conflict": cfg.origin_conflict,
         },
     }
 
@@ -368,13 +372,15 @@ def cmd_normal_set(cfg: RunConfig, src: str, dst: str, modes, export_hull: str |
     w = _load_world(cfg)
     for mode in modes:
         ns = normal_set(w, src, dst, mode, city_limit=cfg.city_limit)
-        label = "unclassifiable (pair spans more than a hemisphere)" if ns.unclassifiable else ", ".join(sorted(ns.countries))
-        print(f"{mode}: {label}")
+        path = None
         if export_hull and not ns.unclassifiable and src != dst:
             path = Path(export_hull)
             if len(modes) > 1:
                 path = path.with_name(f"{path.stem}_{mode}{path.suffix}")
-            _export_hull(w, src, dst, mode, cfg, path)
+            _export_hull(w, src, dst, mode, cfg, path)  # before printing, so that a failed write prints nothing
+        label = "unclassifiable (pair spans more than a hemisphere)" if ns.unclassifiable else ", ".join(sorted(ns.countries))
+        print(f"{mode}: {label}")
+        if path:
             print(f"hull ring written to {path}")
     return 0
 
@@ -462,7 +468,7 @@ def _build_parser():
     p.add_argument("--unclassifiable-policy", choices=("exclude", "count_non_normal"))
     p.add_argument("--top-n", type=int)
     p.add_argument("--output-dir")
-    p.add_argument("--origin-conflict", choices=("error", "first_wins"), default="error",
+    p.add_argument("--origin-conflict", choices=("error", "first_wins"),
                    help="how to treat prefixes announced by multiple origin ASes")
 
     p = sub.add_parser("normal-set", help="print the normal set for a country pair")
@@ -516,7 +522,7 @@ def _config_from_args(args) -> RunConfig:
 def _run(args) -> int:
     cfg = _config_from_args(args)
     if args.command == "analyze":
-        return cmd_analyze(cfg, origin_conflict=args.origin_conflict)
+        return cmd_analyze(cfg)
     if args.command == "normal-set":
         modes = ("population", "border") if args.both_modes else (cfg.mode,)
         return cmd_normal_set(cfg, args.src, args.dst, modes, export_hull=args.export_hull)

@@ -17,8 +17,8 @@ class EmptyInput(GeonormError):
 class HemisphereViolation(GeonormError):
     """No open hemisphere centered on the point cloud's mean contains every point.
 
-    Carries the witness pair of near-antipodal input points so callers can
-    report which locations made the hull ill-defined.
+    Carries a witness pair of input points more than 90 degrees apart so
+    callers can report which locations made the hull ill-defined.
     """
 
     def __init__(self, witness, separation_deg):

@@ -1,4 +1,4 @@
-"""Great-circle primitives and spherical convex hulls.
+"""Great-circle primitives, spherical convex hulls and bounding caps.
 
 Everything here works on unit vectors, plain (x, y, z) tuples; longitude
 wraparound exists only at the GeoPoint boundary, and each GeoPoint caches
@@ -8,13 +8,21 @@ great circles to straight lines, so a planar convex hull of the projected
 points is exactly the spherical convex hull, provided every point lies in
 the open hemisphere around the projection center.
 
+One rule (_center) decides that proviso for hulls and border polygons
+alike: the smallest dot product of the vectors with that center must
+exceed 1e-9. Every bounding cap is a Cap built by _cap, and _apart tells
+when two caps share no point. A polygon's cap is of exact width, the cap
+over its vertices widened only by CAP_SLACK; those of a hull (_hull_cap)
+and its edges (_hull_edges) also cover the ANGLE_TOL band of the
+containment tests.
+
 Two minor arcs meet when they cross, by the sign test of S2's
 S2EdgeCrosser, or when an end of one lies within ANGLE_TOL of the other
-(_arc_meets). Each polygon carries a bounding cap of exact width, the cap
-over its vertices widened only by CAP_SLACK, and its edge normals, both
-built from its vertex vectors alone; the projected rings that point
-containment needs are built the first time a point inside that cap is
-tested.
+(_arc_meets); a border polygon meets a hull when one of its edges meets a
+hull edge or one boundary lies inside the other (_meets). Each polygon's
+cap and edge normals are built from its vertex vectors alone; the
+projected rings that point containment needs are built the first time a
+point inside that cap is tested.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import EmptyInput, HemisphereViolation, ValidationError
 
@@ -94,18 +103,60 @@ def _normalized(a):
     return (a[0] / n, a[1] / n, a[2] / n)
 
 
-def _mean(vecs):
-    n = len(vecs)
-    return (
-        sum(v[0] for v in vecs) / n,
-        sum(v[1] for v in vecs) / n,
-        sum(v[2] for v in vecs) / n,
-    )
-
-
 def _angle(a, b):
     # atan2 form stays accurate for both tiny and near-pi separations
     return math.atan2(_norm(_cross(a, b)), _dot(a, b))
+
+
+@dataclass(frozen=True, slots=True)
+class Cap:
+    """The unit vectors within angle r of center, r given by its cosine and sine.
+
+    A cos of -inf marks a cap of r >= pi/2, which never prunes; only such a
+    cap may have no center. Slots, not a NamedTuple: the pruning loops read
+    these fields on every test, and a slot read is cheaper than unpacking a
+    tuple subclass.
+    """
+
+    center: tuple[float, float, float] | None
+    cos: float
+    sin: float
+
+
+def _center(vecs, more=()):
+    """(c, lo): c the normalized mean of vecs, lo the smallest dot product of c with vecs and more.
+
+    (None, -1.0) when the mean is shorter than 1e-9. The vectors lie in the
+    open hemisphere around c exactly when lo > 1e-9.
+    """
+    n = len(vecs)
+    xs, ys, zs = zip(*vecs)
+    mx, my, mz = sum(xs) / n, sum(ys) / n, sum(zs) / n
+    norm = math.sqrt(mx * mx + my * my + mz * mz)
+    if norm < 1e-9:
+        return None, -1.0
+    cx, cy, cz = mx / norm, my / norm, mz / norm
+    return (cx, cy, cz), min(cx * v[0] + cy * v[1] + cz * v[2] for v in chain(vecs, more))
+
+
+def _cap(center, lo, widen=0.0) -> Cap:
+    """The Cap around center reaching acos(lo), lo a smallest dot from _center, then widen and CAP_SLACK further."""
+    r = math.acos(max(-1.0, min(1.0, lo))) + widen + CAP_SLACK
+    if r >= math.pi / 2:
+        return Cap(center, -math.inf, 1.0)
+    return Cap(center, math.cos(r), math.sin(r))
+
+
+def _apart(c1, cos1, sin1, cap: Cap) -> bool:
+    """True when cap and the cap (c1, r1), given the cosine and sine of r1, share no point.
+
+    That is when the angle between their centers exceeds r1 + r2, tested as
+    _dot(c1, c2) < cos(r1 + r2) while r1 + r2 < pi, which is when
+    cos1 + cos2 > 0; so a cosine of -inf never prunes. The first cap comes
+    unpacked, so that a loop testing one cap against many unpacks it once.
+    """
+    cos2 = cap.cos
+    return cos1 + cos2 > 0.0 and _dot(c1, cap.center) < cos1 * cos2 - sin1 * cap.sin
 
 
 def geo_to_unit(p: GeoPoint) -> tuple[float, float, float]:
@@ -204,24 +255,12 @@ def _dedup(vectors):
     return kept
 
 
-def _widest_pair(vectors):
-    best = (vectors[0], vectors[0])
-    best_dot = 2.0
-    for i, a in enumerate(vectors):
-        for b in vectors[i + 1 :]:
-            d = _dot(a, b)
-            if d < best_dot:
-                best_dot = d
-                best = (a, b)
-    return best, best_dot
-
-
 def spherical_convex_hull(points: Sequence[GeoPoint]) -> SphericalHull:
     """Minimal convex spherical polygon containing all points.
 
     Raises EmptyInput when points is empty and HemisphereViolation when the
     deduplicated set does not fit in the open hemisphere around its
-    normalized vector mean (witnessed by the widest-separated pair).
+    normalized vector mean (see _center).
     """
     if not points:
         raise EmptyInput("cannot build a hull from zero points")
@@ -230,15 +269,20 @@ def spherical_convex_hull(points: Sequence[GeoPoint]) -> SphericalHull:
     if len(vecs) == 1:
         return SphericalHull(vertices=(vecs[0],), degenerate_kind="point")
 
-    mean = _mean(vecs)
-    if _norm(mean) < 1e-9 or min(_dot(mean, v) for v in vecs) <= 1e-9 * _norm(mean):
-        (a, b), _ = _widest_pair(vecs)
+    center, lo = _center(vecs)
+    if lo <= 1e-9:
+        # Witness: a, the vector least aligned with the center (any one when
+        # there is none), and b, the vector farthest from a. a's dot products
+        # sum to len(vecs) * |mean| * lo, or less than len(vecs) * 1e-9 with
+        # no center, which for fewer than 1e9 vectors is below a.a = 1, so
+        # some b has a.b < 0.
+        a = vecs[0] if center is None else min(vecs, key=lambda v: _dot(center, v))
+        b = min(vecs, key=lambda v: _dot(a, v))
         raise HemisphereViolation((unit_to_geo(a), unit_to_geo(b)), math.degrees(_angle(a, b)))
 
     if len(vecs) == 2:
         return SphericalHull(vertices=tuple(vecs), degenerate_kind="arc")
 
-    center = _normalized(mean)
     e1, e2 = _tangent_basis(center)
     plane = [_gnomonic(center, e1, e2, v) for v in vecs]
     idx = _planar_hull(plane)
@@ -306,6 +350,53 @@ def hull_contains(h: SphericalHull, p: GeoPoint) -> bool:
     return _hull_contains_vec(h, p._vec)
 
 
+def _hull_cap(hull: SphericalHull) -> Cap:
+    """A Cap such that _hull_contains_vec(hull, v) is False for every v outside it.
+
+    It is the cap over the hull vertices, widened to cover the tolerant
+    boundary band of _hull_contains_vec.
+
+    For a polygon the band is {v : n.v >= -ANGLE_TOL for every edge normal n},
+    which reaches ANGLE_TOL / sin(theta / 2) past a vertex with interior angle
+    theta, and on a sliver hull also has a component near the antipode. The
+    widening used bounds both: let m = min n.center over the edge normals.
+    Follow the great circle from the center through v, at angle phi; it
+    leaves the hull at some phi_e <= radius, across an edge whose normal n
+    then gives n.v = (n.center) * sin(phi_e - phi) / sin(phi_e). If
+    m > ANGLE_TOL, that is below -ANGLE_TOL for every phi from
+    phi_e + asin(ANGLE_TOL * sin(radius) / m) up to pi, so the widening
+    asin(ANGLE_TOL * sin(radius) / m) covers the band; otherwise (a sliver
+    no wider than the band) nothing is pruned. An arc's band, ~ANGLE_TOL
+    wide, and a point's are covered by CAP_SLACK alone. An arc shorter than
+    about 2 * ANGLE_TOL also accepts points near its antipode, so arcs
+    shorter than 2 * CAP_SLACK are not pruned.
+    """
+    center, lo = _center(hull.vertices)
+    widen = 0.0
+    if hull.degenerate_kind == "polygon":
+        m = min(_dot(n, center) for n in hull._edge_normals)
+        # sin(radius), the radius being acos(lo)
+        ratio = ANGLE_TOL * math.sqrt(max(0.0, 1.0 - lo * lo)) / m if m > ANGLE_TOL else 1.0
+        widen = math.asin(ratio) if ratio < 1.0 else math.pi
+    elif hull.degenerate_kind == "arc" and lo > math.cos(CAP_SLACK):
+        widen = math.pi
+    return _cap(center, lo, widen)
+
+
+def _hull_edges(hull: SphericalHull):
+    """(a, b, n, cap) per edge a-b of hull, n its unit normal: none for a point, one for an arc.
+
+    cap is the Cap over a and b, whose CAP_SLACK covers the ANGLE_TOL band of
+    _arc_meets.
+    """
+    vts = hull.vertices
+    edges = []
+    for i in range({"point": 0, "arc": 1}.get(hull.degenerate_kind, len(vts))):
+        a, b = vts[i], vts[(i + 1) % len(vts)]
+        edges.append((a, b, hull._edge_normals[i], _cap(*_center((a, b)))))
+    return edges
+
+
 @dataclass(frozen=True)
 class GeoPolygon:
     """A polygon on the sphere: one outer ring plus optional hole rings.
@@ -327,24 +418,20 @@ class GeoPolygon:
         return tuple(tuple(p._vec for p in ring) for ring in self.rings)
 
     @cached_property
-    def _cap(self):
-        """(center, cap_cos, cos_r, sin_r): _polygon_contains_vec rejects every p with _dot(center, p) < cap_cos.
+    def _cap(self) -> Cap:
+        """The Cap outside which _polygon_contains_vec rejects every point; pruning uses it too.
 
-        The cap is centred on the outer ring's mean direction and reaches the
-        farthest ring vertex plus CAP_SLACK. Every vertex is less than pi/2
-        from the center (checked here), so the cap is convex and holds every
-        minor-arc edge and the even-odd interior; the ANGLE_TOL edge band
-        reaches at most ~2 * ANGLE_TOL past a vertex. r is the cap's radius
-        plus CAP_SLACK once more, for pruning against other caps.
+        It is centred on the outer ring's mean direction and reaches the
+        farthest vertex of any ring plus CAP_SLACK. Every vertex is less than
+        pi/2 from the center (the hemisphere rule, checked here), so the cap
+        is convex and holds every minor-arc edge and the even-odd interior;
+        the ANGLE_TOL edge band reaches at most ~2 * ANGLE_TOL past a vertex.
         """
-        center = _normalized(_mean(self._ring_vecs[0]))
-        for ring in self._ring_vecs:
-            for v in ring:
-                if _dot(center, v) <= 1e-9:
-                    raise ValidationError("polygon ring spans a hemisphere or more")
-        cap_ang = max(_angle(center, v) for ring in self._ring_vecs for v in ring)
-        r = cap_ang + 2 * CAP_SLACK
-        return center, math.cos(cap_ang + CAP_SLACK), math.cos(r), math.sin(r)
+        rings = self._ring_vecs
+        center, lo = _center(rings[0], [v for ring in rings[1:] for v in ring])
+        if lo <= 1e-9:
+            raise ValidationError("polygon ring spans a hemisphere or more")
+        return _cap(center, lo)
 
     @cached_property
     def _edges(self):
@@ -361,7 +448,7 @@ class GeoPolygon:
     @cached_property
     def _frame(self):
         """Basis of the tangent plane at the _cap center, and the rings projected onto it."""
-        center = self._cap[0]
+        center = self._cap.center
         e1, e2 = _tangent_basis(center)
         return e1, e2, tuple(tuple(_gnomonic(center, e1, e2, v) for v in ring) for ring in self._ring_vecs)
 
@@ -382,10 +469,10 @@ def _even_odd(rings_2d, x, y):
 
 
 def _polygon_contains_vec(poly: GeoPolygon, p) -> bool:
-    center, cap_cos, _, _ = poly._cap
-    d = _dot(center, p)
+    cap = poly._cap
+    d = _dot(cap.center, p)
     # cheap rejection outside the bounding cap, before any projection is built
-    if d < cap_cos or d <= 1e-9:
+    if d < cap.cos or d <= 1e-9:
         return False
     e1, e2, rings_2d = poly._frame
     if _even_odd(rings_2d, _dot(e1, p) / d, _dot(e2, p) / d):
@@ -398,3 +485,24 @@ def _polygon_contains_vec(poly: GeoPolygon, p) -> bool:
 def polygon_contains(poly: GeoPolygon, p: GeoPoint) -> bool:
     """Spherical point-in-polygon with holes; border points count as inside."""
     return _polygon_contains_vec(poly, p._vec)
+
+
+def _meets(poly: GeoPolygon, hull: SphericalHull, edges) -> bool:
+    """True when border polygon poly and hull share a point, within ANGLE_TOL; edges is _hull_edges(hull).
+
+    They do when an edge of poly meets a hull edge. Only hull edges whose
+    cap reaches poly's cap, of radius r, and whose great circle passes
+    within r of its center, which needs r < pi/2 to be read from sin r, can
+    meet one. Failing that, neither boundary crosses the other, so one
+    outer-ring vertex in the hull or one hull vertex in poly decides.
+    """
+    cap = poly._cap
+    center, cos_r, sin_r = cap.center, cap.cos, cap.sin
+    for a, b, n, edge_cap in edges:
+        if _apart(center, cos_r, sin_r, edge_cap):
+            continue
+        if cos_r > 0.0 and abs(_dot(n, center)) > sin_r:
+            continue
+        if _arc_meets(a, b, n, poly._edges):
+            return True
+    return _hull_contains_vec(hull, poly._ring_vecs[0][0]) or _polygon_contains_vec(poly, hull.vertices[0])

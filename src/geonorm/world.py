@@ -194,9 +194,11 @@ def _load_borders(path):
                 raise ParseError(str(path), 0, f"{where} ({iso2}): empty polygon")
             rings = tuple(_ring_from_coords(rc, path, where) for rc in rings_coords)
             try:
-                by_country.setdefault(iso2, []).append(GeoPolygon(rings=rings))
+                poly = GeoPolygon(rings=rings)
+                poly._cap  # the hemisphere rule, so that a ring spanning one fails here, located
             except ValidationError as e:
                 raise ValidationError(f"{path}: {where} ({iso2}): {e}") from None
+            by_country.setdefault(iso2, []).append(poly)
     return by_country
 
 

@@ -116,6 +116,22 @@ class TestValidateWorld:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {borders}:0: invalid JSON: ") and err.count("\n") == 1
 
+    def test_ring_spanning_a_hemisphere_is_located_at_load(self, capsys, tmp_path):
+        # a 1-degree band from 100W to 100E added to AA; analyze must fail on it before reading the bad record
+        doc = json.loads((SMALLWORLD / "borders.geojson").read_text())
+        band = [[-100, 0], [0, 0], [100, 0], [100, 1], [-100, 1], [-100, 0]]
+        doc["features"].append({"type": "Feature", "properties": {"iso2": "AA"}, "geometry": {"type": "Polygon", "coordinates": [band]}})
+        borders = tmp_path / "borders.geojson"
+        borders.write_text(json.dumps(doc))
+        corpus = tmp_path / "traceroutes.ndjson"
+        corpus.write_text("not a record\n")
+        argv = ["--cities", str(SMALLWORLD / "cities.csv"), "--borders", str(borders), "--regions", str(SMALLWORLD / "regions.csv")]
+        analyze = ["analyze", *table_args(), "--traceroutes", str(corpus), "--output-dir", str(tmp_path / "out")]
+        for command in (["validate-world"], analyze):
+            code, out, err = run(capsys, *command, *argv)
+            assert code == 1 and out == ""
+            assert err == f"error: {borders}: feature 6 (AA): polygon ring spans a hemisphere or more\n"
+
 
 class TestNormalSet:
     def test_population_only(self, capsys):
@@ -154,7 +170,7 @@ class TestNormalSet:
     def test_export_hull_to_a_missing_directory_is_one_error_line(self, capsys, tmp_path):
         target = tmp_path / "absent" / "h.json"
         code, out, err = run(capsys, "normal-set", *world_args(), "AA", "AC", "--export-hull", str(target))
-        assert code == 1
+        assert code == 1 and out == ""  # the hull is written before the normal set is printed
         assert err == f"error: cannot write the hull ring to {target}: No such file or directory\n"
 
     def test_boundary_step_flag_is_gone(self, capsys):
@@ -324,6 +340,8 @@ class TestConfigFile:
         ('{"top_n": true}', "top_n must be an integer, got True"),
         ('{"cities": 5}', "cities must be a string, got 5"),
         ('{"output_dir": null}', "output_dir must be a string, got None"),
+        ('{"origin_conflict": "last_wins"}', "origin-conflict must be error or first_wins, got 'last_wins'"),
+        ('{"origin_conflict": 1}', "origin_conflict must be a string, got 1"),
         # json.load raises ValueError and RecursionError for these, not JSONDecodeError
         pytest.param('{"top_n": ' + "1" * 5000 + "}", "run.json is not valid JSON: ", id="integer-digits"),
         pytest.param("[" * 100_000, "run.json is not valid JSON: ", id="nesting"),
@@ -335,6 +353,45 @@ class TestConfigFile:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+
+class TestOriginConflict:
+    """--origin-conflict on a table whose 20.1.0.0/16 has a second origin, AS999, after AS101."""
+
+    def analyze(self, capsys, tmp_path, *flags, config=None):
+        origin = tmp_path / "origin.csv"
+        origin.write_text((SMALLWORLD / "origin.csv").read_text() + "20.1.0.0/16,999\n")
+        before = []
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            before = ["--config", str(tmp_path / "run.json")]
+        return run(
+            capsys, *before, "analyze", *world_args(), "--geo-table", str(SMALLWORLD / "geo.csv"),
+            "--origin-table", str(origin), "--as-registry", str(SMALLWORLD / "as_registry.csv"),
+            "--traceroutes", str(PIPELINE12 / "traceroutes.ndjson"), "--output-dir", str(tmp_path / "out"), *flags,
+        )
+
+    @pytest.mark.parametrize("flags", [[], ["--origin-conflict", "error"]])
+    def test_error_by_default(self, capsys, tmp_path, flags):
+        code, out, err = self.analyze(capsys, tmp_path, *flags)
+        assert code == 1 and out == ""
+        assert err == "error: prefix 20.1.0.0/16 maps to both 101 and 999\n"
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--origin-conflict", "first_wins"], None),
+        ([], {"origin_conflict": "first_wins"}),
+        (["--origin-conflict", "first_wins"], {"origin_conflict": "error"}),  # the flag wins
+    ])
+    def test_first_wins_is_in_the_header(self, capsys, tmp_path, flags, config):
+        code, _, err = self.analyze(capsys, tmp_path, *flags, config=config)
+        assert code == 0, err
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert doc["header"]["config"]["origin_conflict"] == "first_wins"
+        # AS101 wins, so every path resolves as in pipeline12
+        expected = json.loads((PIPELINE12 / "expected" / "report.json").read_text())
+        assert expected["header"]["config"]["origin_conflict"] == "error"
+        doc.pop("header"), expected.pop("header")
+        assert doc == expected
 
 
 def run_cli_process(*argv):

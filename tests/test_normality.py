@@ -6,16 +6,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 import geonorm.normality as normality_mod
+import geonorm.sphere as sphere_mod
 from geonorm.errors import HemisphereViolation, UnknownCountry
-from geonorm.normality import NormalSet, PairCache, _apart, _hull_cap, _hull_edges, _meets, classify, normal_set
+from geonorm.normality import NormalSet, PairCache, classify, normal_set
 from geonorm.sphere import (
     ANGLE_TOL,
+    Cap,
     GeoPoint,
     _angle,
+    _apart,
     _arc_meets,
     _cross,
     _dot,
+    _hull_cap,
     _hull_contains_vec,
+    _hull_edges,
+    _meets,
     _normalized,
     _polygon_contains_vec,
     geo_to_unit,
@@ -304,7 +310,7 @@ class TestCapPruningOracle:
         w = grid_world()
         pairs = []
         monkeypatch.setattr(
-            normality_mod, "_arc_meets", lambda a, b, n, edges: pairs.append(len(edges)) or _arc_meets(a, b, n, edges)
+            sphere_mod, "_arc_meets", lambda a, b, n, edges: pairs.append(len(edges)) or _arc_meets(a, b, n, edges)
         )
         # a diagonal pair: with exact-width polygon caps no polygon reaches a same-row hull
         ns = normal_set(w, "GA", "GO", "population")
@@ -453,18 +459,20 @@ class TestApart:
     @given(cap_pair())
     def test_apart_caps_share_no_point(self, case):
         (c1, r1), (c2, r2), points = case
-        if _apart(c1, math.cos(r1), math.sin(r1), c2, math.cos(r2), math.sin(r2)):
+        if _apart(c1, math.cos(r1), math.sin(r1), Cap(c2, math.cos(r2), math.sin(r2))):
             assert r1 + r2 < math.pi
             assert all(_angle(c1, p) > r1 - 1e-12 for p in points)
 
     def test_radii_summing_to_pi_always_meet(self):
         c, far = _unit(0, 0), _unit(0, 180)
         for r1, r2 in ((1.0, math.pi - 1.0), (1.0, math.pi - 0.9), (0.0, math.pi), (math.pi / 2, math.pi / 2)):
-            assert not _apart(c, math.cos(r1), math.sin(r1), far, math.cos(r2), math.sin(r2))
+            assert not _apart(c, math.cos(r1), math.sin(r1), Cap(far, math.cos(r2), math.sin(r2)))
 
     def test_no_hull_floor_never_prunes(self):
-        assert not _apart(_unit(0, 0), -math.inf, 1.0, _unit(0, 180), 1.0, 0.0)
-        assert _apart(_unit(0, 0), math.cos(0.1), math.sin(0.1), _unit(0, 180), 1.0, 0.0)
+        assert not _apart(_unit(0, 0), -math.inf, 1.0, Cap(_unit(0, 180), 1.0, 0.0))
+        assert _apart(_unit(0, 0), math.cos(0.1), math.sin(0.1), Cap(_unit(0, 180), 1.0, 0.0))
+        # either side of the test may hold the cap that never prunes
+        assert not _apart(_unit(0, 180), 1.0, 0.0, Cap(None, -math.inf, 1.0))
 
 
 def _hull_of(vecs):
@@ -499,7 +507,8 @@ def hull_and_probes(draw):
     else:
         vecs = [c]
     hull = _hull_of(vecs)
-    center, floor, _ = _hull_cap(hull)
+    cap = _hull_cap(hull)
+    center, floor = cap.center, cap.cos
     vts = hull.vertices
     probes = [tuple(-x for x in center)]
     for k, v in enumerate(vts):
@@ -530,14 +539,16 @@ class TestHullCap:
     @given(hull_and_probes())
     def test_skipped_vectors_are_outside_the_hull(self, case):
         hull, probes = case
-        center, floor, _ = _hull_cap(hull)
+        cap = _hull_cap(hull)
+        center, floor = cap.center, cap.cos
         for p in probes:
             if _dot(center, p) < floor:
                 assert not _hull_contains_vec(hull, p)
 
     def test_fat_hull_prunes(self):
         hull = _hull_of([_unit(0, 0), _unit(0, 10), _unit(10, 0)])
-        center, floor, _ = _hull_cap(hull)
+        cap = _hull_cap(hull)
+        center, floor = cap.center, cap.cos
         assert math.cos(math.radians(8)) < floor
         assert _dot(center, _unit(-2, -2)) < floor
 
@@ -548,7 +559,8 @@ class TestHullCap:
         apex = (math.cos(half * 1e-4), 0.0, math.sin(half * 1e-4))
         hull = _hull_of([(math.cos(half), -math.sin(half), 0.0), (math.cos(half), math.sin(half), 0.0), apex])
         assert hull.degenerate_kind == "polygon"
-        center, floor, _ = _hull_cap(hull)
+        cap = _hull_cap(hull)
+        center, floor = cap.center, cap.cos
         antipode = tuple(-x for x in center)
         assert _hull_contains_vec(hull, antipode)
         assert floor == -math.inf
@@ -557,7 +569,7 @@ class TestHullCap:
         hull = _hull_of([(1.0, 0.0, 0.0), (math.cos(ANGLE_TOL / 2), math.sin(ANGLE_TOL / 2), 0.0)])
         assert hull.degenerate_kind == "arc"
         assert _hull_contains_vec(hull, (-1.0, 0.0, 0.0))
-        assert _hull_cap(hull)[1] == -math.inf
+        assert _hull_cap(hull).cos == -math.inf
 
 
 class TestTraceContract:

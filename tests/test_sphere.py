@@ -7,8 +7,8 @@ from hypothesis import assume, given, strategies as st
 from geonorm.errors import EmptyInput, HemisphereViolation, ValidationError
 from geonorm.sphere import (
     ANGLE_TOL,
-    CAP_SLACK,
     DEDUP_TOL,
+    Cap,
     GeoPoint,
     GeoPolygon,
     _angle,
@@ -230,6 +230,41 @@ class TestHullProperties:
             if there != rotated:
                 # disagreement is only allowed within the rotation tolerance band
                 assert _distance_to_boundary(h, q) <= 1e-6
+
+
+@st.composite
+def spread_input(draw):
+    """Points around a random center, out to any angle up to pi, sometimes with the center first, exact antipodes and repeats."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    c = offset((0.0, 0.0, 1.0), rng.uniform(0, math.pi), rng)
+    spread = draw(st.sampled_from([math.pi / 2 - 0.01, math.pi / 2 + 0.01, 2.0, math.pi]))
+    vecs = [offset(c, spread * rng.random() ** 0.5, rng) for _ in range(draw(st.integers(2, 30)))]
+    if draw(st.booleans()):
+        vecs.insert(0, c)
+    if draw(st.booleans()):
+        vecs.append(tuple(-x for x in vecs[0]))
+    points = [unit_to_geo(v) for v in vecs]
+    return points + points[: draw(st.integers(0, 3))]
+
+
+class TestHemisphereWitness:
+    @given(spread_input())
+    def test_witness_is_two_inputs_more_than_90_degrees_apart(self, points):
+        try:
+            spherical_convex_hull(points)
+        except HemisphereViolation as e:
+            a, b = e.witness
+            for w in (a, b):
+                assert min(_angle(w._vec, p._vec) for p in points) < 1e-9
+            assert _angle(a._vec, b._vec) > math.pi / 2
+            assert e.separation_deg == pytest.approx(math.degrees(_angle(a._vec, b._vec)), abs=1e-9)
+
+    @pytest.mark.parametrize("pole", [[], [GeoPoint(90, 0)]])
+    def test_witness_of_a_ring_around_the_equator(self, pole):
+        # with the pole first, the center is the pole, 90 degrees from every other point
+        with pytest.raises(HemisphereViolation) as exc:
+            spherical_convex_hull(pole + [GeoPoint(0, lon) for lon in range(-180, 180, 120)])
+        assert exc.value.separation_deg == pytest.approx(120)
 
 
 def _distance_to_boundary(h, p):
@@ -474,7 +509,7 @@ def _polygon_contains_uncapped(poly, p):
     The hemisphere guard, then even-odd in the gnomonic plane, then the
     ANGLE_TOL band around every edge and vertex.
     """
-    center = poly._cap[0]
+    center = poly._cap.center
     e1, e2, rings_2d = poly._frame
     d = _dot(center, p)
     if d <= 1e-9:
@@ -501,7 +536,7 @@ def polygon_and_probes(draw):
     radius = draw(st.floats(0.2, 50))
     lat, lon = rng.uniform(radius - 80, 80 - radius), rng.uniform(-180, 180)
     poly = GeoPolygon(rings=(star_ring(rng, lat, lon, radius, rng.randint(3, 12)),))
-    center = poly._cap[0]
+    center = poly._cap.center
     ring = poly._ring_vecs[0]
     cap_ang = max(_angle(center, v) for v in ring)
     probes = []
@@ -535,10 +570,10 @@ class TestPolygonCap:
 
     def test_cap_is_built_without_the_frame(self):
         poly = GeoPolygon(rings=SQUARE.rings)
-        center, cap_cos, cos_r, sin_r = poly._cap
-        assert "_frame" not in poly.__dict__
-        assert math.acos(cos_r) == pytest.approx(math.acos(cap_cos) + CAP_SLACK, abs=1e-12)
-        assert math.asin(sin_r) == pytest.approx(math.acos(cos_r), abs=1e-12)
+        cap = poly._cap
+        assert isinstance(cap, Cap) and "_frame" not in poly.__dict__
+        # containment and pruning share this one radius
+        assert math.asin(cap.sin) == pytest.approx(math.acos(cap.cos), abs=1e-12)
 
     def test_hemisphere_check_runs_with_the_cap(self):
         band = GeoPolygon(rings=((GeoPoint(0, -100), GeoPoint(0, 0), GeoPoint(0, 100), GeoPoint(1, 100), GeoPoint(1, -100)),))
@@ -546,6 +581,14 @@ class TestPolygonCap:
             band._cap
 
     def test_cap_is_exact_width(self):
-        center, cap_cos, _, _ = SQUARE._cap
-        cap_ang = max(_angle(center, v) for v in SQUARE._ring_vecs[0])
-        assert cap_ang < math.acos(cap_cos) <= cap_ang + 2e-6
+        cap = SQUARE._cap
+        cap_ang = max(_angle(cap.center, v) for v in SQUARE._ring_vecs[0])
+        assert cap_ang < math.acos(cap.cos) <= cap_ang + 2e-6
+
+    def test_every_ring_is_under_the_cap_and_the_rule(self):
+        # a second ring outside the outer one still counts, by even-odd, so the cap must reach it
+        beside = (GeoPoint(10, 0), GeoPoint(10, 2), GeoPoint(12, 2), GeoPoint(12, 0))
+        assert polygon_contains(GeoPolygon(rings=(SQUARE.rings[0], beside)), GeoPoint(11, 1))
+        opposite = (GeoPoint(-1, 179), GeoPoint(-1, -179), GeoPoint(1, -179), GeoPoint(1, 179))
+        with pytest.raises(ValidationError, match="polygon ring spans a hemisphere or more"):
+            GeoPolygon(rings=(SQUARE.rings[0], opposite))._cap
