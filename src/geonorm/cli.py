@@ -29,7 +29,7 @@ from .pipeline import (
     signature, to_tuple_path,
 )
 from .sphere import spherical_convex_hull, unit_to_geo
-from .world import DEFAULT_CITY_LIMIT, country_points, load_summary, load_world
+from .world import DEFAULT_CITY_LIMIT, MODES, country_points, load_summary, load_world
 
 
 # What each annotated RunConfig field type accepts. --config values arrive
@@ -38,6 +38,13 @@ _FIELD_TYPES = {
     "int": ("an integer", lambda v: type(v) is int),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string", lambda v: v is None or isinstance(v, str)),
+}
+
+# The values each choice field accepts, for argparse and RunConfig.validate alike
+_CHOICES = {
+    "mode": MODES,
+    "unclassifiable_policy": ("exclude", "count_non_normal"),
+    "origin_conflict": ("error", "first_wins"),
 }
 
 
@@ -68,12 +75,16 @@ class RunConfig:
         for name in ("workers", "top_n", "city_limit"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name.replace('_', '-')} must be >= 1, got {getattr(self, name)}")
-        if self.mode not in ("population", "border"):
-            raise ValidationError(f"mode must be population or border, got {self.mode!r}")
-        if self.unclassifiable_policy not in ("exclude", "count_non_normal"):
-            raise ValidationError(f"unclassifiable-policy must be exclude or count_non_normal, got {self.unclassifiable_policy!r}")
-        if self.origin_conflict not in ("error", "first_wins"):
-            raise ValidationError(f"origin-conflict must be error or first_wins, got {self.origin_conflict!r}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValidationError(f"{name.replace('_', '-')} must be {' or '.join(allowed)}, got {getattr(self, name)!r}")
+
+
+# The input files are the optional string fields. The header hashes each of
+# them and echoes every other field except workers and output_dir, which
+# must not change the output.
+_INPUTS = tuple(f.name for f in fields(RunConfig) if f.type == "str | None")
+_SETTINGS = tuple(f.name for f in fields(RunConfig) if f.name not in _INPUTS and f.name not in ("workers", "output_dir"))
 
 
 def _sha256(path) -> str:
@@ -204,7 +215,7 @@ def fold_signatures(counts, agg, skips, w, normal_set_of, policy):
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    _require(cfg, "cities", "borders", "regions", "geo_table", "origin_table", "as_registry", "traceroutes")
+    _require(cfg, *_INPUTS)
     _make_output_dir(Path(cfg.output_dir))  # before any record is read
     w = _load_world(cfg)
     enrichment = _load_enrichment(cfg)
@@ -248,20 +259,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def _header(cfg):
-    inputs = {}
-    for name in ("cities", "borders", "regions", "geo_table", "origin_table", "as_registry", "traceroutes"):
-        path = getattr(cfg, name)
-        inputs[name] = {"file": Path(path).name, "sha256": _sha256(path)}
-    # worker count deliberately omitted: it must not influence the output
     return {
-        "inputs": inputs,
-        "config": {
-            "mode": cfg.mode,
-            "city_limit": cfg.city_limit,
-            "unclassifiable_policy": cfg.unclassifiable_policy,
-            "top_n": cfg.top_n,
-            "origin_conflict": cfg.origin_conflict,
-        },
+        "inputs": {name: {"file": Path(getattr(cfg, name)).name, "sha256": _sha256(getattr(cfg, name))} for name in _INPUTS},
+        "config": {name: getattr(cfg, name) for name in _SETTINGS},
     }
 
 
@@ -449,26 +449,25 @@ def _build_parser():
     parser.add_argument("--config", help="JSON file of defaults; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, world=True, tables=False):
-        if world:
-            p.add_argument("--cities")
-            p.add_argument("--borders")
-            p.add_argument("--regions")
+    def add_common(p, *, tables=False):
+        p.add_argument("--cities")
+        p.add_argument("--borders")
+        p.add_argument("--regions")
         if tables:
             p.add_argument("--geo-table")
             p.add_argument("--origin-table")
             p.add_argument("--as-registry")
-        p.add_argument("--mode", choices=("population", "border"))
+        p.add_argument("--mode", choices=_CHOICES["mode"])
         p.add_argument("--city-limit", type=int)
 
     p = sub.add_parser("analyze", help="classify a traceroute file and write the exposure report")
     add_common(p, tables=True)
     p.add_argument("--traceroutes")
     p.add_argument("--workers", type=int)
-    p.add_argument("--unclassifiable-policy", choices=("exclude", "count_non_normal"))
+    p.add_argument("--unclassifiable-policy", choices=_CHOICES["unclassifiable_policy"])
     p.add_argument("--top-n", type=int)
     p.add_argument("--output-dir")
-    p.add_argument("--origin-conflict", choices=("error", "first_wins"),
+    p.add_argument("--origin-conflict", choices=_CHOICES["origin_conflict"],
                    help="how to treat prefixes announced by multiple origin ASes")
 
     p = sub.add_parser("normal-set", help="print the normal set for a country pair")
@@ -524,7 +523,7 @@ def _run(args) -> int:
     if args.command == "analyze":
         return cmd_analyze(cfg)
     if args.command == "normal-set":
-        modes = ("population", "border") if args.both_modes else (cfg.mode,)
+        modes = MODES if args.both_modes else (cfg.mode,)
         return cmd_normal_set(cfg, args.src, args.dst, modes, export_hull=args.export_hull)
     if args.command == "classify-one":
         line = sys.stdin.readline() if args.line == "-" else args.line

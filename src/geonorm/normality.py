@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 from .errors import HemisphereViolation, UnknownCountry
-from .sphere import _apart, _cap, _center, _dot, _hull_cap, _hull_contains_vec, _hull_edges, _meets, spherical_convex_hull
+from .sphere import _apart, _cap, _center, _dot, _hull_cap, _hull_edges, _meets, hull_contains, spherical_convex_hull
 from .world import DEFAULT_CITY_LIMIT, WorldModel, country_points
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def normal_set(
         if iso2 in members or _apart(hull_center, hull_cos, hull_sin, cap):
             continue
         for v in vecs:
-            if _dot(hull_center, v) >= hull_cos and _hull_contains_vec(hull, v):
+            if _dot(hull_center, v) >= hull_cos and hull_contains(hull, v):
                 members.add(iso2)
                 break
 
@@ -100,7 +100,7 @@ def _city_caps(w: WorldModel, city_limit: int):
     if table is None:
         rows = []
         for iso2, rec in w.countries.items():
-            vecs = tuple(c.location._vec for c in rec.top_cities(city_limit))
+            vecs = tuple(c.location.vec for c in rec.top_cities(city_limit))
             rows.append((iso2, _cap(*_center(vecs)), vecs))
         table = w._city_caps[city_limit] = tuple(rows)
     return table

@@ -1,12 +1,13 @@
 """Great-circle primitives, spherical convex hulls and bounding caps.
 
-Everything here works on unit vectors, plain (x, y, z) tuples; longitude
-wraparound exists only at the GeoPoint boundary, and each GeoPoint caches
-its own vector as _vec. Hulls are built by gnomonic projection onto the
-tangent plane at the point cloud's normalized vector mean: the projection maps
-great circles to straight lines, so a planar convex hull of the projected
-points is exactly the spherical convex hull, provided every point lies in
-the open hemisphere around the projection center.
+Everything here takes and returns unit vectors, plain (x, y, z) tuples.
+Degrees stop at the loaders, whose GeoPoints compute their vec when built,
+so longitude wraparound ends there, and at unit_to_geo, which serves
+messages and exported rings. Hulls are built by gnomonic projection onto
+the tangent plane at the point cloud's normalized vector mean: the
+projection maps great circles to straight lines, so a planar convex hull of
+the projected points is exactly the spherical convex hull, provided every
+point lies in the open hemisphere around the projection center.
 
 One rule (_center) decides that proviso for hulls and border polygons
 alike: the smallest dot product of the vectors with that center must
@@ -19,17 +20,20 @@ containment tests.
 Two minor arcs meet when they cross, by the sign test of S2's
 S2EdgeCrosser, or when an end of one lies within ANGLE_TOL of the other
 (_arc_meets); a border polygon meets a hull when one of its edges meets a
-hull edge or one boundary lies inside the other (_meets). Each polygon's
-cap and edge normals are built from its vertex vectors alone; the
-projected rings that point containment needs are built the first time a
-point inside that cap is tested.
+hull edge or one boundary lies inside the other (_meets).
+
+A GeoPolygon builds its vertex vectors and its cap when it is constructed,
+so a polygon that spans a hemisphere cannot exist. Its edge normals
+(_edges) and the projected rings that point containment needs (_frame) are
+built on first use: most polygons of a world lie under caps apart from
+every hull's and never need them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -58,26 +62,28 @@ def _normalize_lon(lon: float) -> float:
 
 @dataclass(frozen=True)
 class GeoPoint:
-    """A position on the sphere in degrees. lat in [-90, 90], lon in (-180, 180]."""
+    """A position on the sphere in degrees. lat in [-90, 90], lon in (-180, 180].
+
+    vec is its unit vector in the standard embedding, (lat 0, lon 0) ->
+    (1, 0, 0) and north pole -> (0, 0, 1). It is set at construction and is
+    left out of equality, hashing and repr, which stay those of (lat, lon).
+    """
 
     lat: float
     lon: float
+    vec: tuple[float, float, float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (-90.0 <= self.lat <= 90.0):
             raise ValidationError(f"latitude {self.lat} outside [-90, 90]")
         if not math.isfinite(self.lon):
             raise ValidationError(f"longitude {self.lon} is not finite")
-        object.__setattr__(self, "lon", _normalize_lon(float(self.lon)))
-        object.__setattr__(self, "lat", float(self.lat))
-
-    @cached_property
-    def _vec(self) -> tuple[float, float, float]:
-        """Standard spherical embedding, computed once per point: (lat 0, lon 0) -> (1, 0, 0), north pole -> (0, 0, 1)."""
-        lat = math.radians(self.lat)
-        lon = math.radians(self.lon)
+        lat, lon = float(self.lat), _normalize_lon(float(self.lon))
+        object.__setattr__(self, "lon", lon)
+        object.__setattr__(self, "lat", lat)
+        lat, lon = math.radians(lat), math.radians(lon)
         cos_lat = math.cos(lat)
-        return (cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat))
+        object.__setattr__(self, "vec", (cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat)))
 
 
 def _dot(a, b):
@@ -157,11 +163,6 @@ def _apart(c1, cos1, sin1, cap: Cap) -> bool:
     """
     cos2 = cap.cos
     return cos1 + cos2 > 0.0 and _dot(c1, cap.center) < cos1 * cos2 - sin1 * cap.sin
-
-
-def geo_to_unit(p: GeoPoint) -> tuple[float, float, float]:
-    """The unit vector of p (see GeoPoint._vec)."""
-    return p._vec
 
 
 def unit_to_geo(v: tuple[float, float, float]) -> GeoPoint:
@@ -255,16 +256,16 @@ def _dedup(vectors):
     return kept
 
 
-def spherical_convex_hull(points: Sequence[GeoPoint]) -> SphericalHull:
-    """Minimal convex spherical polygon containing all points.
+def spherical_convex_hull(points: Sequence[tuple[float, float, float]]) -> SphericalHull:
+    """Minimal convex spherical polygon containing all points, unit vectors.
 
-    Raises EmptyInput when points is empty and HemisphereViolation when the
-    deduplicated set does not fit in the open hemisphere around its
-    normalized vector mean (see _center).
+    Raises EmptyInput when points is empty and HemisphereViolation, whose
+    witness is in degrees, when the deduplicated set does not fit in the
+    open hemisphere around its normalized vector mean (see _center).
     """
     if not points:
         raise EmptyInput("cannot build a hull from zero points")
-    vecs = _dedup([p._vec for p in points])
+    vecs = _dedup(points)
 
     if len(vecs) == 1:
         return SphericalHull(vertices=(vecs[0],), degenerate_kind="point")
@@ -334,7 +335,8 @@ def _arc_meets(a, b, n, edges) -> bool:
     return False
 
 
-def _hull_contains_vec(h: SphericalHull, p) -> bool:
+def hull_contains(h: SphericalHull, p) -> bool:
+    """True iff unit vector p is inside or on the boundary of h (tolerance ANGLE_TOL radians)."""
     vts = h.vertices
     if h.degenerate_kind == "point":
         return _angle(p, vts[0]) <= ANGLE_TOL
@@ -345,16 +347,11 @@ def _hull_contains_vec(h: SphericalHull, p) -> bool:
     return all(n[0] * px + n[1] * py + n[2] * pz >= -ANGLE_TOL for n in h._edge_normals)
 
 
-def hull_contains(h: SphericalHull, p: GeoPoint) -> bool:
-    """True iff p is inside or on the boundary of h (tolerance ANGLE_TOL radians)."""
-    return _hull_contains_vec(h, p._vec)
-
-
 def _hull_cap(hull: SphericalHull) -> Cap:
-    """A Cap such that _hull_contains_vec(hull, v) is False for every v outside it.
+    """A Cap such that hull_contains(hull, v) is False for every v outside it.
 
     It is the cap over the hull vertices, widened to cover the tolerant
-    boundary band of _hull_contains_vec.
+    boundary band of hull_contains.
 
     For a polygon the band is {v : n.v >= -ANGLE_TOL for every edge normal n},
     which reaches ANGLE_TOL / sin(theta / 2) past a vertex with interior angle
@@ -402,9 +399,18 @@ class GeoPolygon:
     """A polygon on the sphere: one outer ring plus optional hole rings.
 
     Rings are closed implicitly; the first point is not repeated at the end.
+    _ring_vecs holds the vertex vectors ring by ring. _cap is the Cap outside
+    which polygon_contains rejects every point, and pruning uses it too. It
+    is centred on the outer ring's mean direction and reaches the farthest
+    vertex of any ring plus CAP_SLACK. The constructor raises unless every
+    vertex is less than pi/2 from that center (the hemisphere rule), so the
+    cap is convex and holds every minor-arc edge and the even-odd interior;
+    the ANGLE_TOL edge band reaches at most ~2 * ANGLE_TOL past a vertex.
     """
 
     rings: tuple[tuple[GeoPoint, ...], ...]
+    _ring_vecs: tuple[tuple[tuple[float, float, float], ...], ...] = field(init=False, compare=False, repr=False)
+    _cap: Cap = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.rings:
@@ -412,26 +418,12 @@ class GeoPolygon:
         for ring in self.rings:
             if len({(p.lat, p.lon) for p in ring}) < 3:
                 raise ValidationError("each ring needs at least 3 distinct points")
-
-    @cached_property
-    def _ring_vecs(self):
-        return tuple(tuple(p._vec for p in ring) for ring in self.rings)
-
-    @cached_property
-    def _cap(self) -> Cap:
-        """The Cap outside which _polygon_contains_vec rejects every point; pruning uses it too.
-
-        It is centred on the outer ring's mean direction and reaches the
-        farthest vertex of any ring plus CAP_SLACK. Every vertex is less than
-        pi/2 from the center (the hemisphere rule, checked here), so the cap
-        is convex and holds every minor-arc edge and the even-odd interior;
-        the ANGLE_TOL edge band reaches at most ~2 * ANGLE_TOL past a vertex.
-        """
-        rings = self._ring_vecs
+        rings = tuple(tuple(p.vec for p in ring) for ring in self.rings)
         center, lo = _center(rings[0], [v for ring in rings[1:] for v in ring])
         if lo <= 1e-9:
             raise ValidationError("polygon ring spans a hemisphere or more")
-        return _cap(center, lo)
+        object.__setattr__(self, "_ring_vecs", rings)
+        object.__setattr__(self, "_cap", _cap(center, lo))
 
     @cached_property
     def _edges(self):
@@ -468,7 +460,8 @@ def _even_odd(rings_2d, x, y):
     return inside
 
 
-def _polygon_contains_vec(poly: GeoPolygon, p) -> bool:
+def polygon_contains(poly: GeoPolygon, p) -> bool:
+    """Spherical point-in-polygon with holes for unit vector p; border points count as inside."""
     cap = poly._cap
     d = _dot(cap.center, p)
     # cheap rejection outside the bounding cap, before any projection is built
@@ -480,11 +473,6 @@ def _polygon_contains_vec(poly: GeoPolygon, p) -> bool:
     # points on any border edge (outer or hole) count as inside; _near_arc's first test is inlined
     px, py, pz = p
     return any(abs(n[0] * px + n[1] * py + n[2] * pz) <= ANGLE_TOL and _near_arc(p, a, b, n) for a, b, n in poly._edges)
-
-
-def polygon_contains(poly: GeoPolygon, p: GeoPoint) -> bool:
-    """Spherical point-in-polygon with holes; border points count as inside."""
-    return _polygon_contains_vec(poly, p._vec)
 
 
 def _meets(poly: GeoPolygon, hull: SphericalHull, edges) -> bool:
@@ -505,4 +493,4 @@ def _meets(poly: GeoPolygon, hull: SphericalHull, edges) -> bool:
             continue
         if _arc_meets(a, b, n, poly._edges):
             return True
-    return _hull_contains_vec(hull, poly._ring_vecs[0][0]) or _polygon_contains_vec(poly, hull.vertices[0])
+    return hull_contains(hull, poly._ring_vecs[0][0]) or polygon_contains(poly, hull.vertices[0])

@@ -21,6 +21,9 @@ from .sphere import GeoPoint, GeoPolygon, polygon_contains
 
 REGIONS = ("Africa", "Americas", "Asia", "Europe", "Oceania")
 
+# Which points span a pair's hull: each country's top cities, or its border vertices
+MODES = ("population", "border")
+
 # Cities tested per country, both for hull construction and for membership
 # of other countries in a hull. Countries with fewer simply use all of them.
 DEFAULT_CITY_LIMIT = 15
@@ -194,8 +197,7 @@ def _load_borders(path):
                 raise ParseError(str(path), 0, f"{where} ({iso2}): empty polygon")
             rings = tuple(_ring_from_coords(rc, path, where) for rc in rings_coords)
             try:
-                poly = GeoPolygon(rings=rings)
-                poly._cap  # the hemisphere rule, so that a ring spanning one fails here, located
+                poly = GeoPolygon(rings=rings)  # checks the hemisphere rule, so a ring spanning one fails here, located
             except ValidationError as e:
                 raise ValidationError(f"{path}: {where} ({iso2}): {e}") from None
             by_country.setdefault(iso2, []).append(poly)
@@ -245,26 +247,29 @@ def load_summary(w: WorldModel, city_limit: int = DEFAULT_CITY_LIMIT) -> list[st
         if cb is None:
             continue
         for city in rec.top_cities(city_limit):
-            if not any(polygon_contains(poly, city.location) for poly in cb.polygons):
+            if not any(polygon_contains(poly, city.location.vec) for poly in cb.polygons):
                 out.append(f"warning: {iso2} city {city.name!r} lies outside every {iso2} border polygon")
     return out
 
 
-def country_points(w: WorldModel, iso2: str, mode: str, city_limit: int = DEFAULT_CITY_LIMIT) -> list[GeoPoint]:
-    """Hull input points for one country.
+def country_points(w: WorldModel, iso2: str, mode: str, city_limit: int = DEFAULT_CITY_LIMIT) -> list[tuple[float, float, float]]:
+    """Hull input points for one country, as unit vectors (see sphere.GeoPoint.vec).
 
     population mode: the top city_limit cities by population (all, if fewer).
     border mode: every vertex of every border ring, non-contiguous territories
-    included, which is what inflates hulls for countries with remote holdings.
+    included, which is what inflates hulls for countries with remote holdings;
+    a country with cities but no border polygons has none, a ValidationError.
     """
     if mode == "population":
         rec = w.countries.get(iso2)
         if rec is None:
             raise UnknownCountry(iso2)
-        return [c.location for c in rec.top_cities(city_limit)]
+        return [c.location.vec for c in rec.top_cities(city_limit)]
     if mode == "border":
         cb = w.borders.get(iso2)
-        if cb is None:
-            raise UnknownCountry(iso2)
-        return [p for poly in cb.polygons for ring in poly.rings for p in ring]
-    raise ValidationError(f"unknown mode {mode!r} (expected 'population' or 'border')")
+        if cb is not None:
+            return [v for poly in cb.polygons for ring in poly._ring_vecs for v in ring]
+        if iso2 in w.countries:
+            raise ValidationError(f"{iso2} has no border polygons, which border mode needs")
+        raise UnknownCountry(iso2)
+    raise ValidationError(f"unknown mode {mode!r} (expected {' or '.join(map(repr, MODES))})")

@@ -18,7 +18,7 @@ from geonorm.enrichment import PrefixTable
 from geonorm.metrics import Aggregate, accumulate, report
 from geonorm.normality import PairCache, classify, normal_set
 from geonorm.pipeline import Skip, SkipLog, classify_path_with, parse_traceroute_line, to_tuple_path
-from geonorm.sphere import GeoPoint, _angle, geo_to_unit, hull_contains, spherical_convex_hull
+from geonorm.sphere import GeoPoint, _angle, hull_contains, spherical_convex_hull
 from geonorm.synth import write_corpus
 
 from conftest import PIPELINE12, REPO, SMALLWORLD, table_args, world_args
@@ -63,8 +63,7 @@ class TestCriterion2:
 def brute_force_hull_vertices(points):
     """All-pairs edge half-space test; quadratic-times-n and obviously correct."""
     vecs = []
-    for p in points:
-        v = geo_to_unit(p)
+    for v in points:
         if not any(sum((a - b) ** 2 for a, b in zip(v, u)) <= 1e-18 for u in vecs):
             vecs.append(v)
     if len(vecs) <= 2:
@@ -88,9 +87,8 @@ def brute_force_hull_vertices(points):
     return vertices
 
 
-def winding_contains(hull, point):
-    """Winding number of the hull ring as seen from the query point."""
-    q = geo_to_unit(point)
+def winding_contains(hull, q):
+    """Winding number of the hull ring as seen from the query point q."""
     ax = min(range(3), key=lambda i: abs(q[i]))
     axis = tuple(1.0 if i == ax else 0.0 for i in range(3))
     e1 = (
@@ -121,8 +119,7 @@ def winding_contains(hull, point):
     return abs(total) > math.pi
 
 
-def distance_to_ring(hull, point):
-    q = geo_to_unit(point)
+def distance_to_ring(hull, q):
     best = math.inf
     vts = hull.vertices
     n = len(vts)
@@ -140,7 +137,7 @@ def cap_points(rng, n, lat, lon, radius):
     while len(pts) < n:
         p_lat = lat + rng.uniform(-radius, radius)
         if abs(p_lat) <= 89:
-            pts.append(GeoPoint(p_lat, lon + rng.uniform(-radius, radius)))
+            pts.append(GeoPoint(p_lat, lon + rng.uniform(-radius, radius)).vec)
     return pts
 
 
@@ -165,7 +162,7 @@ class TestCriterion3:
                 continue
             for i in range(15):
                 for j in range(15):
-                    q = GeoPoint(lat + (i - 7) * 2.6, lon + (j - 7) * 2.6)
+                    q = GeoPoint(lat + (i - 7) * 2.6, lon + (j - 7) * 2.6).vec
                     if distance_to_ring(hull, q) <= 1e-6:
                         continue
                     assert hull_contains(hull, q) == winding_contains(hull, q)

@@ -157,6 +157,19 @@ class TestNormalSet:
         assert code == 1
         assert "AX" in err and "did you mean" in err
 
+    def test_border_mode_names_a_country_without_borders(self, capsys, tmp_path):
+        # AA keeps its cities but loses its border polygons: it is known, so the error must not call it unknown
+        doc = json.loads((SMALLWORLD / "borders.geojson").read_text())
+        doc["features"] = [f for f in doc["features"] if f["properties"]["iso2"] != "AA"]
+        borders = tmp_path / "borders.geojson"
+        borders.write_text(json.dumps(doc))
+        argv = ["--cities", str(SMALLWORLD / "cities.csv"), "--borders", str(borders), "--regions", str(SMALLWORLD / "regions.csv")]
+        analyze = ["analyze", *table_args(), "--traceroutes", str(PIPELINE12 / "traceroutes.ndjson"), "--output-dir", str(tmp_path / "out")]
+        for command in (["normal-set", "AA", "AC"], analyze):
+            code, out, err = run(capsys, *command, *argv, "--mode", "border")
+            assert code == 1 and out == ""
+            assert err == "error: AA has no border polygons, which border mode needs\n"
+
     def test_export_hull_geojson_linestring(self, capsys, tmp_path):
         target = tmp_path / "hull.geojson"
         code, out, _ = run(capsys, "normal-set", *world_args(), "AA", "AC", "--export-hull", str(target))

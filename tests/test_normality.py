@@ -19,12 +19,11 @@ from geonorm.sphere import (
     _cross,
     _dot,
     _hull_cap,
-    _hull_contains_vec,
     _hull_edges,
     _meets,
     _normalized,
-    _polygon_contains_vec,
-    geo_to_unit,
+    hull_contains,
+    polygon_contains,
     spherical_convex_hull,
     unit_to_geo,
 )
@@ -259,13 +258,13 @@ def exact_normal_set(w, src, dst, mode):
         return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset({src, dst}), unclassifiable=True)
     members = {src, dst}
     for iso2, rec in w.countries.items():
-        if any(_hull_contains_vec(hull, geo_to_unit(c.location)) for c in rec.top_cities(DEFAULT_CITY_LIMIT)):
+        if any(hull_contains(hull, c.location.vec) for c in rec.top_cities(DEFAULT_CITY_LIMIT)):
             members.add(iso2)
     for iso2, cb in w.borders.items():
         for poly in cb.polygons:
             if (
-                any(_hull_contains_vec(hull, v) for ring in poly._ring_vecs for v in ring)
-                or any(_polygon_contains_vec(poly, v) for v in hull.vertices)
+                any(hull_contains(hull, v) for ring in poly._ring_vecs for v in ring)
+                or any(polygon_contains(poly, v) for v in hull.vertices)
                 or any(_arc_meets(a, b, n, [edge]) for a, b, n in hull_edges(hull) for edge in poly._edges)
             ):
                 members.add(iso2)
@@ -331,7 +330,7 @@ class TestExactPartialContainment:
         )
         for mode in ("population", "border"):
             hull = spherical_convex_hull(country_points(w, "BE", mode) + country_points(w, "BF", mode))
-            assert all(_hull_contains_vec(hull, v) for v in island._ring_vecs[0])
+            assert all(hull_contains(hull, v) for v in island._ring_vecs[0])
             assert "ZI" in normal_set(w, "BE", "BF", mode).countries
 
     def test_sliver_across_a_hull_corner(self, small_world):
@@ -339,7 +338,7 @@ class TestExactPartialContainment:
         # of its edges within 0.01 degrees of the vertex, where no 0.05-degree
         # sample lies; no vertex of either lies in the other
         hull = spherical_convex_hull(country_points(small_world, "AA", "population") + country_points(small_world, "AB", "population"))
-        k = hull.vertices.index(geo_to_unit(GeoPoint(1.0, 1.0)))
+        k = hull.vertices.index(GeoPoint(1.0, 1.0).vec)
         v, u, w_ = hull.vertices[k], hull.vertices[k - 1], hull.vertices[(k + 1) % len(hull.vertices)]
         toward = lambda t: _normalized(tuple(ti - _dot(v, t) * vi for vi, ti in zip(v, t)))
         s = math.radians(0.01)
@@ -351,8 +350,8 @@ class TestExactPartialContainment:
         q1, q2 = move(p1, along, 10 * s), move(p2, along, -10 * s)
         strip = (q1, move(q1, inward, shift), move(q2, inward, shift), q2)
         sliver = GeoPolygon(rings=(tuple(unit_to_geo(q) for q in strip),))
-        assert not any(_hull_contains_vec(hull, q) for q in sliver._ring_vecs[0])
-        assert not any(_polygon_contains_vec(sliver, x) for x in hull.vertices)
+        assert not any(hull_contains(hull, q) for q in sliver._ring_vecs[0])
+        assert not any(polygon_contains(sliver, x) for x in hull.vertices)
         w = WorldModel(
             countries=small_world.countries,
             borders={**small_world.borders, "ZS": CountryBorders(iso2="ZS", polygons=(sliver,))},
@@ -368,7 +367,7 @@ def _square(lat0, lon0, lat1, lon1):
 class TestMeets:
     """_meets on a hull over the square lat 0..4, lon 0..4, whose southern edge lies on the equator."""
 
-    HULL = spherical_convex_hull(_square(0, 0, 4, 4))
+    HULL = spherical_convex_hull([p.vec for p in _square(0, 0, 4, 4)])
 
     def meets(self, *rings, hull=HULL):
         return _meets(GeoPolygon(rings=rings), hull, _hull_edges(hull))
@@ -392,8 +391,8 @@ class TestMeets:
         assert self.meets((apex, GeoPoint(-1, 1), GeoPoint(-1, 3))) == meets
 
     def test_arc_and_point_hulls(self):
-        arc = spherical_convex_hull([GeoPoint(2, -5), GeoPoint(2, 5)])
-        point = spherical_convex_hull([GeoPoint(2, 2)])
+        arc = spherical_convex_hull([GeoPoint(2, -5).vec, GeoPoint(2, 5).vec])
+        point = spherical_convex_hull([GeoPoint(2, 2).vec])
         assert (arc.degenerate_kind, len(_hull_edges(arc)), len(_hull_edges(point))) == ("arc", 1, 0)
         assert self.meets(_square(0, 0, 4, 4), hull=arc)  # crosses two edges, no vertex inside
         assert self.meets(_square(0, 0, 4, 4), hull=point)
@@ -434,7 +433,7 @@ class TestCityCaps:
 
 
 def _unit(lat, lon):
-    return geo_to_unit(GeoPoint(lat, lon))
+    return GeoPoint(lat, lon).vec
 
 
 @st.composite
@@ -476,7 +475,7 @@ class TestApart:
 
 
 def _hull_of(vecs):
-    return spherical_convex_hull([unit_to_geo(_normalized(v)) for v in vecs])
+    return spherical_convex_hull([_normalized(v) for v in vecs])
 
 
 @st.composite
@@ -524,7 +523,7 @@ def hull_and_probes(draw):
         lo, hi = 0.0, math.pi / 2
         for _ in range(60):
             mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if _hull_contains_vec(hull, beyond(mid)) else (lo, mid)
+            lo, hi = (mid, hi) if hull_contains(hull, beyond(mid)) else (lo, mid)
         probes += [beyond(lo), beyond(hi), beyond(hi * 1.01), tuple(-x for x in beyond(lo))]
     if floor > -1.0:
         radius = math.acos(floor)
@@ -543,7 +542,7 @@ class TestHullCap:
         center, floor = cap.center, cap.cos
         for p in probes:
             if _dot(center, p) < floor:
-                assert not _hull_contains_vec(hull, p)
+                assert not hull_contains(hull, p)
 
     def test_fat_hull_prunes(self):
         hull = _hull_of([_unit(0, 0), _unit(0, 10), _unit(10, 0)])
@@ -562,13 +561,13 @@ class TestHullCap:
         cap = _hull_cap(hull)
         center, floor = cap.center, cap.cos
         antipode = tuple(-x for x in center)
-        assert _hull_contains_vec(hull, antipode)
+        assert hull_contains(hull, antipode)
         assert floor == -math.inf
 
     def test_short_arc_is_not_pruned(self):
         hull = _hull_of([(1.0, 0.0, 0.0), (math.cos(ANGLE_TOL / 2), math.sin(ANGLE_TOL / 2), 0.0)])
         assert hull.degenerate_kind == "arc"
-        assert _hull_contains_vec(hull, (-1.0, 0.0, 0.0))
+        assert hull_contains(hull, (-1.0, 0.0, 0.0))
         assert _hull_cap(hull).cos == -math.inf
 
 

@@ -17,10 +17,7 @@ from geonorm.sphere import (
     _dedup,
     _dot,
     _even_odd,
-    _hull_contains_vec,
     _normalized,
-    _polygon_contains_vec,
-    geo_to_unit,
     hull_contains,
     polygon_contains,
     spherical_convex_hull,
@@ -58,18 +55,36 @@ class TestGeoPoint:
         p = GeoPoint(lat, lon)
         assert -180 < p.lon <= 180
 
+    @given(
+        st.one_of(st.floats(-90, 90), st.sampled_from([-90, -90.0, 90, 90.0, 0, -0.0])),
+        st.one_of(st.floats(-1000, 1000), st.sampled_from([-540, -180, -180.0, 180, 180.0, 360, 540, -0.0])),
+    )
+    def test_vec_is_the_embedding_of_the_normalized_point(self, lat, lon):
+        # bit for bit, since hull vertices and so the reports follow every bit of it
+        p = GeoPoint(lat, lon)
+        rlat, rlon = math.radians(p.lat), math.radians(p.lon)
+        assert p.vec == (math.cos(rlat) * math.cos(rlon), math.cos(rlat) * math.sin(rlon), math.sin(rlat))
+
+    def test_vec_is_left_out_of_equality_hash_and_repr(self):
+        p, q = GeoPoint(1, 2), GeoPoint(1, 2)
+        object.__setattr__(q, "vec", (0.0, 0.0, 1.0))
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert repr(p) == "GeoPoint(lat=1.0, lon=2.0)"
+        with pytest.raises(TypeError):
+            GeoPoint(1, 2, (1.0, 0.0, 0.0))
+
 
 class TestEmbedding:
     def test_axis_alignments(self):
-        assert approx_vec(geo_to_unit(GeoPoint(0, 0)), (1, 0, 0))
-        assert approx_vec(geo_to_unit(GeoPoint(90, 0)), (0, 0, 1), tol=1e-15)
-        assert approx_vec(geo_to_unit(GeoPoint(0, 90)), (0, 1, 0), tol=1e-15)
+        assert approx_vec(GeoPoint(0, 0).vec, (1, 0, 0))
+        assert approx_vec(GeoPoint(90, 0).vec, (0, 0, 1), tol=1e-15)
+        assert approx_vec(GeoPoint(0, 90).vec, (0, 1, 0), tol=1e-15)
 
     @given(st.floats(-90, 90), st.floats(-180, 180))
     def test_round_trip(self, lat, lon):
         p = GeoPoint(lat, lon)
-        q = unit_to_geo(geo_to_unit(p))
-        assert _angle(geo_to_unit(p), geo_to_unit(q)) < 1e-9
+        q = unit_to_geo(p.vec)
+        assert _angle(p.vec, q.vec) < 1e-9
 
 
 def cap_points(rng, n, center_lat, center_lon, radius_deg):
@@ -78,7 +93,7 @@ def cap_points(rng, n, center_lat, center_lon, radius_deg):
         lat = center_lat + rng.uniform(-radius_deg, radius_deg)
         lon = center_lon + rng.uniform(-radius_deg, radius_deg)
         if abs(lat) <= 89:
-            pts.append(GeoPoint(lat, lon))
+            pts.append(GeoPoint(lat, lon).vec)
     return pts
 
 
@@ -88,63 +103,61 @@ class TestHullConstruction:
             spherical_convex_hull([])
 
     def test_single_point_degenerates(self):
-        h = spherical_convex_hull([GeoPoint(12.5, 44.25)])
+        h = spherical_convex_hull([GeoPoint(12.5, 44.25).vec])
         assert h.degenerate_kind == "point"
-        assert hull_contains(h, GeoPoint(12.5, 44.25))
-        assert not hull_contains(h, GeoPoint(12.6, 44.25))
+        assert hull_contains(h, GeoPoint(12.5, 44.25).vec)
+        assert not hull_contains(h, GeoPoint(12.6, 44.25).vec)
 
     def test_duplicates_collapse_to_point(self):
-        h = spherical_convex_hull([GeoPoint(5, 5)] * 4)
+        h = spherical_convex_hull([GeoPoint(5, 5).vec] * 4)
         assert h.degenerate_kind == "point"
 
     def test_collinear_on_equator_degenerates_to_arc(self):
-        h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 5), GeoPoint(0, 10)])
+        h = spherical_convex_hull([GeoPoint(0, 0).vec, GeoPoint(0, 5).vec, GeoPoint(0, 10).vec])
         assert h.degenerate_kind == "arc"
-        assert hull_contains(h, GeoPoint(0, 7))
-        assert not hull_contains(h, GeoPoint(1, 5))
-        assert not hull_contains(h, GeoPoint(0, 11))
+        assert hull_contains(h, GeoPoint(0, 7).vec)
+        assert not hull_contains(h, GeoPoint(1, 5).vec)
+        assert not hull_contains(h, GeoPoint(0, 11).vec)
 
     def test_triangle_containment_answers(self):
-        h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 10), GeoPoint(10, 0)])
-        assert hull_contains(h, GeoPoint(2, 2))
-        assert not hull_contains(h, GeoPoint(-5, -5))
+        h = spherical_convex_hull([GeoPoint(0, 0).vec, GeoPoint(0, 10).vec, GeoPoint(10, 0).vec])
+        assert hull_contains(h, GeoPoint(2, 2).vec)
+        assert not hull_contains(h, GeoPoint(-5, -5).vec)
         for v in h.vertices:
-            assert hull_contains(h, unit_to_geo(v))
+            assert hull_contains(h, v)
 
     def test_triangle_contains_edge_midpoints(self):
-        h = spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 10), GeoPoint(10, 0)])
+        h = spherical_convex_hull([GeoPoint(0, 0).vec, GeoPoint(0, 10).vec, GeoPoint(10, 0).vec])
         assert h.degenerate_kind == "polygon"
         vts = h.vertices
         for i in range(len(vts)):
             a, b = vts[i], vts[(i + 1) % len(vts)]
             mid = tuple((x + y) / 2 for x, y in zip(a, b))
             norm = math.sqrt(sum(c * c for c in mid))
-            midpoint = unit_to_geo(tuple(c / norm for c in mid))
-            assert hull_contains(h, midpoint)
+            assert hull_contains(h, tuple(c / norm for c in mid))
 
     def test_antipodal_pair_raises_with_witness(self):
         with pytest.raises(HemisphereViolation) as exc:
-            spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 180)])
+            spherical_convex_hull([GeoPoint(0, 0).vec, GeoPoint(0, 180).vec])
         assert exc.value.separation_deg == pytest.approx(180.0)
         assert len(exc.value.witness) == 2
 
     def test_spread_ring_raises(self):
         with pytest.raises(HemisphereViolation):
-            spherical_convex_hull([GeoPoint(0, 0), GeoPoint(0, 120), GeoPoint(0, -120)])
+            spherical_convex_hull([GeoPoint(0, 0).vec, GeoPoint(0, 120).vec, GeoPoint(0, -120).vec])
 
     def test_hull_vertices_subset_of_inputs(self):
         rng = random.Random(1)
         pts = cap_points(rng, 100, 40, -30, 10)
         h = spherical_convex_hull(pts)
-        inputs = {geo_to_unit(p) for p in pts}
-        assert all(v in inputs for v in h.vertices)
+        assert all(v in pts for v in h.vertices)
         assert all(hull_contains(h, p) for p in pts)
 
     def test_vertices_inside_centroid_hemisphere(self):
         rng = random.Random(2)
         pts = cap_points(rng, 50, -20, 100, 25)
         h = spherical_convex_hull(pts)
-        centroid = _normalized(tuple(sum(geo_to_unit(p)[i] for p in pts) for i in range(3)))
+        centroid = _normalized(tuple(sum(p[i] for p in pts) for i in range(3)))
         assert all(_angle(centroid, v) < math.pi / 2 for v in h.vertices)
 
     def test_polygon_ring_is_counterclockwise(self):
@@ -181,7 +194,7 @@ class TestHullProperties:
     @given(hull_input())
     def test_idempotence(self, pts):
         h = spherical_convex_hull(pts)
-        h2 = spherical_convex_hull([unit_to_geo(v) for v in h.vertices])
+        h2 = spherical_convex_hull(h.vertices)
         first = set(h.vertices)
         second = set(h2.vertices)
         for a in first:
@@ -191,18 +204,19 @@ class TestHullProperties:
     @given(hull_input(max_points=15), st.floats(-25, 25), st.floats(-25, 25))
     def test_monotonicity_under_insertion(self, pts, dlat, dlon):
         # the extra point stays near the cap so the hemisphere precondition holds
-        extra = GeoPoint(max(-89, min(89, pts[0].lat + dlat)), pts[0].lon + dlon)
+        first = unit_to_geo(pts[0])
+        extra = GeoPoint(max(-89, min(89, first.lat + dlat)), first.lon + dlon).vec
         h = spherical_convex_hull(pts)
         grown = spherical_convex_hull(pts + [extra])
         assert all(hull_contains(grown, p) for p in pts)
-        assert all(hull_contains(grown, unit_to_geo(v)) for v in h.vertices)
+        assert all(hull_contains(grown, v) for v in h.vertices)
 
     @given(hull_input(max_points=12), st.integers(0, 2**32 - 1))
     def test_rotation_equivariance(self, pts, seed):
         rng = random.Random(seed)
         axis_lat, axis_lon = rng.uniform(-90, 90), rng.uniform(-180, 180)
         angle = rng.uniform(0, 2 * math.pi)
-        k = geo_to_unit(GeoPoint(axis_lat, axis_lon))
+        k = GeoPoint(axis_lat, axis_lon).vec
 
         def rotate(v):
             # Rodrigues rotation about axis k
@@ -216,14 +230,15 @@ class TestHullProperties:
             return tuple(v[i] * c + cross[i] * s + k[i] * kv * (1 - c) for i in range(3))
 
         def rotated_point(p):
-            x, y, z = rotate(geo_to_unit(p))
+            x, y, z = rotate(p)
             n = math.sqrt(x * x + y * y + z * z)
-            return unit_to_geo((x / n, y / n, z / n))
+            return (x / n, y / n, z / n)
 
         h = spherical_convex_hull(pts)
         h_rot = spherical_convex_hull([rotated_point(p) for p in pts])
         rng2 = random.Random(seed + 1)
-        queries = cap_points(rng2, 20, pts[0].lat, pts[0].lon, 25)
+        first = unit_to_geo(pts[0])
+        queries = cap_points(rng2, 20, first.lat, first.lon, 25)
         for q in queries:
             there = hull_contains(h, q)
             rotated = hull_contains(h_rot, rotated_point(q))
@@ -243,8 +258,7 @@ def spread_input(draw):
         vecs.insert(0, c)
     if draw(st.booleans()):
         vecs.append(tuple(-x for x in vecs[0]))
-    points = [unit_to_geo(v) for v in vecs]
-    return points + points[: draw(st.integers(0, 3))]
+    return vecs + vecs[: draw(st.integers(0, 3))]
 
 
 class TestHemisphereWitness:
@@ -255,20 +269,19 @@ class TestHemisphereWitness:
         except HemisphereViolation as e:
             a, b = e.witness
             for w in (a, b):
-                assert min(_angle(w._vec, p._vec) for p in points) < 1e-9
-            assert _angle(a._vec, b._vec) > math.pi / 2
-            assert e.separation_deg == pytest.approx(math.degrees(_angle(a._vec, b._vec)), abs=1e-9)
+                assert min(_angle(w.vec, p) for p in points) < 1e-9
+            assert _angle(a.vec, b.vec) > math.pi / 2
+            assert e.separation_deg == pytest.approx(math.degrees(_angle(a.vec, b.vec)), abs=1e-9)
 
-    @pytest.mark.parametrize("pole", [[], [GeoPoint(90, 0)]])
+    @pytest.mark.parametrize("pole", [[], [GeoPoint(90, 0).vec]])
     def test_witness_of_a_ring_around_the_equator(self, pole):
         # with the pole first, the center is the pole, 90 degrees from every other point
         with pytest.raises(HemisphereViolation) as exc:
-            spherical_convex_hull(pole + [GeoPoint(0, lon) for lon in range(-180, 180, 120)])
+            spherical_convex_hull(pole + [GeoPoint(0, lon).vec for lon in range(-180, 180, 120)])
         assert exc.value.separation_deg == pytest.approx(120)
 
 
-def _distance_to_boundary(h, p):
-    v = geo_to_unit(p)
+def _distance_to_boundary(h, v):
     best = math.inf
     vts = h.vertices
     n = len(vts)
@@ -375,19 +388,19 @@ class TestArcMeets:
     def test_circles_meeting_only_at_the_antipodes(self):
         # the equator from lon -10 to 10 and the meridian at lon 180 from lat -10 to 10:
         # each arc's ends straddle the other's great circle, yet they are 180 degrees apart
-        a, b = geo_to_unit(GeoPoint(0, -10)), geo_to_unit(GeoPoint(0, 10))
-        c, d = geo_to_unit(GeoPoint(-10, 180)), geo_to_unit(GeoPoint(10, 180))
+        a, b = GeoPoint(0, -10).vec, GeoPoint(0, 10).vec
+        c, d = GeoPoint(-10, 180).vec, GeoPoint(10, 180).vec
         n, m = _normalized(_cross(a, b)), _normalized(_cross(c, d))
         assert _dot(n, c) * _dot(n, d) < 0 and _dot(m, a) * _dot(m, b) < 0
         assert not _arc_meets(a, b, n, [(c, d, m)])
-        c, d = geo_to_unit(GeoPoint(-10, 0)), geo_to_unit(GeoPoint(10, 0))
+        c, d = GeoPoint(-10, 0).vec, GeoPoint(10, 0).vec
         assert _arc_meets(a, b, n, [(c, d, _normalized(_cross(c, d)))])
 
     def test_ends_touch_within_angle_tol(self):
-        a, b = geo_to_unit(GeoPoint(0, 0)), geo_to_unit(GeoPoint(0, 10))
+        a, b = GeoPoint(0, 0).vec, GeoPoint(0, 10).vec
         n = _normalized(_cross(a, b))
         for lat, meets in ((math.degrees(ANGLE_TOL) / 2, True), (math.degrees(ANGLE_TOL) * 3, False)):
-            c, d = geo_to_unit(GeoPoint(lat, 5)), geo_to_unit(GeoPoint(5, 5))
+            c, d = GeoPoint(lat, 5).vec, GeoPoint(5, 5).vec
             assert _arc_meets(a, b, n, [(c, d, _normalized(_cross(c, d)))]) == meets
 
     @pytest.mark.parametrize(
@@ -397,8 +410,8 @@ class TestArcMeets:
     )
     def test_arcs_on_one_great_circle(self, lon_c, lon_d, meets):
         # both arcs on the equator: every end is on the other's circle, so only the touch tests can decide
-        a, b = geo_to_unit(GeoPoint(0, 0)), geo_to_unit(GeoPoint(0, 10))
-        c, d = geo_to_unit(GeoPoint(0, lon_c)), geo_to_unit(GeoPoint(0, lon_d))
+        a, b = GeoPoint(0, 0).vec, GeoPoint(0, 10).vec
+        c, d = GeoPoint(0, lon_c).vec, GeoPoint(0, lon_d).vec
         n, m = _normalized(_cross(a, b)), _normalized(_cross(c, d))
         assert (arc_distance(a, b, c, d) <= ANGLE_TOL) == meets
         assert _arc_meets(a, b, n, [(c, d, m)]) == meets
@@ -459,20 +472,20 @@ HOLED = GeoPolygon(
 
 class TestPolygonContains:
     def test_square_basics(self):
-        assert polygon_contains(SQUARE, GeoPoint(0, 0))
-        assert not polygon_contains(SQUARE, GeoPoint(5, 5))
+        assert polygon_contains(SQUARE, GeoPoint(0, 0).vec)
+        assert not polygon_contains(SQUARE, GeoPoint(5, 5).vec)
 
     def test_hole_excludes_center_keeps_annulus(self):
-        assert not polygon_contains(HOLED, GeoPoint(0, 0))
-        assert polygon_contains(HOLED, GeoPoint(5, 0))
-        assert polygon_contains(HOLED, GeoPoint(0, 5))
+        assert not polygon_contains(HOLED, GeoPoint(0, 0).vec)
+        assert polygon_contains(HOLED, GeoPoint(5, 0).vec)
+        assert polygon_contains(HOLED, GeoPoint(0, 5).vec)
 
     def test_border_points_count_as_inside(self):
         # meridian edges are exact great circles
-        assert polygon_contains(SQUARE, GeoPoint(0.5, 1.0))
-        assert polygon_contains(SQUARE, GeoPoint(0.5, -1.0))
-        assert polygon_contains(HOLED, GeoPoint(0.5, 1.0))  # hole edge
-        assert polygon_contains(SQUARE, GeoPoint(1, 1))  # vertex
+        assert polygon_contains(SQUARE, GeoPoint(0.5, 1.0).vec)
+        assert polygon_contains(SQUARE, GeoPoint(0.5, -1.0).vec)
+        assert polygon_contains(HOLED, GeoPoint(0.5, 1.0).vec)  # hole edge
+        assert polygon_contains(SQUARE, GeoPoint(1, 1).vec)  # vertex
 
     def test_ring_needs_three_distinct_points(self):
         with pytest.raises(ValidationError):
@@ -487,7 +500,7 @@ class TestPolygonContains:
         previous = False
         for i in range(-1300, 1301):
             lat = i / 100
-            inside = polygon_contains(HOLED, GeoPoint(lat, 0))
+            inside = polygon_contains(HOLED, GeoPoint(lat, 0).vec)
             if inside != previous:
                 transitions.append(lat)
                 previous = inside
@@ -496,15 +509,15 @@ class TestPolygonContains:
     def test_antimeridian_square(self):
         ring = (GeoPoint(-1, 179), GeoPoint(-1, -179), GeoPoint(1, -179), GeoPoint(1, 179))
         poly = GeoPolygon(rings=(ring,))
-        assert polygon_contains(poly, GeoPoint(0, 180))
-        assert polygon_contains(poly, GeoPoint(0, 179.5))
-        assert polygon_contains(poly, GeoPoint(0, -179.5))
-        assert not polygon_contains(poly, GeoPoint(0, 178))
-        assert not polygon_contains(poly, GeoPoint(0, -178))
+        assert polygon_contains(poly, GeoPoint(0, 180).vec)
+        assert polygon_contains(poly, GeoPoint(0, 179.5).vec)
+        assert polygon_contains(poly, GeoPoint(0, -179.5).vec)
+        assert not polygon_contains(poly, GeoPoint(0, 178).vec)
+        assert not polygon_contains(poly, GeoPoint(0, -178).vec)
 
 
 def _polygon_contains_uncapped(poly, p):
-    """Reference: _polygon_contains_vec without its bounding-cap rejection.
+    """Reference: polygon_contains without its bounding-cap rejection.
 
     The hemisphere guard, then even-odd in the gnomonic plane, then the
     ANGLE_TOL band around every edge and vertex.
@@ -566,7 +579,7 @@ class TestPolygonCap:
     def test_cap_rejects_nothing_the_uncapped_tests_accept(self, case):
         poly, probes = case
         for p in probes:
-            assert _polygon_contains_vec(poly, p) == _polygon_contains_uncapped(poly, p)
+            assert polygon_contains(poly, p) == _polygon_contains_uncapped(poly, p)
 
     def test_cap_is_built_without_the_frame(self):
         poly = GeoPolygon(rings=SQUARE.rings)
@@ -576,9 +589,10 @@ class TestPolygonCap:
         assert math.asin(cap.sin) == pytest.approx(math.acos(cap.cos), abs=1e-12)
 
     def test_hemisphere_check_runs_with_the_cap(self):
-        band = GeoPolygon(rings=((GeoPoint(0, -100), GeoPoint(0, 0), GeoPoint(0, 100), GeoPoint(1, 100), GeoPoint(1, -100)),))
+        # the cap is built with the polygon, so no polygon that breaks the rule exists
+        band = ((GeoPoint(0, -100), GeoPoint(0, 0), GeoPoint(0, 100), GeoPoint(1, 100), GeoPoint(1, -100)),)
         with pytest.raises(ValidationError, match="polygon ring spans a hemisphere or more"):
-            band._cap
+            GeoPolygon(rings=band)
 
     def test_cap_is_exact_width(self):
         cap = SQUARE._cap
@@ -588,7 +602,7 @@ class TestPolygonCap:
     def test_every_ring_is_under_the_cap_and_the_rule(self):
         # a second ring outside the outer one still counts, by even-odd, so the cap must reach it
         beside = (GeoPoint(10, 0), GeoPoint(10, 2), GeoPoint(12, 2), GeoPoint(12, 0))
-        assert polygon_contains(GeoPolygon(rings=(SQUARE.rings[0], beside)), GeoPoint(11, 1))
+        assert polygon_contains(GeoPolygon(rings=(SQUARE.rings[0], beside)), GeoPoint(11, 1).vec)
         opposite = (GeoPoint(-1, 179), GeoPoint(-1, -179), GeoPoint(1, -179), GeoPoint(1, 179))
         with pytest.raises(ValidationError, match="polygon ring spans a hemisphere or more"):
-            GeoPolygon(rings=(SQUARE.rings[0], opposite))._cap
+            GeoPolygon(rings=(SQUARE.rings[0], opposite))

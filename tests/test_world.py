@@ -3,6 +3,7 @@ import json
 import pytest
 
 from geonorm.errors import ParseError, UnknownCountry, ValidationError
+from geonorm.sphere import GeoPoint
 from geonorm.world import country_points, load_summary, load_world
 
 from conftest import SMALLWORLD
@@ -94,6 +95,8 @@ class TestLoadWorld:
         w = load_world(*paths)
         assert "cities-only (no border polygons): ZR" in load_summary(w)
         assert "ZR" in w.countries
+        with pytest.raises(ValidationError, match="^ZR has no border polygons, which border mode needs$"):
+            country_points(w, "ZR", "border")
 
     def test_city_outside_own_borders_is_a_warning(self, tmp_path):
         cities = (SMALLWORLD / "cities.csv").read_text() + "AA,Offshore,2.0,5.0,10\n"
@@ -141,18 +144,17 @@ class TestCountryPoints:
         paths = write_world(tmp_path, cities="\n".join(rows) + "\n")
         w = load_world(*paths)
         pts = country_points(w, "AA", "population")
-        assert len(pts) == 15
         # the top-15 by population are the first written rows
-        assert pts[0].lat == pytest.approx(1.0)
-        assert max(p.lat for p in pts) == pytest.approx(2.4)
+        assert pts == [GeoPoint(float(f"{1 + i * 0.1:.1f}"), float(f"{1 + i * 0.1:.1f}")).vec for i in range(15)]
 
     def test_population_mode_uses_all_when_fewer(self, small_world):
         assert len(country_points(small_world, "BE", "population")) == 2
 
     def test_border_mode_returns_ring_vertices(self, small_world):
         pts = country_points(small_world, "AA", "border")
+        # the ring's closing coordinate equals its first point, vec aside, so it is dropped
         assert len(pts) == 4
-        assert {(p.lat, p.lon) for p in pts} == {(0, 0), (0, 4), (4, 4), (4, 0)}
+        assert set(pts) == {GeoPoint(lat, lon).vec for lat, lon in ((0, 0), (0, 4), (4, 4), (4, 0))}
 
     def test_unknown_country(self, small_world):
         with pytest.raises(UnknownCountry):
