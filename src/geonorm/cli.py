@@ -105,7 +105,7 @@ def _require(cfg, *names):
 
 
 def _load_world(cfg):
-    return load_world(cfg.cities, cfg.borders, cfg.regions)
+    return load_world(cfg.cities, cfg.borders, cfg.regions, cfg.city_limit)
 
 
 def _load_enrichment(cfg):
@@ -219,7 +219,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     _make_output_dir(Path(cfg.output_dir))  # before any record is read
     w = _load_world(cfg)
     enrichment = _load_enrichment(cfg)
-    cache = PairCache(city_limit=cfg.city_limit)
+    cache = PairCache()
 
     normal_set_of = partial(cache.get_or_build, w, mode=cfg.mode)
 
@@ -371,13 +371,13 @@ def cmd_normal_set(cfg: RunConfig, src: str, dst: str, modes, export_hull: str |
     _require(cfg, "cities", "borders", "regions")
     w = _load_world(cfg)
     for mode in modes:
-        ns = normal_set(w, src, dst, mode, city_limit=cfg.city_limit)
+        ns = normal_set(w, src, dst, mode)
         path = None
         if export_hull and not ns.unclassifiable and src != dst:
             path = Path(export_hull)
             if len(modes) > 1:
                 path = path.with_name(f"{path.stem}_{mode}{path.suffix}")
-            _export_hull(w, src, dst, mode, cfg, path)  # before printing, so that a failed write prints nothing
+            _export_hull(w, src, dst, mode, path)  # before printing, so that a failed write prints nothing
         label = "unclassifiable (pair spans more than a hemisphere)" if ns.unclassifiable else ", ".join(sorted(ns.countries))
         print(f"{mode}: {label}")
         if path:
@@ -385,8 +385,8 @@ def cmd_normal_set(cfg: RunConfig, src: str, dst: str, modes, export_hull: str |
     return 0
 
 
-def _export_hull(w, src, dst, mode, cfg, path):
-    points = country_points(w, src, mode, cfg.city_limit) + country_points(w, dst, mode, cfg.city_limit)
+def _export_hull(w, src, dst, mode, path):
+    points = country_points(w, src, mode) + country_points(w, dst, mode)
     hull = spherical_convex_hull(points)
     ring = [unit_to_geo(v) for v in hull.vertices]
     coordinates = [[p.lon, p.lat] for p in ring] + [[ring[0].lon, ring[0].lat]]
@@ -421,7 +421,7 @@ def cmd_classify_one(cfg: RunConfig, line: str) -> int:
     if isinstance(tp, Skip):
         print(f"skipped: {tp.reason}")
         return 1
-    ns = normal_set(w, tp.src_country, tp.dst_country, cfg.mode, city_limit=cfg.city_limit)
+    ns = normal_set(w, tp.src_country, tp.dst_country, cfg.mode)
     pc = classify_path_with(tp, ns)
     tuples = " ".join(f"({h.phys_country},AS{h.asn})" for h in tp.hops) or "(empty)"
     print(f"tuple path: {tp.src_country} -> {tp.dst_country} via {tuples}")
@@ -439,7 +439,9 @@ def cmd_classify_one(cfg: RunConfig, line: str) -> int:
 def cmd_validate_world(cfg: RunConfig) -> int:
     _require(cfg, "cities", "borders", "regions")
     w = _load_world(cfg)
-    for line in load_summary(w, cfg.city_limit):
+    for iso2 in w.countries:
+        country_points(w, iso2, cfg.mode)  # border mode: a ValidationError for a country without borders
+    for line in load_summary(w):
         print(line)
     return 0
 

@@ -87,22 +87,13 @@ class PrefixTable:
         self._buckets: dict[int, dict[int, dict[int, object]]] = {4: {}, 6: {}}
         # version -> (host bits, bucket) pairs, longest prefix first
         self._probes: dict[int, tuple[tuple[int, dict[int, object]], ...]] = {4: (), 6: ()}
-        self._count = 0
-
-    @classmethod
-    def from_rows(cls, rows, on_conflict: str = "error") -> "PrefixTable":
-        """Build from (cidr, value) pairs.
-
-        on_conflict: 'error' raises ConflictError when one prefix maps to two
-        values; 'first_wins' keeps the earliest row (multi-origin tolerance).
-        """
-        table = cls()
-        for cidr, value in rows:
-            table._insert(*parse_cidr(str(cidr)), value, on_conflict, cidr)  # strict: host bits set is a data bug
-        return table
 
     def _insert(self, version, prefixlen, network, value, on_conflict, cidr):
-        """Map the prefix network/prefixlen to value; cidr names it in a ConflictError."""
+        """Map the prefix network/prefixlen to value; cidr names it in a ConflictError.
+
+        on_conflict: 'error' raises ConflictError when the prefix already maps
+        to another value; 'first_wins' keeps the earlier one (multi-origin tolerance).
+        """
         buckets = self._buckets[version]
         host_bits = _MAXLEN[version] - prefixlen
         bucket = buckets.get(prefixlen)
@@ -117,7 +108,6 @@ class PrefixTable:
                 raise ConflictError(f"prefix {ipaddress.ip_network(str(cidr))} maps to both {bucket[key]!r} and {value!r}")
             return
         bucket[key] = value
-        self._count += 1
 
     def probe(self, version: int, value: int):
         """Value of the longest prefix containing the address (version, value), or None."""
@@ -130,9 +120,6 @@ class PrefixTable:
     def lookup(self, ip: str):
         """Value of the longest prefix containing the address string ip, or None."""
         return self.probe(*parse_ip(ip))
-
-    def __len__(self):
-        return self._count
 
 
 # Special-purpose ranges (RFC 6890 and the IANA special-purpose address

@@ -37,7 +37,7 @@ class Aggregate:
 
     # (iso2, role, exposure) -> [normal, total]
     role: dict = field(default_factory=dict)
-    # (iso2, exposure) -> [benefited, transited, transit_only, transit_only_normal]
+    # (iso2, exposure) -> [benefited, transited]; transit-only counts are role's transit entries
     benefactor: dict = field(default_factory=dict)
     # physical-benefactor count per path -> paths
     severity: dict = field(default_factory=dict)
@@ -49,20 +49,14 @@ class Aggregate:
     union_added: dict = field(default_factory=dict)
     # (src_region, dst_region, exposure) -> [normal, total]
     region_matrix: dict = field(default_factory=dict)
-    # exposure -> [normal, total]
-    global_counts: dict = field(default_factory=dict)
     paths_total: int = 0
 
     def merge(self, other: "Aggregate") -> "Aggregate":
-        for key, counts in other.benefactor.items():
-            mine = self.benefactor.setdefault(key, [0, 0, 0, 0])
-            for i in range(4):
-                mine[i] += counts[i]
         for attr in ("severity", "union_added"):
             mine_d, other_d = getattr(self, attr), getattr(other, attr)
             for key, v in other_d.items():
                 mine_d[key] = mine_d.get(key, 0) + v
-        for attr in ("role", "tuple_len", "as_count", "global_counts", "region_matrix"):
+        for attr in ("role", "benefactor", "tuple_len", "as_count", "region_matrix"):
             mine_d, other_d = getattr(self, attr), getattr(other, attr)
             for key, (n, t) in other_d.items():
                 mine = mine_d.setdefault(key, [0, 0])
@@ -97,16 +91,9 @@ def accumulate(agg: Aggregate, tp: TuplePath | PathSignature, pc: PathClassifica
         for iso2 in transit:
             _bump(agg.role, (iso2, "transit", exposure), verdict.normal, n)
         for iso2 in verdict.countries:
-            counts = agg.benefactor.setdefault((iso2, exposure), [0, 0, 0, 0])
-            counts[1] += n
-        for iso2 in transit:
-            counts = agg.benefactor[(iso2, exposure)]
-            counts[2] += n
-            counts[3] += n if verdict.normal else 0
+            agg.benefactor.setdefault((iso2, exposure), [0, 0])[1] += n
         for iso2 in verdict.benefactors:
-            counts = agg.benefactor.setdefault((iso2, exposure), [0, 0, 0, 0])
-            counts[0] += n
-        _bump(agg.global_counts, exposure, verdict.normal, n)
+            agg.benefactor.setdefault((iso2, exposure), [0, 0])[0] += n
         _bump(agg.region_matrix, (w.region_of[tp.src_country], w.region_of[tp.dst_country], exposure), verdict.normal, n)
 
     sev = len(pc.physical.benefactors)
@@ -155,6 +142,7 @@ def report(agg: Aggregate, w: WorldModel, skip_log: SkipLog | None = None, top_n
     countries = sorted({iso2 for (iso2, _, _) in agg.role} | {iso2 for (iso2, _) in agg.benefactor})
 
     country_role = {iso2: per_exp for iso2 in countries if (per_exp := _role_dons(agg, [iso2]))}
+    everywhere = _role_dons(agg, countries)
 
     def share(n):
         return n / agg.paths_total if agg.paths_total else None
@@ -165,6 +153,7 @@ def report(agg: Aggregate, w: WorldModel, skip_log: SkipLog | None = None, top_n
     benefactor_ratio = {}
     for exposure in EXPOSURES:
         rows = [(iso2, agg.benefactor[iso2, exposure]) for iso2 in countries if (iso2, exposure) in agg.benefactor]
+        transit_rows = [(iso2, agg.role[key]) for iso2 in countries if (key := (iso2, "transit", exposure)) in agg.role]
         transit_providers[exposure] = [
             {
                 "iso2": iso2,
@@ -177,11 +166,11 @@ def report(agg: Aggregate, w: WorldModel, skip_log: SkipLog | None = None, top_n
         transit_only[exposure] = [
             {
                 "iso2": iso2,
-                "transit_only_paths": counts[2],
-                "transit_only_ratio": share(counts[2]),
-                "transit_only_don": don(counts[3], counts[2]),
+                "transit_only_paths": counts[1],
+                "transit_only_ratio": share(counts[1]),
+                "transit_only_don": don(*counts),
             }
-            for iso2, counts in _top(rows, 2, top_n)
+            for iso2, counts in _top(transit_rows, 1, top_n)
         ]
         benefactors[exposure] = [{"iso2": iso2, "paths_benefited": counts[0]} for iso2, counts in _top(rows, 0, top_n)]
         benefactor_ratio[exposure] = {
@@ -211,9 +200,8 @@ def report(agg: Aggregate, w: WorldModel, skip_log: SkipLog | None = None, top_n
             "paths_classified": agg.paths_total,
             "records_skipped": skip_log.total() if skip_log else 0,
         },
-        "global_don": {
-            exposure: don(*agg.global_counts.get(exposure, (0, 0))) for exposure in EXPOSURES
-        },
+        # every path has one source, so the source role over all countries counts each path once
+        "global_don": {exposure: everywhere.get(exposure, {}).get("source", {}).get("don") for exposure in EXPOSURES},
         "country_role_don": country_role,
         "transit_providers": transit_providers,
         "transit_only": transit_only,

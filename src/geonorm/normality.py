@@ -8,8 +8,8 @@ callers must keep such paths out of normality statistics rather than guessing.
 
 Both scans pass over a country or polygon whose bounding cap (sphere.Cap)
 is apart from the hull's. Every test so skipped would fail, so membership
-is exactly that of the unpruned scans. Each country's top-city cap is
-built once per world and city limit (_city_caps).
+is exactly that of the unpruned scans. The caps are built with the world:
+WorldModel.city_caps per country, GeoPolygon._cap per polygon.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 from .errors import HemisphereViolation, UnknownCountry
-from .sphere import _apart, _cap, _center, _dot, _hull_cap, _hull_edges, _meets, hull_contains, spherical_convex_hull
-from .world import DEFAULT_CITY_LIMIT, WorldModel, country_points
+from .sphere import _apart, _dot, _hull_cap, _hull_edges, _meets, hull_contains, spherical_convex_hull
+from .world import WorldModel, country_points
 
 @dataclass(frozen=True)
 class NormalSet:
@@ -42,14 +42,7 @@ class PathVerdict:
     countries: frozenset[str]  # every country the path's hops touch in this exposure
 
 
-def normal_set(
-    w: WorldModel,
-    src: str,
-    dst: str,
-    mode: str = "population",
-    *,
-    city_limit: int = DEFAULT_CITY_LIMIT,
-) -> NormalSet:
+def normal_set(w: WorldModel, src: str, dst: str, mode: str = "population") -> NormalSet:
     """Compute the normal set for one country pair.
 
     Symmetric in src and dst. A country that is both source and destination
@@ -61,7 +54,7 @@ def normal_set(
     if src == dst:
         return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset({src}))
 
-    points = country_points(w, src, mode, city_limit) + country_points(w, dst, mode, city_limit)
+    points = country_points(w, src, mode) + country_points(w, dst, mode)
     try:
         hull = spherical_convex_hull(points)
     except HemisphereViolation:
@@ -71,7 +64,7 @@ def normal_set(
     # unpacked once, so that the loops below test it on local floats
     hull_cap = _hull_cap(hull)
     hull_center, hull_cos, hull_sin = hull_cap.center, hull_cap.cos, hull_cap.sin
-    for iso2, cap, vecs in _city_caps(w, city_limit):
+    for iso2, cap, vecs in w.city_caps:
         if iso2 in members or _apart(hull_center, hull_cos, hull_sin, cap):
             continue
         for v in vecs:
@@ -89,21 +82,6 @@ def normal_set(
                 break
 
     return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset(members))
-
-
-def _city_caps(w: WorldModel, city_limit: int):
-    """Per country with cities: (iso2, the Cap over its top-city vectors, those vectors).
-
-    Built on first use and kept on w, one table per city_limit.
-    """
-    table = w._city_caps.get(city_limit)
-    if table is None:
-        rows = []
-        for iso2, rec in w.countries.items():
-            vecs = tuple(c.location.vec for c in rec.top_cities(city_limit))
-            rows.append((iso2, _cap(*_center(vecs)), vecs))
-        table = w._city_caps[city_limit] = tuple(rows)
-    return table
 
 
 def _suggest(w: WorldModel, iso2: str):
@@ -136,8 +114,10 @@ class PairCache:
     Not thread-safe: each analyze shard is a process with its own cache.
     """
 
-    boundary_step: InitVar[float | None] = None  # accepted and ignored: perfbench/chain.py still passes it
-    city_limit: int = DEFAULT_CITY_LIMIT
+    # accepted and ignored, because perfbench/chain.py passes both; the loaded
+    # world carries the city limit
+    boundary_step: InitVar[float | None] = None
+    city_limit: InitVar[int | None] = None
     hits: int = 0
     misses: int = 0
     _entries: dict = field(default_factory=dict)
@@ -148,7 +128,7 @@ class PairCache:
         if found is not None:
             self.hits += 1
             return found
-        ns = normal_set(w, src, dst, mode, city_limit=self.city_limit)
+        ns = normal_set(w, src, dst, mode)
         self.misses += 1
         self._entries[key] = ns
         return ns

@@ -5,6 +5,11 @@ Input formats (all UTF-8, header row required):
   borders file  GeoJSON FeatureCollection; features carry properties.iso2 and
                 Polygon / MultiPolygon geometry (outer ring + holes)
   regions file  csv: iso2,region  with region in REGIONS
+
+load_world keeps each country's top city_limit cities, by population and
+then name, and no function after it takes a city limit. A WorldModel builds
+its table of per-country city caps (city_caps) when it is constructed, as a
+GeoPolygon builds its cap, so normal_set's city scan only reads it.
 """
 
 from __future__ import annotations
@@ -17,15 +22,16 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import ParseError, UnknownCountry, ValidationError, utf8_error
-from .sphere import GeoPoint, GeoPolygon, polygon_contains
+from .sphere import GeoPoint, GeoPolygon, _cap, _center, polygon_contains
 
 REGIONS = ("Africa", "Americas", "Asia", "Europe", "Oceania")
 
 # Which points span a pair's hull: each country's top cities, or its border vertices
 MODES = ("population", "border")
 
-# Cities tested per country, both for hull construction and for membership
-# of other countries in a hull. Countries with fewer simply use all of them.
+# Cities load_world keeps per country, the most populous first: they span the
+# population-mode hulls and decide city membership in every hull. Countries
+# with fewer keep all of theirs.
 DEFAULT_CITY_LIMIT = 15
 
 
@@ -39,12 +45,7 @@ class City:
 @dataclass(frozen=True)
 class CountryRecord:
     iso2: str
-    name: str
-    region: str
-    cities: tuple[City, ...]  # sorted by descending population
-
-    def top_cities(self, limit: int = DEFAULT_CITY_LIMIT) -> tuple[City, ...]:
-        return self.cities[:limit]
+    cities: tuple[City, ...]  # the top city_limit by descending population, ties by name
 
 
 @dataclass(frozen=True)
@@ -58,8 +59,15 @@ class WorldModel:
     countries: Mapping[str, CountryRecord]
     borders: Mapping[str, CountryBorders]
     region_of: Mapping[str, str]
-    # per city_limit, the top-city cap table normality builds on first use
-    _city_caps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # per country with cities: (iso2, the Cap over its city vectors, those vectors)
+    city_caps: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = []
+        for iso2, rec in self.countries.items():
+            vecs = tuple(c.location.vec for c in rec.cities)
+            rows.append((iso2, _cap(*_center(vecs)), vecs))
+        object.__setattr__(self, "city_caps", tuple(rows))
 
 
 def _read_csv(path, expected_header):
@@ -205,23 +213,21 @@ def _load_borders(path):
 
 
 def load_world(cities_file, borders_file, regions_file, city_limit: int = DEFAULT_CITY_LIMIT) -> WorldModel:
-    """Load and validate the world model; load_summary reports what is worth a warning.
+    """Load and validate the world model, keeping each country's top city_limit cities.
 
-    city_limit changes nothing here; it stays accepted because the benchmark's
-    in-process chain (perfbench/chain.py) passes it.
+    load_summary reports what is worth a warning.
     """
+    if city_limit < 1:
+        raise ValidationError(f"city-limit must be >= 1, got {city_limit}")
     cities = _load_cities(cities_file)
     borders_raw = _load_borders(borders_file)
     region_of = _load_regions(regions_file)
 
     countries = {}
     for iso2 in sorted(cities):
-        if not cities[iso2]:
-            raise ValidationError(f"{iso2}: country has zero cities")
-        region = region_of.get(iso2)
-        if region is None:
+        if iso2 not in region_of:
             raise ValidationError(f"{iso2}: no region assignment in {regions_file}")
-        countries[iso2] = CountryRecord(iso2=iso2, name=iso2, region=region, cities=tuple(cities[iso2]))
+        countries[iso2] = CountryRecord(iso2=iso2, cities=tuple(cities[iso2][:city_limit]))
 
     borders = {iso2: CountryBorders(iso2=iso2, polygons=tuple(polys)) for iso2, polys in sorted(borders_raw.items())}
     for iso2 in borders:
@@ -231,7 +237,7 @@ def load_world(cities_file, borders_file, regions_file, city_limit: int = DEFAUL
     return WorldModel(countries=countries, borders=borders, region_of=dict(region_of))
 
 
-def load_summary(w: WorldModel, city_limit: int = DEFAULT_CITY_LIMIT) -> list[str]:
+def load_summary(w: WorldModel) -> list[str]:
     """The lines validate-world prints: counts, countries on one side only, and cities outside their own borders."""
     out = [f"countries with cities: {len(w.countries)}", f"countries with borders: {len(w.borders)}"]
     borders_only = sorted(set(w.borders) - set(w.countries))
@@ -246,16 +252,16 @@ def load_summary(w: WorldModel, city_limit: int = DEFAULT_CITY_LIMIT) -> list[st
         cb = w.borders.get(iso2)
         if cb is None:
             continue
-        for city in rec.top_cities(city_limit):
+        for city in rec.cities:
             if not any(polygon_contains(poly, city.location.vec) for poly in cb.polygons):
                 out.append(f"warning: {iso2} city {city.name!r} lies outside every {iso2} border polygon")
     return out
 
 
-def country_points(w: WorldModel, iso2: str, mode: str, city_limit: int = DEFAULT_CITY_LIMIT) -> list[tuple[float, float, float]]:
+def country_points(w: WorldModel, iso2: str, mode: str) -> list[tuple[float, float, float]]:
     """Hull input points for one country, as unit vectors (see sphere.GeoPoint.vec).
 
-    population mode: the top city_limit cities by population (all, if fewer).
+    population mode: the cities load_world kept (the top city_limit by population).
     border mode: every vertex of every border ring, non-contiguous territories
     included, which is what inflates hulls for countries with remote holdings;
     a country with cities but no border polygons has none, a ValidationError.
@@ -264,7 +270,7 @@ def country_points(w: WorldModel, iso2: str, mode: str, city_limit: int = DEFAUL
         rec = w.countries.get(iso2)
         if rec is None:
             raise UnknownCountry(iso2)
-        return [c.location.vec for c in rec.top_cities(city_limit)]
+        return [c.location.vec for c in rec.cities]
     if mode == "border":
         cb = w.borders.get(iso2)
         if cb is not None:

@@ -14,7 +14,6 @@ from itertools import combinations
 import pytest
 
 from geonorm.cli import main
-from geonorm.enrichment import PrefixTable
 from geonorm.metrics import Aggregate, accumulate, report
 from geonorm.normality import PairCache, classify, normal_set
 from geonorm.pipeline import Skip, SkipLog, classify_path_with, parse_traceroute_line, to_tuple_path
@@ -22,6 +21,7 @@ from geonorm.sphere import GeoPoint, _angle, hull_contains, spherical_convex_hul
 from geonorm.synth import write_corpus
 
 from conftest import PIPELINE12, REPO, SMALLWORLD, table_args, world_args
+from test_enrichment import table as prefix_table
 
 
 def announce(number, description, elapsed, budget):
@@ -421,9 +421,7 @@ class TestCriterion7:
             plen = rng.randint(4, 28)
             base = rng.getrandbits(32) & (0xFFFFFFFF << (32 - plen))
             rows.setdefault((base, plen), f"V{len(rows)}")
-        table = PrefixTable.from_rows(
-            (f"{ipaddress.IPv4Address(base)}/{plen}", value) for (base, plen), value in rows.items()
-        )
+        table = prefix_table(*((f"{ipaddress.IPv4Address(base)}/{plen}", value) for (base, plen), value in rows.items()))
         flat = [(base, plen, value) for (base, plen), value in rows.items()]
 
         def brute(ip_int):

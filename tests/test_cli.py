@@ -43,6 +43,7 @@ class TestValidateWorld:
         code, out, err = run(capsys, "validate-world", *world_args())
         assert code == 0
         assert "countries with cities: 6" in out
+        assert run(capsys, "validate-world", *world_args(), "--mode", "border") == (0, out, err)
 
     def test_missing_file_nonzero_and_named(self, capsys, tmp_path):
         missing = tmp_path / "nowhere.geojson"
@@ -165,7 +166,7 @@ class TestNormalSet:
         borders.write_text(json.dumps(doc))
         argv = ["--cities", str(SMALLWORLD / "cities.csv"), "--borders", str(borders), "--regions", str(SMALLWORLD / "regions.csv")]
         analyze = ["analyze", *table_args(), "--traceroutes", str(PIPELINE12 / "traceroutes.ndjson"), "--output-dir", str(tmp_path / "out")]
-        for command in (["normal-set", "AA", "AC"], analyze):
+        for command in (["normal-set", "AA", "AC"], analyze, ["validate-world"]):
             code, out, err = run(capsys, *command, *argv, "--mode", "border")
             assert code == 1 and out == ""
             assert err == "error: AA has no border polygons, which border mode needs\n"

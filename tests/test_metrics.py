@@ -72,8 +72,10 @@ class TestAccumulate:
                             ["20.1.0.5", "60.1.0.5", "40.1.0.9"])
         accumulate(agg, tp, pc, small_world)
         assert agg.role[("BE", "transit", "physical")] == [0, 1]
-        benefited, transited, transit_only, transit_only_normal = agg.benefactor[("BE", "physical")]
-        assert (benefited, transited, transit_only, transit_only_normal) == (1, 1, 1, 0)
+        assert agg.benefactor[("BE", "physical")] == [1, 1]  # benefited, transited
+        assert report(agg, small_world)["transit_only"]["physical"] == [
+            {"iso2": "BE", "transit_only_paths": 1, "transit_only_ratio": 1.0, "transit_only_don": 0.0}
+        ]
         assert agg.severity == {1: 1}
 
     def test_endpoint_country_counted_in_endpoint_role_only(self, small_world, small_enrichment):
@@ -87,7 +89,9 @@ class TestAccumulate:
         assert agg.role[("AA", "destination", "physical")] == [0, 1]
         # but the path still counts toward AA's transited total
         assert agg.benefactor[("AA", "physical")][1] == 1
-        assert agg.benefactor[("AA", "physical")][2] == 0
+        assert report(agg, small_world)["transit_only"]["physical"] == [
+            {"iso2": "AB", "transit_only_paths": 1, "transit_only_ratio": 1.0, "transit_only_don": 0.0}
+        ]
 
     def test_repeated_transit_country_counts_once_per_path(self, small_world, small_enrichment):
         agg = Aggregate()
@@ -127,7 +131,6 @@ def as_comparable(agg):
         sorted((k, tuple(v)) for k, v in agg.as_count.items()),
         sorted(agg.union_added.items()),
         sorted((k, tuple(v)) for k, v in agg.region_matrix.items()),
-        sorted((k, tuple(v)) for k, v in agg.global_counts.items()),
         agg.paths_total,
     )
 
@@ -226,8 +229,9 @@ class TestReport:
                 continue
             accumulate(agg, tp, classify_path_with(tp, cache.get_or_build(small_world, tp.src_country, tp.dst_country, "population")), small_world)
         assert sum(agg.severity.values()) == agg.paths_total
-        normal_physical = agg.global_counts["physical"][0]
+        normal_physical = sum(n for (_, role, exposure), (n, _) in agg.role.items() if (role, exposure) == ("source", "physical"))
         assert agg.severity.get(0, 0) == normal_physical
+        assert report(agg, small_world)["global_don"]["physical"] == normal_physical / agg.paths_total
 
     def test_benefited_paths_matches_brute_force(self, small_world, small_enrichment):
         agg = Aggregate()

@@ -32,7 +32,14 @@ from geonorm.world import (
     load_world,
 )
 
-from conftest import SMALLWORLD as SMALLWORLD_DIR, offset, star_ring
+from conftest import SMALLWORLD as SMALLWORLD_DIR, WORLD_DATA, offset, star_ring
+
+WORLD_DIRS = {"small_world": SMALLWORLD_DIR, "real_world": WORLD_DATA}
+
+
+def load_at(base, city_limit=DEFAULT_CITY_LIMIT):
+    return load_world(base / "cities.csv", base / "borders.geojson", base / "regions.csv", city_limit)
+
 
 # hand-derived expectations: countries are axis-aligned squares, cities sit
 # on the lat 1..3 band, so planar reasoning carries over to the sphere
@@ -83,10 +90,10 @@ class TestNormalSet:
             border = normal_set(small_world, a, b, "border").countries
             assert pop <= border
 
-    def test_hull_growth_monotonic_in_cities(self, small_world):
+    def test_hull_growth_monotonic_in_cities(self):
         # widening AA's city set must never shrink a normal set
-        base = normal_set(small_world, "AA", "AB", "population", city_limit=1).countries
-        grown = normal_set(small_world, "AA", "AB", "population", city_limit=3).countries
+        base = normal_set(load_at(SMALLWORLD_DIR, city_limit=1), "AA", "AB", "population").countries
+        grown = normal_set(load_at(SMALLWORLD_DIR, city_limit=3), "AA", "AB", "population").countries
         assert base <= grown
 
     def test_unknown_country_with_suggestions(self, small_world):
@@ -102,13 +109,8 @@ class TestNormalSet:
 
 
 def antipodal_world():
-    def rec(iso2, lat, lon, region):
-        return CountryRecord(
-            iso2=iso2,
-            name=iso2,
-            region=region,
-            cities=(City(f"{iso2} City", GeoPoint(lat, lon), 1000),),
-        )
+    def rec(iso2, lat, lon):
+        return CountryRecord(iso2=iso2, cities=(City(f"{iso2} City", GeoPoint(lat, lon), 1000),))
 
     def borders(iso2, lat, lon):
         ring = (
@@ -119,7 +121,7 @@ def antipodal_world():
         )
         return CountryBorders(iso2=iso2, polygons=(GeoPolygon(rings=(ring,)),))
 
-    countries = {"PX": rec("PX", 0, 0, "Africa"), "PY": rec("PY", 0, 180, "Asia")}
+    countries = {"PX": rec("PX", 0, 0), "PY": rec("PY", 0, 180)}
     return WorldModel(
         countries=countries,
         borders={"PX": borders("PX", 0, 0), "PY": borders("PY", 0, 180)},
@@ -201,8 +203,8 @@ class TestBordersOnlyCountry:
 
 class TestPairCache:
     def test_boundary_step_keyword_is_ignored(self, small_world):
-        # perfbench/chain.py still passes it
-        cache = PairCache(boundary_step=1e-300)
+        # perfbench/chain.py still passes both; the world carries the city limit
+        cache = PairCache(boundary_step=1e-300, city_limit=1)
         assert cache == PairCache()
         assert cache.get_or_build(small_world, "BE", "BF", "border") == normal_set(small_world, "BE", "BF", "border")
 
@@ -251,14 +253,14 @@ def exact_normal_set(w, src, dst, mode):
     """
     if src == dst:
         return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset({src}))
-    points = country_points(w, src, mode, DEFAULT_CITY_LIMIT) + country_points(w, dst, mode, DEFAULT_CITY_LIMIT)
+    points = country_points(w, src, mode) + country_points(w, dst, mode)
     try:
         hull = spherical_convex_hull(points)
     except HemisphereViolation:
         return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset({src, dst}), unclassifiable=True)
     members = {src, dst}
     for iso2, rec in w.countries.items():
-        if any(hull_contains(hull, c.location.vec) for c in rec.top_cities(DEFAULT_CITY_LIMIT)):
+        if any(hull_contains(hull, c.location.vec) for c in rec.cities):
             members.add(iso2)
     for iso2, cb in w.borders.items():
         for poly in cb.polygons:
@@ -289,7 +291,7 @@ def grid_world(seed=3, rows=6, cols=6):
             City(f"{iso2} {k}", GeoPoint(lat + rng.uniform(-1.0, 1.0), lon + rng.uniform(-1.0, 1.0)), 1000 - k)
             for k in range(3)
         )
-        countries[iso2] = CountryRecord(iso2=iso2, name=iso2, region="Africa", cities=cities)
+        countries[iso2] = CountryRecord(iso2=iso2, cities=cities)
         borders[iso2] = CountryBorders(iso2=iso2, polygons=tuple(polys))
     return WorldModel(countries=countries, borders=borders, region_of={c: "Africa" for c in countries})
 
@@ -298,11 +300,16 @@ class TestCapPruningOracle:
     """The cap-pruned scan against the brute-force reference, over every pair."""
 
     @pytest.mark.parametrize("world_name", ["small_world", "real_world", "grid_world"])
-    def test_identical_to_brute_force(self, request, world_name):
-        w = grid_world() if world_name == "grid_world" else request.getfixturevalue(world_name)
-        for a, b in itertools.combinations(sorted(w.countries), 2):
-            for mode in ("population", "border"):
-                assert normal_set(w, a, b, mode) == exact_normal_set(w, a, b, mode)
+    def test_identical_to_brute_force(self, world_name):
+        # the loaded worlds at three city limits each; grid_world at the default
+        if world_name == "grid_world":
+            worlds = [grid_world()]
+        else:
+            worlds = [load_at(WORLD_DIRS[world_name], city_limit) for city_limit in (1, 2, 15)]
+        for w in worlds:
+            for a, b in itertools.combinations(sorted(w.countries), 2):
+                for mode in ("population", "border"):
+                    assert normal_set(w, a, b, mode) == exact_normal_set(w, a, b, mode)
 
     def test_grid_world_prunes(self, monkeypatch):
         # the oracle above is only meaningful if pruning happens there
@@ -404,7 +411,7 @@ class TestFrames:
         # only a hull vertex inside a polygon's cap needs the polygon's gnomonic
         # rings, and no smallworld hull has its first vertex in a polygon cap
         # that the crossing tests reach
-        w = load_world(SMALLWORLD_DIR / "cities.csv", SMALLWORLD_DIR / "borders.geojson", SMALLWORLD_DIR / "regions.csv")
+        w = load_at(SMALLWORLD_DIR)
         for a, b in itertools.combinations(sorted(w.countries), 2):
             for mode in ("population", "border"):
                 normal_set(w, a, b, mode)
@@ -415,21 +422,26 @@ class TestFrames:
 
 
 class TestCityCaps:
-    def test_one_table_per_world_and_city_limit(self):
-        w = load_world(SMALLWORLD_DIR / "cities.csv", SMALLWORLD_DIR / "borders.geojson", SMALLWORLD_DIR / "regions.csv")
-        assert w._city_caps == {}  # loading builds none
-        normal_set(w, "AA", "AD", "population")
-        table = w._city_caps[DEFAULT_CITY_LIMIT]
+    def test_one_table_per_world_and_city_limit(self, small_world):
+        w = load_at(SMALLWORLD_DIR, city_limit=2)
+        table = w.city_caps
+        assert [len(vecs) for _, _, vecs in table] == [min(2, len(rec.cities)) for rec in small_world.countries.values()]
         for a, b in itertools.combinations(sorted(w.countries), 2):
-            normal_set(w, a, b, "border")
-        assert list(w._city_caps) == [DEFAULT_CITY_LIMIT] and w._city_caps[DEFAULT_CITY_LIMIT] is table
-        normal_set(w, "AA", "AD", "population", city_limit=2)
-        assert sorted(w._city_caps) == [2, DEFAULT_CITY_LIMIT] and w._city_caps[DEFAULT_CITY_LIMIT] is table
-        assert [len(row[-1]) for row in w._city_caps[2]] == [min(2, len(rec.cities)) for rec in w.countries.values()]
+            for mode in ("population", "border"):
+                normal_set(w, a, b, mode)
+        assert w.city_caps is table  # builds read the table and add none
 
     def test_worlds_do_not_share_tables(self, small_world):
-        normal_set(small_world, "AA", "AD", "population")
-        assert grid_world()._city_caps == {}
+        load_at(SMALLWORLD_DIR, city_limit=1)
+        assert [len(vecs) for _, _, vecs in small_world.city_caps] == [len(rec.cities) for rec in small_world.countries.values()]
+        assert max(len(rec.cities) for rec in small_world.countries.values()) > 1
+
+    def test_a_directly_built_world_carries_the_table(self):
+        w = grid_world()
+        assert [iso2 for iso2, _, _ in w.city_caps] == list(w.countries)
+        for (iso2, cap, vecs), rec in zip(w.city_caps, w.countries.values()):
+            assert vecs == tuple(c.location.vec for c in rec.cities)
+            assert all(_dot(cap.center, v) >= cap.cos for v in vecs)
 
 
 def _unit(lat, lon):

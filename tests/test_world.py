@@ -165,4 +165,12 @@ class TestCountryPoints:
             country_points(small_world, "AA", "nearest")
 
     def test_city_limit_knob(self, small_world):
-        assert len(country_points(small_world, "AA", "population", city_limit=2)) == 2
+        w = load_world(SMALLWORLD / "cities.csv", SMALLWORLD / "borders.geojson", SMALLWORLD / "regions.csv", city_limit=2)
+        assert {iso2: rec.cities for iso2, rec in w.countries.items()} == {
+            iso2: rec.cities[:2] for iso2, rec in small_world.countries.items()
+        }
+        assert country_points(w, "AA", "population") == country_points(small_world, "AA", "population")[:2]
+
+    def test_city_limit_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="city-limit must be >= 1, got 0"):
+            load_world(SMALLWORLD / "cities.csv", SMALLWORLD / "borders.geojson", SMALLWORLD / "regions.csv", city_limit=0)
