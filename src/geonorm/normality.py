@@ -7,9 +7,12 @@ than a hemisphere is unclassifiable: "between" has no meaning there, and
 callers must keep such paths out of normality statistics rather than guessing.
 
 Both scans pass over a country or polygon whose bounding cap (sphere.Cap)
-is apart from the hull's. Every test so skipped would fail, so membership
-is exactly that of the unpruned scans. The caps are built with the world:
-WorldModel.city_caps per country, GeoPolygon._cap per polygon.
+is apart from the hull's. sphere._cap_in_hull then decides most other caps
+whole against a polygon hull: one inside makes a member (its cities, or a
+polygon's ring vertices, pass hull_contains), one 2 * ANGLE_TOL outside an
+edge's half-space is passed over, and only the rest reach per-city tests or
+_meets. Every test so skipped would give the answer taken, so membership is
+that of the unpruned scans. The caps are built with the world.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 from .errors import HemisphereViolation, UnknownCountry
-from .sphere import _apart, _dot, _hull_cap, _hull_edges, _meets, hull_contains, spherical_convex_hull
+from .sphere import _apart, _cap_in_hull, _hull_cap, _hull_edges, _meets, hull_contains, spherical_convex_hull
 from .world import WorldModel, country_points
 
 @dataclass(frozen=True)
@@ -64,20 +67,21 @@ def normal_set(w: WorldModel, src: str, dst: str, mode: str = "population") -> N
     # unpacked once, so that the loops below test it on local floats
     hull_cap = _hull_cap(hull)
     hull_center, hull_cos, hull_sin = hull_cap.center, hull_cap.cos, hull_cap.sin
+    normals = hull._edge_normals if hull.degenerate_kind == "polygon" else None
     for iso2, cap, vecs in w.city_caps:
         if iso2 in members or _apart(hull_center, hull_cos, hull_sin, cap):
             continue
-        for v in vecs:
-            if _dot(hull_center, v) >= hull_cos and hull_contains(hull, v):
-                members.add(iso2)
-                break
+        inside = normals and _cap_in_hull(normals, cap)
+        if inside or (inside is None and any(hull_contains(hull, v) for v in vecs)):
+            members.add(iso2)
 
     edges = _hull_edges(hull)
     for iso2, cb in w.borders.items():
         if iso2 in members:
             continue
         for poly in cb.polygons:
-            if not _apart(hull_center, hull_cos, hull_sin, poly._cap) and _meets(poly, hull, edges):
+            inside = not _apart(hull_center, hull_cos, hull_sin, poly._cap) and normals and _cap_in_hull(normals, poly._cap)
+            if inside or (inside is None and _meets(poly, hull, edges)):
                 members.add(iso2)
                 break
 

@@ -15,7 +15,7 @@ exceed 1e-9. Every bounding cap is a Cap built by _cap, and _apart tells
 when two caps share no point. A polygon's cap is of exact width, the cap
 over its vertices widened only by CAP_SLACK; those of a hull (_hull_cap)
 and its edges (_hull_edges) also cover the ANGLE_TOL band of the
-containment tests.
+containment tests. _cap_in_hull decides whole caps by a hull's edge planes.
 
 Two minor arcs meet when they cross, by the sign test of S2's
 S2EdgeCrosser, or when an end of one lies within ANGLE_TOL of the other
@@ -310,7 +310,8 @@ def _arc_meets(a, b, n, edges) -> bool:
     They cross when the orientations ACB, CBD, BDA and DAC agree, as in S2's
     S2EdgeCrosser: c, d on opposite sides of the circle of a-b, a, b on
     opposite sides of that of c-d, and the circles meeting on the arcs, not
-    at their antipodes. Otherwise they are closest at an end, so they touch
+    at their antipodes; unless all four are within 2 * ANGLE_TOL of 0, signs
+    of rounding noise. Otherwise they are closest at an end, so they touch
     when an end is _near_arc the other arc. An arc c-d with both ends more
     than 2 * ANGLE_TOL to one side of the circle of a-b is skipped: no point
     of it is that close, and _near_arc reaches about 1.5 * ANGLE_TOL.
@@ -324,7 +325,8 @@ def _arc_meets(a, b, n, edges) -> bool:
         ma = m[0] * a[0] + m[1] * a[1] + m[2] * a[2]
         mb = m[0] * b[0] + m[1] * b[1] + m[2] * b[2]
         if (nc > 0.0 and nd < 0.0 and mb > 0.0 and ma < 0.0) or (nc < 0.0 and nd > 0.0 and mb < 0.0 and ma > 0.0):
-            return True
+            if max(abs(nc), abs(nd), abs(ma), abs(mb)) > 2 * ANGLE_TOL:
+                return True
         if (
             (-ANGLE_TOL <= nc <= ANGLE_TOL and _near_arc(c, a, b, n))
             or (-ANGLE_TOL <= nd <= ANGLE_TOL and _near_arc(d, a, b, n))
@@ -378,6 +380,27 @@ def _hull_cap(hull: SphericalHull) -> Cap:
     elif hull.degenerate_kind == "arc" and lo > math.cos(CAP_SLACK):
         widen = math.pi
     return _cap(center, lo, widen)
+
+
+def _cap_in_hull(normals, cap: Cap):
+    """True when hull_contains accepts every point of cap, False when it accepts none, else None.
+
+    normals are a polygon hull's edge normals. With n.c = sin(b) for the cap's
+    center c, n.p runs from sin(b - r) to sin(b + r) over a cap of radius r: so
+    every n.c >= sin r gives n.p >= 0 throughout, True, and one n.c below
+    -sin r - 2 * ANGLE_TOL keeps its n.p below -2 * ANGLE_TOL, past the band of
+    hull_contains and the reach of _arc_meets, False. Caps of cos -inf are undecided.
+    """
+    if cap.cos == -math.inf:
+        return None
+    (cx, cy, cz), sin_r = cap.center, cap.sin
+    out, inside = -sin_r - 2 * ANGLE_TOL, True
+    for n in normals:  # not min(): the first edge that rules the cap out ends the loop
+        d = n[0] * cx + n[1] * cy + n[2] * cz
+        if d < out:
+            return False
+        inside = inside and d >= sin_r
+    return inside or None
 
 
 def _hull_edges(hull: SphericalHull):

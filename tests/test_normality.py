@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import geonorm.normality as normality_mod
 import geonorm.sphere as sphere_mod
@@ -16,6 +16,7 @@ from geonorm.sphere import (
     _angle,
     _apart,
     _arc_meets,
+    _cap_in_hull,
     _cross,
     _dot,
     _hull_cap,
@@ -324,6 +325,40 @@ class TestCapPruningOracle:
         edges = sum(len(poly._edges) for iso2, cb in w.borders.items() if iso2 not in ns.countries for poly in cb.polygons)
         assert 0 < sum(pairs) < len(hull.vertices) * edges // 10
 
+    def test_grid_world_decides_caps_both_ways(self, monkeypatch):
+        # the oracle above reaches both answers of the edge half-space test, for city caps and polygon caps
+        w = grid_world()
+        city_caps = {id(cap) for _, cap, _ in w.city_caps}
+        seen = set()
+
+        def counted(normals, cap):
+            inside = _cap_in_hull(normals, cap)
+            seen.add((id(cap) in city_caps, inside))
+            return inside
+
+        monkeypatch.setattr(normality_mod, "_cap_in_hull", counted)
+        for a, b in itertools.combinations(sorted(w.countries), 2):
+            for mode in ("population", "border"):
+                normal_set(w, a, b, mode)
+        assert {(True, True), (True, False), (False, True), (False, False)} <= seen
+
+    def test_country_whose_cities_have_no_center(self):
+        # an antipodal pair of cities gives a city cap with no center, which only the per-city tests decide
+        w = grid_world()
+        countries = dict(w.countries)
+        countries["ZZ"] = CountryRecord(
+            iso2="ZZ", cities=(City("ZZ 0", GeoPoint(-3.0, 20.0), 2), City("ZZ 1", GeoPoint(3.0, -160.0), 1))
+        )
+        w = WorldModel(countries=countries, borders=w.borders, region_of={c: "Africa" for c in countries})
+        assert w.city_caps[-1][1].center is None
+        sets = [
+            normal_set(w, a, b, mode)
+            for a, b in itertools.combinations(sorted(w.borders), 2)
+            for mode in ("population", "border")
+        ]
+        assert sets == [exact_normal_set(w, ns.src, ns.dst, ns.mode) for ns in sets]
+        assert any("ZZ" in ns.countries for ns in sets) and not all("ZZ" in ns.countries for ns in sets)
+
 
 class TestExactPartialContainment:
     """Members that hull-edge samples every 0.05 degrees never found."""
@@ -458,12 +493,19 @@ def cap_pair(draw):
     points = [offset(c2, r2 * math.sqrt(rng.random()), rng) for _ in range(20)]
     # the point of the second cap nearest the first's center
     if r2 < _angle(c1, c2):
-        points.append(_normalized(tuple(math.cos(r2) * x + math.sin(r2) * y for x, y in zip(c2, _tangent_toward(c2, c1)))))
+        points.append(_turn(c2, c1, r2))
     return (c1, r1), (c2, r2), points
 
 
-def _tangent_toward(a, b):
-    return _normalized(tuple(bi - _dot(a, b) * ai for ai, bi in zip(a, b)))
+def _turn(p, t, ang):
+    """The unit vector ang radians from p toward t, which need not be tangent at p; p when t is parallel to p.
+
+    With p and t equal or antipodal, up to rounding, there is no direction to
+    turn in, and p itself is returned.
+    """
+    u = tuple(ti - _dot(p, t) * pi for pi, ti in zip(p, t))
+    norm = math.sqrt(_dot(u, u))
+    return p if norm < 1e-12 else _normalized(tuple(math.cos(ang) * pi + math.sin(ang) * ui / norm for pi, ui in zip(p, u)))
 
 
 class TestApart:
@@ -490,6 +532,26 @@ def _hull_of(vecs):
     return spherical_convex_hull([_normalized(v) for v in vecs])
 
 
+def _hull_shape(draw, rng, kinds):
+    """Vectors spanning a hull of one of kinds, around a random center; slivers' acute angles go down to ~1e-4 rad."""
+    c = offset((0.0, 0.0, 1.0), rng.uniform(0, math.pi), rng)
+    kind = draw(st.sampled_from(kinds))
+    length = 10 ** draw(st.floats(-7 if kind == "arc" else -4, 0))
+    acute = 10 ** draw(st.floats(-4, -0.5))
+    t1 = offset(c, math.pi / 2, rng)
+    t2 = _cross(c, t1)
+    along = lambda t, ang: tuple(math.cos(ang) * ci + math.sin(ang) * ti for ci, ti in zip(c, t))
+    if kind == "cloud":
+        return [offset(c, length * math.sqrt(rng.random()), rng) for _ in range(rng.randint(3, 12))]
+    if kind in ("sliver", "rhombus"):
+        half = length / 2
+        h = half * math.tan(acute)
+        return [along(t1, -half), along(t1, half), along(t2, h)] + ([along(t2, -h)] if kind == "rhombus" else [])
+    if kind == "arc":
+        return [along(t1, -length / 2), along(t1, length / 2)]
+    return [c]
+
+
 @st.composite
 def hull_and_probes(draw):
     """A hull, from fat polygons down to slivers and short arcs, and probe vectors near its tolerant band.
@@ -500,24 +562,7 @@ def hull_and_probes(draw):
     points just past it, points near the widened cap's edge and antipodes.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    c = offset((0.0, 0.0, 1.0), rng.uniform(0, math.pi), rng)
-    kind = draw(st.sampled_from(["cloud", "sliver", "rhombus", "arc", "point"]))
-    length = 10 ** draw(st.floats(-7 if kind == "arc" else -4, 0))
-    acute = 10 ** draw(st.floats(-4, -0.5))
-    t1 = offset(c, math.pi / 2, rng)
-    t2 = _cross(c, t1)
-    along = lambda t, ang: tuple(math.cos(ang) * ci + math.sin(ang) * ti for ci, ti in zip(c, t))
-    if kind == "cloud":
-        vecs = [offset(c, length * math.sqrt(rng.random()), rng) for _ in range(rng.randint(3, 12))]
-    elif kind in ("sliver", "rhombus"):
-        half = length / 2
-        h = half * math.tan(acute)
-        vecs = [along(t1, -half), along(t1, half), along(t2, h)] + ([along(t2, -h)] if kind == "rhombus" else [])
-    elif kind == "arc":
-        vecs = [along(t1, -length / 2), along(t1, length / 2)]
-    else:
-        vecs = [c]
-    hull = _hull_of(vecs)
+    hull = _hull_of(_hull_shape(draw, rng, ["cloud", "sliver", "rhombus", "arc", "point"]))
     cap = _hull_cap(hull)
     center, floor = cap.center, cap.cos
     vts = hull.vertices
@@ -581,6 +626,61 @@ class TestHullCap:
         assert hull.degenerate_kind == "arc"
         assert hull_contains(hull, (-1.0, 0.0, 0.0))
         assert _hull_cap(hull).cos == -math.inf
+
+
+@st.composite
+def hull_and_cap(draw):
+    """A polygon hull, fat or a sliver, a cap inside, outside, across or grazing one of its edges, and probes of the cap.
+
+    A grazing cap's rim passes within 2 * ANGLE_TOL of an edge's great
+    circle, on either side, beside the middle of that edge. Probes are the
+    center, random points of the cap and its rim, and for every edge normal n
+    the rim points where n.p is least and greatest.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    hull = _hull_of(_hull_shape(draw, rng, ["cloud", "sliver", "rhombus"]))
+    assume(hull.degenerate_kind == "polygon")
+    vts, normals = hull.vertices, hull._edge_normals
+    r = draw(st.sampled_from([0.0, 1e-7, 1e-5, 1e-3, 0.05, 0.5, 1.4]))
+    place = draw(st.sampled_from(["inside", "outside", "across", "graze", "graze"]))
+    if place == "inside":
+        center = _normalized(tuple(map(sum, zip(*(tuple(rng.random() * x for x in v) for v in vts)))))
+    elif place == "outside":
+        center = offset(vts[0], rng.uniform(0, math.pi), rng)
+    else:
+        i = rng.randrange(len(vts))
+        a, b, n = vts[i], vts[(i + 1) % len(vts)], normals[i]
+        t = rng.uniform(0.25, 0.75)
+        q = _normalized(tuple((1 - t) * ai + t * bi for ai, bi in zip(a, b)))
+        shift = rng.uniform(-r, r) if place == "across" else rng.choice((-1, 1)) * (r + rng.uniform(-2, 2) * ANGLE_TOL)
+        center = _turn(q, n, shift)
+    probes = [center] + [offset(center, r * rng.choice((1.0, rng.random())), rng) for _ in range(10)]
+    for n in normals:
+        probes += [_turn(center, n, r), _turn(center, tuple(-x for x in n), r)]
+    return hull, Cap(center, math.cos(r), math.sin(r)), probes
+
+
+class TestCapInHull:
+    """Whole caps decided against a polygon hull's edge half-spaces."""
+
+    @given(hull_and_cap())
+    def test_decisions_agree_with_every_probe(self, case):
+        hull, cap, probes = case
+        inside = _cap_in_hull(hull._edge_normals, cap)
+        if inside is not None:
+            assert all(hull_contains(hull, p) == inside for p in probes)
+
+    def test_all_three_answers(self):
+        normals = _hull_of([_unit(0, 0), _unit(0, 10), _unit(10, 0)])._edge_normals
+        cap = lambda center, r=0.01: Cap(center, math.cos(r), math.sin(r))
+        assert _cap_in_hull(normals, cap(_unit(2, 2))) is True
+        assert _cap_in_hull(normals, cap(_unit(-5, -5))) is False
+        assert _cap_in_hull(normals, cap(_unit(0, 5))) is None
+        # the rim 0.5 * ANGLE_TOL south of the equator edge: hull_contains accepts its nearest point
+        assert _cap_in_hull(normals, cap(_turn(_unit(0, 5), (0, 0, -1), 0.01 + ANGLE_TOL / 2))) is None
+        # caps of r >= pi/2, with a center or without
+        assert _cap_in_hull(normals, Cap(None, -math.inf, 1.0)) is None
+        assert _cap_in_hull(normals, Cap(_unit(2, 2), -math.inf, 1.0)) is None
 
 
 class TestTraceContract:

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from geonorm.errors import EmptyInput, HemisphereViolation, ValidationError
 from geonorm.sphere import (
@@ -375,8 +375,19 @@ def arc_pairs(draw):
     return (a, b), (c, d)
 
 
+# two arcs almost on one great circle, their nearest ends 5 * ANGLE_TOL apart:
+# all four orientations are rounding noise, and their signs once agreed
+NOISE_ARCS = (
+    ((-0.27236157600843064, 0.7769957178083584, -0.5675357490252732),
+     (-0.26885352249723904, 0.7748170183050086, -0.5721681322703691)),
+    ((0.582535599894757, -0.40353473186123345, -0.705557931736961),
+     (-0.26885323943629985, 0.7748168415650448, -0.5721685046136111)),
+)
+
+
 class TestArcMeets:
     @given(arc_pairs())
+    @example(NOISE_ARCS)
     def test_matches_the_slow_reference(self, case):
         (a, b), (c, d) = case
         dist = arc_distance(a, b, c, d)
@@ -402,6 +413,18 @@ class TestArcMeets:
         for lat, meets in ((math.degrees(ANGLE_TOL) / 2, True), (math.degrees(ANGLE_TOL) * 3, False)):
             c, d = GeoPoint(lat, 5).vec, GeoPoint(5, 5).vec
             assert _arc_meets(a, b, n, [(c, d, _normalized(_cross(c, d)))]) == meets
+
+    def test_short_edge_crossing_with_ends_near_the_circle(self):
+        # a 1e-5 rad edge crossing a 0.1 rad arc with its ends 1.5 * ANGLE_TOL either side of the
+        # arc's circle: only the long arc's ends are far from the other circle, so a gate on the
+        # short edge's two orientations alone would miss the crossing in one argument order
+        a, b = (math.cos(0.05), -math.sin(0.05), 0.0), (math.cos(0.05), math.sin(0.05), 0.0)
+        c = _normalized((math.cos(5e-6), -math.sin(5e-6), -1.5 * ANGLE_TOL))
+        d = _normalized((math.cos(5e-6), math.sin(5e-6), 1.5 * ANGLE_TOL))
+        n, m = _normalized(_cross(a, b)), _normalized(_cross(c, d))
+        assert arc_distance(a, b, c, d) == 0.0
+        assert _arc_meets(a, b, n, [(c, d, m)])
+        assert _arc_meets(c, d, m, [(a, b, n)])
 
     @pytest.mark.parametrize(
         "lon_c, lon_d, meets",
