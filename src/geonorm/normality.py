@@ -7,12 +7,11 @@ than a hemisphere is unclassifiable: "between" has no meaning there, and
 callers must keep such paths out of normality statistics rather than guessing.
 
 Both scans pass over a country or polygon whose bounding cap (sphere.Cap)
-is apart from the hull's. sphere._cap_in_hull then decides most other caps
-whole against a polygon hull: one inside makes a member (its cities, or a
-polygon's ring vertices, pass hull_contains), one 2 * ANGLE_TOL outside an
-edge's half-space is passed over, and only the rest reach per-city tests or
-_meets. Every test so skipped would give the answer taken, so membership is
-that of the unpruned scans. The caps are built with the world.
+is apart from the hull's. Against a polygon hull, sphere._cap_in_hull then
+settles most other caps whole: one inside makes a member, one outside is
+passed over. Every test so skipped would give the answer taken, so membership
+is exactly that of the unpruned scans. The caps are built with the world:
+WorldModel.city_caps per country, GeoPolygon._cap per polygon.
 """
 
 from __future__ import annotations
@@ -67,11 +66,10 @@ def normal_set(w: WorldModel, src: str, dst: str, mode: str = "population") -> N
     # unpacked once, so that the loops below test it on local floats
     hull_cap = _hull_cap(hull)
     hull_center, hull_cos, hull_sin = hull_cap.center, hull_cap.cos, hull_cap.sin
-    normals = hull._edge_normals if hull.degenerate_kind == "polygon" else None
     for iso2, cap, vecs in w.city_caps:
         if iso2 in members or _apart(hull_center, hull_cos, hull_sin, cap):
             continue
-        inside = normals and _cap_in_hull(normals, cap)
+        inside = _cap_in_hull(hull, cap)
         if inside or (inside is None and any(hull_contains(hull, v) for v in vecs)):
             members.add(iso2)
 
@@ -80,7 +78,7 @@ def normal_set(w: WorldModel, src: str, dst: str, mode: str = "population") -> N
         if iso2 in members:
             continue
         for poly in cb.polygons:
-            inside = not _apart(hull_center, hull_cos, hull_sin, poly._cap) and normals and _cap_in_hull(normals, poly._cap)
+            inside = not _apart(hull_center, hull_cos, hull_sin, poly._cap) and _cap_in_hull(hull, poly._cap)
             if inside or (inside is None and _meets(poly, hull, edges)):
                 members.add(iso2)
                 break

@@ -291,12 +291,12 @@ def spherical_convex_hull(points: Sequence[tuple[float, float, float]]) -> Spher
     return SphericalHull(vertices=ring, degenerate_kind="arc" if len(idx) == 2 else "polygon")
 
 
-def _near_arc(p, a, b, n) -> bool:
+def _near_arc(p, a, b, n, band=ANGLE_TOL) -> bool:
     """True when p lies within ANGLE_TOL of the minor great-circle arc from a to b, whose unit normal is n.
 
-    a and b must be distinct and not antipodal, so that n is defined.
+    a and b must be distinct and not antipodal, so that n is defined; band bounds |n.p|.
     """
-    if abs(_dot(n, p)) > ANGLE_TOL:
+    if abs(_dot(n, p)) > band:
         return False
     # inside the lune between the half-planes at a and b
     if _dot(_cross(n, a), p) >= -ANGLE_TOL and _dot(_cross(b, n), p) >= -ANGLE_TOL:
@@ -309,12 +309,13 @@ def _arc_meets(a, b, n, edges) -> bool:
 
     They cross when the orientations ACB, CBD, BDA and DAC agree, as in S2's
     S2EdgeCrosser: c, d on opposite sides of the circle of a-b, a, b on
-    opposite sides of that of c-d, and the circles meeting on the arcs, not
-    at their antipodes; unless all four are within 2 * ANGLE_TOL of 0, signs
-    of rounding noise. Otherwise they are closest at an end, so they touch
-    when an end is _near_arc the other arc. An arc c-d with both ends more
-    than 2 * ANGLE_TOL to one side of the circle of a-b is skipped: no point
-    of it is that close, and _near_arc reaches about 1.5 * ANGLE_TOL.
+    opposite sides of that of c-d, and the circles meeting on the arcs, not at
+    their antipodes. Otherwise they are closest at an end, so they touch when
+    an end is _near_arc the other arc. Agreeing orientations all within
+    2 * ANGLE_TOL of 0 may be noise; the end tests decide, in a band that
+    wide, as crossing arcs have an end that near the other. An arc c-d with
+    both ends more than 2 * ANGLE_TOL to one side of the circle of a-b is
+    skipped: no point of it is that close; _near_arc reaches about 1.5 * ANGLE_TOL.
     """
     nx, ny, nz = n
     for c, d, m in edges:
@@ -324,14 +325,15 @@ def _arc_meets(a, b, n, edges) -> bool:
             continue
         ma = m[0] * a[0] + m[1] * a[1] + m[2] * a[2]
         mb = m[0] * b[0] + m[1] * b[1] + m[2] * b[2]
-        if (nc > 0.0 and nd < 0.0 and mb > 0.0 and ma < 0.0) or (nc < 0.0 and nd > 0.0 and mb < 0.0 and ma > 0.0):
-            if max(abs(nc), abs(nd), abs(ma), abs(mb)) > 2 * ANGLE_TOL:
-                return True
+        cross = (nc > 0.0 and nd < 0.0 and mb > 0.0 and ma < 0.0) or (nc < 0.0 and nd > 0.0 and mb < 0.0 and ma > 0.0)
+        if cross and max(abs(nc), abs(nd), abs(ma), abs(mb)) > 2 * ANGLE_TOL:
+            return True
+        tol = 2 * ANGLE_TOL if cross else ANGLE_TOL
         if (
-            (-ANGLE_TOL <= nc <= ANGLE_TOL and _near_arc(c, a, b, n))
-            or (-ANGLE_TOL <= nd <= ANGLE_TOL and _near_arc(d, a, b, n))
-            or (-ANGLE_TOL <= ma <= ANGLE_TOL and _near_arc(a, c, d, m))
-            or (-ANGLE_TOL <= mb <= ANGLE_TOL and _near_arc(b, c, d, m))
+            (-tol <= nc <= tol and _near_arc(c, a, b, n, tol))
+            or (-tol <= nd <= tol and _near_arc(d, a, b, n, tol))
+            or (-tol <= ma <= tol and _near_arc(a, c, d, m, tol))
+            or (-tol <= mb <= tol and _near_arc(b, c, d, m, tol))
         ):
             return True
     return False
@@ -382,20 +384,18 @@ def _hull_cap(hull: SphericalHull) -> Cap:
     return _cap(center, lo, widen)
 
 
-def _cap_in_hull(normals, cap: Cap):
-    """True when hull_contains accepts every point of cap, False when it accepts none, else None.
+def _cap_in_hull(hull: SphericalHull, cap: Cap):
+    """True when a polygon hull accepts every point of cap, False when it accepts none, else None.
 
-    normals are a polygon hull's edge normals. With n.c = sin(b) for the cap's
-    center c, n.p runs from sin(b - r) to sin(b + r) over a cap of radius r: so
-    every n.c >= sin r gives n.p >= 0 throughout, True, and one n.c below
-    -sin r - 2 * ANGLE_TOL keeps its n.p below -2 * ANGLE_TOL, past the band of
-    hull_contains and the reach of _arc_meets, False. Caps of cos -inf are undecided.
+    Over a cap of radius r whose center has n.c = sin b, n.p >= sin(b - r):
+    every n.c >= sin r gives True; one n.c < -sin r - 3 * ANGLE_TOL, past
+    hull_contains' band and _arc_meets' reach (2.3 * ANGLE_TOL), gives False.
     """
-    if cap.cos == -math.inf:
+    if hull.degenerate_kind != "polygon" or cap.cos == -math.inf:
         return None
     (cx, cy, cz), sin_r = cap.center, cap.sin
-    out, inside = -sin_r - 2 * ANGLE_TOL, True
-    for n in normals:  # not min(): the first edge that rules the cap out ends the loop
+    out, inside = -sin_r - 3 * ANGLE_TOL, True
+    for n in hull._edge_normals:  # not min(): the first edge that rules the cap out ends the loop
         d = n[0] * cx + n[1] * cy + n[2] * cz
         if d < out:
             return False

@@ -331,8 +331,8 @@ class TestCapPruningOracle:
         city_caps = {id(cap) for _, cap, _ in w.city_caps}
         seen = set()
 
-        def counted(normals, cap):
-            inside = _cap_in_hull(normals, cap)
+        def counted(hull, cap):
+            inside = _cap_in_hull(hull, cap)
             seen.add((id(cap) in city_caps, inside))
             return inside
 
@@ -632,7 +632,7 @@ class TestHullCap:
 def hull_and_cap(draw):
     """A polygon hull, fat or a sliver, a cap inside, outside, across or grazing one of its edges, and probes of the cap.
 
-    A grazing cap's rim passes within 2 * ANGLE_TOL of an edge's great
+    A grazing cap's rim passes within 4 * ANGLE_TOL of an edge's great
     circle, on either side, beside the middle of that edge. Probes are the
     center, random points of the cap and its rim, and for every edge normal n
     the rim points where n.p is least and greatest.
@@ -652,7 +652,7 @@ def hull_and_cap(draw):
         a, b, n = vts[i], vts[(i + 1) % len(vts)], normals[i]
         t = rng.uniform(0.25, 0.75)
         q = _normalized(tuple((1 - t) * ai + t * bi for ai, bi in zip(a, b)))
-        shift = rng.uniform(-r, r) if place == "across" else rng.choice((-1, 1)) * (r + rng.uniform(-2, 2) * ANGLE_TOL)
+        shift = rng.uniform(-r, r) if place == "across" else rng.choice((-1, 1)) * (r + rng.uniform(-4, 4) * ANGLE_TOL)
         center = _turn(q, n, shift)
     probes = [center] + [offset(center, r * rng.choice((1.0, rng.random())), rng) for _ in range(10)]
     for n in normals:
@@ -666,21 +666,28 @@ class TestCapInHull:
     @given(hull_and_cap())
     def test_decisions_agree_with_every_probe(self, case):
         hull, cap, probes = case
-        inside = _cap_in_hull(hull._edge_normals, cap)
+        inside = _cap_in_hull(hull, cap)
         if inside is not None:
             assert all(hull_contains(hull, p) == inside for p in probes)
 
     def test_all_three_answers(self):
-        normals = _hull_of([_unit(0, 0), _unit(0, 10), _unit(10, 0)])._edge_normals
+        hull = _hull_of([_unit(0, 0), _unit(0, 10), _unit(10, 0)])
         cap = lambda center, r=0.01: Cap(center, math.cos(r), math.sin(r))
-        assert _cap_in_hull(normals, cap(_unit(2, 2))) is True
-        assert _cap_in_hull(normals, cap(_unit(-5, -5))) is False
-        assert _cap_in_hull(normals, cap(_unit(0, 5))) is None
+        assert _cap_in_hull(hull, cap(_unit(2, 2))) is True
+        assert _cap_in_hull(hull, cap(_unit(-5, -5))) is False
+        assert _cap_in_hull(hull, cap(_unit(0, 5))) is None
         # the rim 0.5 * ANGLE_TOL south of the equator edge: hull_contains accepts its nearest point
-        assert _cap_in_hull(normals, cap(_turn(_unit(0, 5), (0, 0, -1), 0.01 + ANGLE_TOL / 2))) is None
+        assert _cap_in_hull(hull, cap(_turn(_unit(0, 5), (0, 0, -1), 0.01 + ANGLE_TOL / 2))) is None
         # caps of r >= pi/2, with a center or without
-        assert _cap_in_hull(normals, Cap(None, -math.inf, 1.0)) is None
-        assert _cap_in_hull(normals, Cap(_unit(2, 2), -math.inf, 1.0)) is None
+        assert _cap_in_hull(hull, Cap(None, -math.inf, 1.0)) is None
+        assert _cap_in_hull(hull, Cap(_unit(2, 2), -math.inf, 1.0)) is None
+
+    def test_point_and_arc_hulls_are_undecided(self):
+        for points in ([_unit(0, 0)], [_unit(0, 0), _unit(0, 10)]):
+            hull = _hull_of(points)
+            assert hull.degenerate_kind != "polygon"
+            for center in (_unit(0, 0), _unit(0, 5), _unit(-5, -5)):
+                assert _cap_in_hull(hull, Cap(center, math.cos(0.01), math.sin(0.01))) is None
 
 
 class TestTraceContract:

@@ -329,11 +329,13 @@ def arc_pairs(draw):
 
     Kinds: unrelated arcs near each other; arcs crossing inside both; an end
     within 0.5 * ANGLE_TOL of the other arc, or 3 to 20 ANGLE_TOL off it
-    and heading away; arcs on one great circle, overlapping or apart; and
-    arcs whose great circles meet only at points antipodal to the other arc.
+    and heading away; arcs crossing at so shallow an angle that an end of
+    each lies a few ANGLE_TOL from the other's circle; arcs on one great
+    circle, overlapping or apart; and arcs whose great circles meet only at
+    points antipodal to the other arc.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "cross", "touch", "miss", "collinear", "antipodal"]))
+    kind = draw(st.sampled_from(["random", "cross", "shallow", "touch", "miss", "collinear", "antipodal"]))
     length = lambda: 10 ** rng.uniform(-6, math.log10(1.5 if kind == "antipodal" else 2.5))
     tangent = lambda p: _normalized(_cross(p, (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))))
     go = lambda p, t, ang: _normalized(tuple(math.cos(ang) * pi + math.sin(ang) * ti for pi, ti in zip(p, t)))
@@ -349,6 +351,12 @@ def arc_pairs(draw):
         c, d = through(offset(x, 2 * _angle(a, b) * rng.random(), rng), rng.random())
     elif kind == "cross":
         c, d = through(x, rng.uniform(0.05, 0.95))
+    elif kind == "shallow":
+        # x inside both arcs, c-d as long as a-b and turned from it toward n by a few ANGLE_TOL over that length
+        a, b = through(x, rng.uniform(0.25, 0.75))
+        n, ang, frac = _normalized(_cross(a, b)), _angle(a, b), rng.uniform(0.25, 0.75)
+        t = go(_cross(n, x), n, min(1.0, rng.uniform(1.5, 4) * ANGLE_TOL / ang))
+        c, d = go(x, t, -frac * ang), go(x, t, (1 - frac) * ang)
     elif kind in ("touch", "miss"):
         side = rng.choice((-1, 1))
         if kind == "touch":
@@ -423,6 +431,19 @@ class TestArcMeets:
         d = _normalized((math.cos(5e-6), math.sin(5e-6), 1.5 * ANGLE_TOL))
         n, m = _normalized(_cross(a, b)), _normalized(_cross(c, d))
         assert arc_distance(a, b, c, d) == 0.0
+        assert _arc_meets(a, b, n, [(c, d, m)])
+        assert _arc_meets(c, d, m, [(a, b, n)])
+
+    def test_shallow_crossing_with_every_orientation_past_angle_tol(self):
+        # two 1e-3 rad arcs crossing at (1, 0, 0) at an angle of asin(3e-4): all four orientations are
+        # about 1.5 * ANGLE_TOL, too small to trust their signs and past the end tests' usual band
+        h, tilt = 5e-4, math.asin(3e-4)
+        a, b = (math.cos(h), -math.sin(h), 0.0), (math.cos(h), math.sin(h), 0.0)
+        c = (math.cos(h), -math.sin(h) * math.cos(tilt), -math.sin(h) * math.sin(tilt))
+        d = (math.cos(h), math.sin(h) * math.cos(tilt), math.sin(h) * math.sin(tilt))
+        n, m = _normalized(_cross(a, b)), _normalized(_cross(c, d))
+        assert arc_distance(a, b, c, d) == 0.0
+        assert all(ANGLE_TOL < abs(o) <= 2 * ANGLE_TOL for o in (_dot(n, c), _dot(n, d), _dot(m, a), _dot(m, b)))
         assert _arc_meets(a, b, n, [(c, d, m)])
         assert _arc_meets(c, d, m, [(a, b, n)])
 
