@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 from .errors import HemisphereViolation, UnknownCountry
-from .sphere import _apart, _cap_in_hull, _hull_cap, _hull_edges, _meets, hull_contains, spherical_convex_hull
+from .sphere import _apart, _cap_in_hull, _hull_cap, _meets, hull_contains, spherical_convex_hull
 from .world import WorldModel, country_points
 
 @dataclass(frozen=True)
@@ -73,13 +73,12 @@ def normal_set(w: WorldModel, src: str, dst: str, mode: str = "population") -> N
         if inside or (inside is None and any(hull_contains(hull, v) for v in vecs)):
             members.add(iso2)
 
-    edges = _hull_edges(hull)
     for iso2, cb in w.borders.items():
         if iso2 in members:
             continue
         for poly in cb.polygons:
             inside = not _apart(hull_center, hull_cos, hull_sin, poly._cap) and _cap_in_hull(hull, poly._cap)
-            if inside or (inside is None and _meets(poly, hull, edges)):
+            if inside or (inside is None and _meets(poly, hull)):
                 members.add(iso2)
                 break
 

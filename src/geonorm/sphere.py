@@ -13,20 +13,20 @@ One rule (_center) decides that proviso for hulls and border polygons
 alike: the smallest dot product of the vectors with that center must
 exceed 1e-9. Every bounding cap is a Cap built by _cap, and _apart tells
 when two caps share no point. A polygon's cap is of exact width, the cap
-over its vertices widened only by CAP_SLACK; those of a hull (_hull_cap)
-and its edges (_hull_edges) also cover the ANGLE_TOL band of the
-containment tests. _cap_in_hull decides whole caps by a hull's edge planes.
+over its vertices widened only by CAP_SLACK; a hull's (_hull_cap) also
+covers the ANGLE_TOL band of the containment tests. _cap_in_hull decides
+whole caps by a hull's edge planes.
 
 Two minor arcs meet when they cross, by the sign test of S2's
 S2EdgeCrosser, or when an end of one lies within ANGLE_TOL of the other
 (_arc_meets); a border polygon meets a hull when one of its edges meets a
 hull edge or one boundary lies inside the other (_meets).
 
-A GeoPolygon builds its vertex vectors and its cap when it is constructed,
-so a polygon that spans a hemisphere cannot exist. Its edge normals
-(_edges) and the projected rings that point containment needs (_frame) are
-built on first use: most polygons of a world lie under caps apart from
-every hull's and never need them.
+A SphericalHull builds its edges when it is constructed, and a GeoPolygon
+its vertex vectors and its cap, so a polygon that spans a hemisphere cannot
+exist. The polygon's edges (_edges) and the projected rings that point
+containment needs (_frame) are built on first use: most polygons of a
+world lie under caps apart from every hull's and never need them.
 """
 
 from __future__ import annotations
@@ -221,17 +221,28 @@ class SphericalHull:
     vertices form a ring, counterclockwise as seen from outside the sphere;
     degenerate point sets collapse to a single-vertex "point" hull or a
     two-vertex "arc" hull whose containment accepts only points on the arc.
+    _edges holds (a, b, n) per edge, n the unit normal of a x b, as
+    GeoPolygon._edges does: none for a point, one for an arc, one per side
+    of a polygon, whose interior has n.p >= 0; _edge_normals holds the n.
     """
 
     vertices: tuple[tuple[float, float, float], ...]
-    degenerate_kind: str  # "polygon" | "arc" | "point"
+    _edges: tuple = field(init=False, compare=False, repr=False)
+    _edge_normals: tuple = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def _edge_normals(self):
-        """Normalized a x b per directed edge; interior satisfies dot(n, p) >= 0."""
+    def __post_init__(self):
         vts = self.vertices
-        n = len(vts)
-        return tuple(_normalized(_cross(vts[i], vts[(i + 1) % n])) for i in range(n))
+        # an arc's one edge runs from its first vertex to its second, and does not close back
+        ends = vts[1:] + vts[:1] if len(vts) > 2 else vts[1:]
+        edges = tuple((a, b, _normalized(_cross(a, b))) for a, b in zip(vts, ends))
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_edge_normals", tuple(n for _, _, n in edges))
+
+    @property
+    def degenerate_kind(self) -> str:
+        """The kind by vertex count: "point" for 1, "arc" for 2, "polygon" for 3 or more."""
+        n = len(self.vertices)
+        return "point" if n == 1 else "arc" if n == 2 else "polygon"
 
 
 def _dedup(vectors):
@@ -268,7 +279,7 @@ def spherical_convex_hull(points: Sequence[tuple[float, float, float]]) -> Spher
     vecs = _dedup(points)
 
     if len(vecs) == 1:
-        return SphericalHull(vertices=(vecs[0],), degenerate_kind="point")
+        return SphericalHull(vertices=(vecs[0],))
 
     center, lo = _center(vecs)
     if lo <= 1e-9:
@@ -282,13 +293,12 @@ def spherical_convex_hull(points: Sequence[tuple[float, float, float]]) -> Spher
         raise HemisphereViolation((unit_to_geo(a), unit_to_geo(b)), math.degrees(_angle(a, b)))
 
     if len(vecs) == 2:
-        return SphericalHull(vertices=tuple(vecs), degenerate_kind="arc")
+        return SphericalHull(vertices=tuple(vecs))
 
     e1, e2 = _tangent_basis(center)
     plane = [_gnomonic(center, e1, e2, v) for v in vecs]
     idx = _planar_hull(plane)
-    ring = tuple(vecs[i] for i in idx)
-    return SphericalHull(vertices=ring, degenerate_kind="arc" if len(idx) == 2 else "polygon")
+    return SphericalHull(vertices=tuple(vecs[i] for i in idx))
 
 
 def _near_arc(p, a, b, n, band=ANGLE_TOL) -> bool:
@@ -342,11 +352,11 @@ def _arc_meets(a, b, n, edges) -> bool:
 def hull_contains(h: SphericalHull, p) -> bool:
     """True iff unit vector p is inside or on the boundary of h (tolerance ANGLE_TOL radians)."""
     vts = h.vertices
-    if h.degenerate_kind == "point":
+    if len(vts) == 1:  # a point hull
         return _angle(p, vts[0]) <= ANGLE_TOL
-    if h.degenerate_kind == "arc":
-        # _dedup and the hemisphere check keep an arc's ends distinct and not antipodal
-        return _near_arc(p, vts[0], vts[1], h._edge_normals[0])
+    if len(vts) == 2:
+        # an arc hull; _dedup and the hemisphere check keep its ends distinct and not antipodal
+        return _near_arc(p, *h._edges[0])
     px, py, pz = p
     return all(n[0] * px + n[1] * py + n[2] * pz >= -ANGLE_TOL for n in h._edge_normals)
 
@@ -391,7 +401,7 @@ def _cap_in_hull(hull: SphericalHull, cap: Cap):
     every n.c >= sin r gives True; one n.c < -sin r - 3 * ANGLE_TOL, past
     hull_contains' band and _arc_meets' reach (2.3 * ANGLE_TOL), gives False.
     """
-    if hull.degenerate_kind != "polygon" or cap.cos == -math.inf:
+    if len(hull.vertices) < 3 or cap.cos == -math.inf:  # a point or arc hull
         return None
     (cx, cy, cz), sin_r = cap.center, cap.sin
     out, inside = -sin_r - 3 * ANGLE_TOL, True
@@ -401,20 +411,6 @@ def _cap_in_hull(hull: SphericalHull, cap: Cap):
             return False
         inside = inside and d >= sin_r
     return inside or None
-
-
-def _hull_edges(hull: SphericalHull):
-    """(a, b, n, cap) per edge a-b of hull, n its unit normal: none for a point, one for an arc.
-
-    cap is the Cap over a and b, whose CAP_SLACK covers the ANGLE_TOL band of
-    _arc_meets.
-    """
-    vts = hull.vertices
-    edges = []
-    for i in range({"point": 0, "arc": 1}.get(hull.degenerate_kind, len(vts))):
-        a, b = vts[i], vts[(i + 1) % len(vts)]
-        edges.append((a, b, hull._edge_normals[i], _cap(*_center((a, b)))))
-    return edges
 
 
 @dataclass(frozen=True)
@@ -498,20 +494,18 @@ def polygon_contains(poly: GeoPolygon, p) -> bool:
     return any(abs(n[0] * px + n[1] * py + n[2] * pz) <= ANGLE_TOL and _near_arc(p, a, b, n) for a, b, n in poly._edges)
 
 
-def _meets(poly: GeoPolygon, hull: SphericalHull, edges) -> bool:
-    """True when border polygon poly and hull share a point, within ANGLE_TOL; edges is _hull_edges(hull).
+def _meets(poly: GeoPolygon, hull: SphericalHull) -> bool:
+    """True when border polygon poly and hull share a point, within ANGLE_TOL.
 
-    They do when an edge of poly meets a hull edge. Only hull edges whose
-    cap reaches poly's cap, of radius r, and whose great circle passes
-    within r of its center, which needs r < pi/2 to be read from sin r, can
-    meet one. Failing that, neither boundary crosses the other, so one
-    outer-ring vertex in the hull or one hull vertex in poly decides.
+    They do when an edge of poly meets a hull edge. Only a hull edge whose
+    great circle passes within r of the center of poly's cap, of radius r,
+    can meet one; that needs r < pi/2 to be read from sin r. Failing that,
+    neither boundary crosses the other, so one outer-ring vertex in the hull
+    or one hull vertex in poly decides.
     """
     cap = poly._cap
     center, cos_r, sin_r = cap.center, cap.cos, cap.sin
-    for a, b, n, edge_cap in edges:
-        if _apart(center, cos_r, sin_r, edge_cap):
-            continue
+    for a, b, n in hull._edges:
         if cos_r > 0.0 and abs(_dot(n, center)) > sin_r:
             continue
         if _arc_meets(a, b, n, poly._edges):

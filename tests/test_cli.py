@@ -180,6 +180,13 @@ class TestNormalSet:
         coords = doc["geometry"]["coordinates"]
         assert coords[0] == coords[-1]  # closed ring
         assert len(coords) >= 4
+        assert doc["properties"]["kind"] == "polygon"
+        # one city each makes a two-vertex hull, whose kind comes from its vertex count
+        code, out, _ = run(capsys, "normal-set", *world_args(), "AA", "AC", "--city-limit", "1", "--export-hull", str(target))
+        assert code == 0
+        doc = json.loads(target.read_text())
+        assert doc["properties"]["kind"] == "arc"
+        assert doc["geometry"]["coordinates"] == [[2.0, 2.0], [14.0, 2.0], [2.0, 2.0]]
 
     def test_export_hull_to_a_missing_directory_is_one_error_line(self, capsys, tmp_path):
         target = tmp_path / "absent" / "h.json"

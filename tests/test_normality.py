@@ -20,7 +20,6 @@ from geonorm.sphere import (
     _cross,
     _dot,
     _hull_cap,
-    _hull_edges,
     _meets,
     _normalized,
     hull_contains,
@@ -412,7 +411,7 @@ class TestMeets:
     HULL = spherical_convex_hull([p.vec for p in _square(0, 0, 4, 4)])
 
     def meets(self, *rings, hull=HULL):
-        return _meets(GeoPolygon(rings=rings), hull, _hull_edges(hull))
+        return _meets(GeoPolygon(rings=rings), hull)
 
     def test_polygon_around_the_hull(self):
         assert self.meets(_square(-10, -10, 14, 14))
@@ -432,10 +431,20 @@ class TestMeets:
         apex = GeoPoint(-math.degrees(gap * ANGLE_TOL), 2)
         assert self.meets((apex, GeoPoint(-1, 1), GeoPoint(-1, 3))) == meets
 
+    @pytest.mark.parametrize("gap, meets", [(0.5, True), (3.0, False)])
+    def test_vertex_on_an_edge_circle_past_its_end(self, gap, meets):
+        # a triangle east of the hull whose apex lies on the equator, gap * ANGLE_TOL past the southern edge's end
+        apex = GeoPoint(0, 4 + math.degrees(gap * ANGLE_TOL))
+        assert self.meets((apex, GeoPoint(-1, 5), GeoPoint(1, 5))) == meets
+
+    def test_polygon_across_an_edge_circle_past_its_end(self):
+        # the southern edge's great circle runs through this square, whose cap reaches no other edge's circle
+        assert not self.meets(_square(-1, 6, 1, 8))
+
     def test_arc_and_point_hulls(self):
         arc = spherical_convex_hull([GeoPoint(2, -5).vec, GeoPoint(2, 5).vec])
         point = spherical_convex_hull([GeoPoint(2, 2).vec])
-        assert (arc.degenerate_kind, len(_hull_edges(arc)), len(_hull_edges(point))) == ("arc", 1, 0)
+        assert (arc.degenerate_kind, len(arc._edges), point.degenerate_kind, len(point._edges)) == ("arc", 1, "point", 0)
         assert self.meets(_square(0, 0, 4, 4), hull=arc)  # crosses two edges, no vertex inside
         assert self.meets(_square(0, 0, 4, 4), hull=point)
         assert not self.meets(_square(3, 3, 4, 4), hull=point)
