@@ -15,6 +15,7 @@ import os
 import shutil
 import sys
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import islice
@@ -102,6 +103,9 @@ def _require(cfg, *names):
         path = Path(getattr(cfg, name))
         if not path.exists():
             raise ValidationError(f"input file not found: {path}")
+        # shard_ranges cuts the file by its size and the header digest reads it again, which a pipe cannot serve
+        if not path.is_file():
+            raise ValidationError(f"input is not a regular file: {path}")
 
 
 def _load_world(cfg):
@@ -224,7 +228,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     normal_set_of = partial(cache.get_or_build, w, mode=cfg.mode)
 
     def run_shard(start, end):
-        agg, skips, counts = Aggregate(), SkipLog(), {}
+        agg, skips, counts = Aggregate(), SkipLog(), Counter()
         records = read_traceroutes(cfg.traceroutes, start, end)
         while batch := list(islice(records, BATCH)):
             for rec in batch:
@@ -232,8 +236,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
                 if isinstance(tp, Skip):
                     skips.add(tp.reason)
                     continue
-                sig = signature(tp)
-                counts[sig] = counts.get(sig, 0) + 1
+                counts[signature(tp)] += 1
                 if len(counts) >= SIGNATURE_CAP:
                     fold_signatures(counts, agg, skips, w, normal_set_of, cfg.unclassifiable_policy)
         fold_signatures(counts, agg, skips, w, normal_set_of, cfg.unclassifiable_policy)
@@ -245,12 +248,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
         agg.merge(part)
         skip_log.merge(skips)
 
-    body = report(agg, w, skip_log=skip_log, top_n=cfg.top_n)
+    body = report(agg, w, skip_log, top_n=cfg.top_n)
     doc = {"header": _header(cfg), **body}
     _write_outputs(doc, Path(cfg.output_dir))
 
     print(f"paths classified: {agg.paths_total}")
-    print(f"records skipped:  {skip_log.total()}")
+    print(f"records skipped:  {skip_log.counts.total()}")
     for exposure in EXPOSURES:
         value = body["global_don"][exposure]
         print(f"global {exposure} DoN: " + (f"{value:.3f}" if value is not None else "n/a"))
@@ -305,10 +308,13 @@ def _stage_outputs(doc, output_dir: Path):
         shutil.rmtree(staging, ignore_errors=True)
 
 
+def _write_lines(path: Path, lines):
+    """Write lines to path, each ending in a newline; no lines make an empty file."""
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows])
 
 
 # CSV columns of the top-N tables, which are exactly the keys of their rows
@@ -351,11 +357,9 @@ def _write_tables(doc, tables: Path):
 def _write_plots(doc, plots: Path):
     hists = doc["histograms"]
     for name in ("severity", "union_added"):
-        lines = [f"{k}\t{v}" for k, v in hists[name].items()]
-        (plots / f"{name}.tsv").write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
+        _write_lines(plots / f"{name}.tsv", [f"{k}\t{v}" for k, v in hists[name].items()])
     for name in ("tuple_len_don", "as_count_don"):
-        lines = [f"{k}\t{_fmt(entry['don'])}" for k, entry in hists[name].items()]
-        (plots / f"{name}.tsv").write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
+        _write_lines(plots / f"{name}.tsv", [f"{k}\t{_fmt(entry['don'])}" for k, entry in hists[name].items()])
     for exposure in EXPOSURES:
         for role in ROLES:
             values = sorted(
@@ -364,7 +368,7 @@ def _write_plots(doc, plots: Path):
                 if exposure in entry and role in entry[exposure] and entry[exposure][role]["don"] is not None
             )
             lines = [f"{_fmt(v)}\t{_fmt((i + 1) / len(values))}" for i, v in enumerate(values)]
-            (plots / f"don_cdf_{exposure}_{role}.tsv").write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8")
+            _write_lines(plots / f"don_cdf_{exposure}_{role}.tsv", lines)
 
 
 def cmd_normal_set(cfg: RunConfig, src: str, dst: str, modes, export_hull: str | None = None) -> int:
@@ -528,7 +532,13 @@ def _run(args) -> int:
         modes = MODES if args.both_modes else (cfg.mode,)
         return cmd_normal_set(cfg, args.src, args.dst, modes, export_hull=args.export_hull)
     if args.command == "classify-one":
-        line = sys.stdin.readline() if args.line == "-" else args.line
+        line = args.line
+        if line == "-":
+            raw = sys.stdin.buffer.readline()
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise utf8_error("<stdin>", raw) from None
         return cmd_classify_one(cfg, line)
     if args.command == "validate-world":
         return cmd_validate_world(cfg)

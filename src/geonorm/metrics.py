@@ -9,6 +9,7 @@ distinct path signature once, with the number of paths that share it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .pipeline import PathClassification, PathSignature, SkipLog, TuplePath
@@ -40,22 +41,20 @@ class Aggregate:
     # (iso2, exposure) -> [benefited, transited]; transit-only counts are role's transit entries
     benefactor: dict = field(default_factory=dict)
     # physical-benefactor count per path -> paths
-    severity: dict = field(default_factory=dict)
+    severity: Counter = field(default_factory=Counter)
     # compressed tuple length -> [physically normal, total]
     tuple_len: dict = field(default_factory=dict)
     # distinct-AS count -> [physically normal, total]
     as_count: dict = field(default_factory=dict)
     # countries added by the legal/physical union -> paths
-    union_added: dict = field(default_factory=dict)
+    union_added: Counter = field(default_factory=Counter)
     # (src_region, dst_region, exposure) -> [normal, total]
     region_matrix: dict = field(default_factory=dict)
     paths_total: int = 0
 
     def merge(self, other: "Aggregate") -> "Aggregate":
-        for attr in ("severity", "union_added"):
-            mine_d, other_d = getattr(self, attr), getattr(other, attr)
-            for key, v in other_d.items():
-                mine_d[key] = mine_d.get(key, 0) + v
+        self.severity.update(other.severity)
+        self.union_added.update(other.union_added)
         for attr in ("role", "benefactor", "tuple_len", "as_count", "region_matrix"):
             mine_d, other_d = getattr(self, attr), getattr(other, attr)
             for key, (n, t) in other_d.items():
@@ -96,11 +95,10 @@ def accumulate(agg: Aggregate, tp: TuplePath | PathSignature, pc: PathClassifica
             agg.benefactor.setdefault((iso2, exposure), [0, 0])[0] += n
         _bump(agg.region_matrix, (w.region_of[tp.src_country], w.region_of[tp.dst_country], exposure), verdict.normal, n)
 
-    sev = len(pc.physical.benefactors)
-    agg.severity[sev] = agg.severity.get(sev, 0) + n
+    agg.severity[len(pc.physical.benefactors)] += n
     _bump(agg.tuple_len, pc.tuple_len, pc.physical.normal, n)
     _bump(agg.as_count, pc.as_count, pc.physical.normal, n)
-    agg.union_added[pc.union_added_countries] = agg.union_added.get(pc.union_added_countries, 0) + n
+    agg.union_added[pc.union_added_countries] += n
     agg.paths_total += n
     return agg
 
@@ -133,7 +131,7 @@ def _top(rows, count, top_n):
     return sorted((r for r in rows if r[1][count]), key=lambda r: (-r[1][count], r[0]))[:top_n]
 
 
-def report(agg: Aggregate, w: WorldModel, skip_log: SkipLog | None = None, top_n: int = 10) -> dict:
+def report(agg: Aggregate, w: WorldModel, skip_log: SkipLog, top_n: int = 10) -> dict:
     """Build the full exposure report as a JSON-ready dict.
 
     Deterministic: countries sort by iso2, top-N ties break lexicographically,
@@ -198,7 +196,7 @@ def report(agg: Aggregate, w: WorldModel, skip_log: SkipLog | None = None, top_n
     out = {
         "totals": {
             "paths_classified": agg.paths_total,
-            "records_skipped": skip_log.total() if skip_log else 0,
+            "records_skipped": skip_log.counts.total(),
         },
         # every path has one source, so the source role over all countries counts each path once
         "global_don": {exposure: everywhere.get(exposure, {}).get("source", {}).get("don") for exposure in EXPOSURES},
@@ -215,7 +213,7 @@ def report(agg: Aggregate, w: WorldModel, skip_log: SkipLog | None = None, top_n
             "as_count_don": don_hist(agg.as_count),
             "union_added": hist(agg.union_added),
         },
-        "skip_log": dict(sorted(skip_log.counts.items())) if skip_log else {},
-        "notes": dict(sorted(skip_log.notes.items())) if skip_log else {},
+        "skip_log": dict(sorted(skip_log.counts.items())),
+        "notes": dict(sorted(skip_log.notes.items())),
     }
     return out

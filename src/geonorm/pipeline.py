@@ -14,12 +14,14 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .enrichment import Enrichment, parse_ip
+from .enrichment import Enrichment, HopResolution, parse_ip
 from .errors import ParseError, utf8_error
 from .normality import NormalSet, PathVerdict, classify
+from .world import _open_binary
 
 SKIP_REASONS = ("unresolved_source", "unresolved_destination", "empty_path", "unclassifiable_pair")
 
@@ -46,16 +48,10 @@ class Skip:
             raise ValueError(f"unknown skip reason {self.reason!r}")
 
 
-class TupleHop(NamedTuple):
-    phys_country: str
-    asn: int
-    legal_country: str | None
-
-
 class TuplePath(NamedTuple):
     src_country: str
     dst_country: str
-    hops: tuple[TupleHop, ...]
+    hops: tuple[HopResolution, ...]  # each with a known phys_country and asn
     dropped_hops: int
 
 
@@ -136,13 +132,6 @@ def parse_traceroute_line(line: str, source: str = "<line>", line_no: int = 1) -
     return TracerouteRecord(src_ip, dst_ip, tuple(hops))
 
 
-def _open_binary(path):
-    try:
-        return open(path, "rb")
-    except OSError as e:
-        raise ParseError(str(path), 0, f"cannot open: {e.strerror}") from e
-
-
 def read_traceroutes(path, start: int = 0, end: int | None = None) -> Iterator[TracerouteRecord]:
     """Records of the NDJSON lines of path that begin in bytes [start, end).
 
@@ -217,17 +206,18 @@ def to_tuple_path(rec: TracerouteRecord, enrichment: Enrichment) -> TuplePath | 
         return Skip("unresolved_destination")
 
     resolve = enrichment.resolve
-    hops: list[TupleHop] = []
+    hops: list[HopResolution] = []
     dropped = 0
     last_country = last_asn = None
     for _, ip in rec.hops:
         if ip is None:
             continue
-        country, asn, legal = resolve(ip)
+        res = resolve(ip)
+        country, asn, _ = res
         if country is None or asn is None:
             dropped += 1
         elif asn != last_asn or country != last_country:
-            hops.append(TupleHop(country, asn, legal))
+            hops.append(res)
             last_country, last_asn = country, asn
     return TuplePath(src_country, dst_country, tuple(hops), dropped)
 
@@ -270,20 +260,16 @@ def classify_path_with(tp: TuplePath, ns: NormalSet) -> PathClassification:
 class SkipLog:
     """Counts of records set aside, by reason, plus informational notes."""
 
-    counts: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
+    counts: Counter = field(default_factory=Counter)
+    notes: Counter = field(default_factory=Counter)
 
     def add(self, reason: str, n: int = 1):
-        self.counts[reason] = self.counts.get(reason, 0) + n
+        self.counts[reason] += n
 
     def note(self, key: str, n: int = 1):
-        self.notes[key] = self.notes.get(key, 0) + n
+        self.notes[key] += n
 
     def merge(self, other: "SkipLog") -> "SkipLog":
-        for mine, theirs in ((self.counts, other.counts), (self.notes, other.notes)):
-            for k, v in theirs.items():
-                mine[k] = mine.get(k, 0) + v
+        self.counts.update(other.counts)
+        self.notes.update(other.notes)
         return self
-
-    def total(self) -> int:
-        return sum(self.counts.values())

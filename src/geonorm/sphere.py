@@ -223,20 +223,17 @@ class SphericalHull:
     two-vertex "arc" hull whose containment accepts only points on the arc.
     _edges holds (a, b, n) per edge, n the unit normal of a x b, as
     GeoPolygon._edges does: none for a point, one for an arc, one per side
-    of a polygon, whose interior has n.p >= 0; _edge_normals holds the n.
+    of a polygon, whose interior has n.p >= 0.
     """
 
     vertices: tuple[tuple[float, float, float], ...]
     _edges: tuple = field(init=False, compare=False, repr=False)
-    _edge_normals: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vts = self.vertices
         # an arc's one edge runs from its first vertex to its second, and does not close back
         ends = vts[1:] + vts[:1] if len(vts) > 2 else vts[1:]
-        edges = tuple((a, b, _normalized(_cross(a, b))) for a, b in zip(vts, ends))
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_edge_normals", tuple(n for _, _, n in edges))
+        object.__setattr__(self, "_edges", tuple((a, b, _normalized(_cross(a, b))) for a, b in zip(vts, ends)))
 
     @property
     def degenerate_kind(self) -> str:
@@ -358,7 +355,7 @@ def hull_contains(h: SphericalHull, p) -> bool:
         # an arc hull; _dedup and the hemisphere check keep its ends distinct and not antipodal
         return _near_arc(p, *h._edges[0])
     px, py, pz = p
-    return all(n[0] * px + n[1] * py + n[2] * pz >= -ANGLE_TOL for n in h._edge_normals)
+    return all(n[0] * px + n[1] * py + n[2] * pz >= -ANGLE_TOL for _, _, n in h._edges)
 
 
 def _hull_cap(hull: SphericalHull) -> Cap:
@@ -385,7 +382,7 @@ def _hull_cap(hull: SphericalHull) -> Cap:
     center, lo = _center(hull.vertices)
     widen = 0.0
     if hull.degenerate_kind == "polygon":
-        m = min(_dot(n, center) for n in hull._edge_normals)
+        m = min(_dot(n, center) for _, _, n in hull._edges)
         # sin(radius), the radius being acos(lo)
         ratio = ANGLE_TOL * math.sqrt(max(0.0, 1.0 - lo * lo)) / m if m > ANGLE_TOL else 1.0
         widen = math.asin(ratio) if ratio < 1.0 else math.pi
@@ -405,7 +402,7 @@ def _cap_in_hull(hull: SphericalHull, cap: Cap):
         return None
     (cx, cy, cz), sin_r = cap.center, cap.sin
     out, inside = -sin_r - 3 * ANGLE_TOL, True
-    for n in hull._edge_normals:  # not min(): the first edge that rules the cap out ends the loop
+    for _, _, n in hull._edges:  # not min(): the first edge that rules the cap out ends the loop
         d = n[0] * cx + n[1] * cy + n[2] * cz
         if d < out:
             return False

@@ -70,13 +70,16 @@ class WorldModel:
         object.__setattr__(self, "city_caps", tuple(rows))
 
 
-def _read_csv(path, expected_header):
-    """Yield (line number, stripped fields) per non-blank data row, streaming; the header must match."""
+def _open_binary(path):
     try:
-        fh = open(path, "rb")
+        return open(path, "rb")
     except OSError as e:
         raise ParseError(str(path), 0, f"cannot open: {e.strerror}") from e
-    with fh:
+
+
+def _read_csv(path, expected_header):
+    """Yield (line number, stripped fields) per non-blank data row, streaming; the header must match."""
+    with _open_binary(path) as fh:
         reader = csv.reader(_text_lines(fh, path))
         header = next(reader, None)
         if header is None:
@@ -105,7 +108,7 @@ def _text_lines(fh, path):
 
 
 def _check_iso2(code, path, line_no):
-    if len(code) != 2 or not code.isalpha() or not code.isupper():
+    if len(code) != 2 or not (code.isascii() and code.isalpha() and code.isupper()):  # A-Z, not any Unicode letter
         raise ParseError(str(path), line_no, f"bad iso2 code {code!r}")
     return code
 

@@ -383,7 +383,7 @@ class TestCriterion5:
                 accumulate(agg, tp, pc, small_world)
                 classified += 1
         assert classified > 9000
-        doc = report(agg, small_world)
+        doc = report(agg, small_world, SkipLog())
         assert doc["global_don"]["union"] <= doc["global_don"]["physical"]
         assert 0.0 < doc["global_don"]["physical"] < 1.0  # the corpus exercises both outcomes
         announce(5, f"union DoN <= physical DoN with zero per-path violations over {classified} paths", time.perf_counter() - start, 30)

@@ -224,6 +224,17 @@ class TestClassifyOne:
         assert "via (empty)" in out
         assert "physical: normal" in out
 
+    def test_stdin_line_is_decoded_strictly(self):
+        # even under strict stdin decoding, a bad byte is a located error, as in the file readers
+        env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "geonorm.cli", "classify-one", *world_args(), *table_args(), "-"]
+        good = subprocess.run(argv, env=env, input=GOOD_LINE.encode() + b"\n", capture_output=True, timeout=120)
+        assert good.returncode == 0
+        assert b"physical: non-normal, benefactors: AB" in good.stdout
+        bad = subprocess.run(argv, env=env, input=b'{"src_ip": "\xff"}\n', capture_output=True, timeout=120)
+        assert (bad.returncode, bad.stderr) == (1, b"error: <stdin>:1: invalid UTF-8 byte 0xff at column 13\n")
+
 
 class TestAnalyze:
     def test_missing_input_errors(self, capsys, tmp_path):
@@ -234,6 +245,23 @@ class TestAnalyze:
         )
         assert code == 1
         assert "absent.ndjson" in err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("analyze", "--traceroutes"), ("analyze", "--cities"), ("validate-world", "--cities"),
+    ])
+    def test_non_regular_input_rejected_before_any_read(self, capsys, tmp_path, monkeypatch, command, flag):
+        # a pipe reads as an empty corpus to shard_ranges, and drained to the header digest. Opening a
+        # FIFO with no writer blocks, so the readers fail the test instead of being reached.
+        for name in ("_load_world", "shard_ranges"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("an input was read"))
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        args = world_args()
+        if command == "analyze":
+            args += [*table_args(), "--traceroutes", str(PIPELINE12 / "traceroutes.ndjson"), "--output-dir", str(tmp_path / "out")]
+        code, out, err = run(capsys, command, *args, flag, str(fifo))  # the last value of a flag wins
+        assert (code, out, err) == (1, "", f"error: input is not a regular file: {fifo}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_fixture_run_summary_and_outputs(self, capsys, tmp_path):
         out_dir = tmp_path / "out"

@@ -1,15 +1,17 @@
 import copy
 import json
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from geonorm.cli import fold_signatures
+from geonorm.enrichment import HopResolution
 from geonorm.metrics import Aggregate, accumulate, don, report
 from geonorm.normality import NormalSet, PairCache
 from geonorm.pipeline import (
-    Hop, Skip, SkipLog, TracerouteRecord, TupleHop, TuplePath, classify_path_with, parse_traceroute_line,
+    Hop, Skip, SkipLog, TracerouteRecord, TuplePath, classify_path_with, parse_traceroute_line,
     signature, to_tuple_path,
 )
 from geonorm.synth import generate_records
@@ -73,7 +75,7 @@ class TestAccumulate:
         accumulate(agg, tp, pc, small_world)
         assert agg.role[("BE", "transit", "physical")] == [0, 1]
         assert agg.benefactor[("BE", "physical")] == [1, 1]  # benefited, transited
-        assert report(agg, small_world)["transit_only"]["physical"] == [
+        assert report(agg, small_world, SkipLog())["transit_only"]["physical"] == [
             {"iso2": "BE", "transit_only_paths": 1, "transit_only_ratio": 1.0, "transit_only_don": 0.0}
         ]
         assert agg.severity == {1: 1}
@@ -89,7 +91,7 @@ class TestAccumulate:
         assert agg.role[("AA", "destination", "physical")] == [0, 1]
         # but the path still counts toward AA's transited total
         assert agg.benefactor[("AA", "physical")][1] == 1
-        assert report(agg, small_world)["transit_only"]["physical"] == [
+        assert report(agg, small_world, SkipLog())["transit_only"]["physical"] == [
             {"iso2": "AB", "transit_only_paths": 1, "transit_only_ratio": 1.0, "transit_only_don": 0.0}
         ]
 
@@ -174,6 +176,21 @@ class TestMerge:
         total.merge(Aggregate())
         assert as_comparable(total) == before
 
+    def test_merged_values_survive_pickle(self, small_world, small_enrichment):
+        # forked shards send their Aggregate and SkipLog back pickled
+        total = Aggregate()
+        for part in build_aggregates(small_world, small_enrichment, 50, seed=24):
+            total.merge(part)
+        skips, other = SkipLog(), SkipLog()
+        skips.add("empty_path", 2)
+        other.add("empty_path")
+        other.note("unclassifiable_pair_counted_non_normal")
+        skips.merge(other)
+        back_total, back_skips = pickle.loads(pickle.dumps((total, skips)))
+        assert (back_total, back_skips) == (total, skips)
+        assert back_total.severity.total() == total.paths_total
+        assert back_skips.counts.total() == 3
+
 
 class TestReport:
     def test_all_normal_fixture(self, small_world, small_enrichment):
@@ -204,7 +221,7 @@ class TestReport:
         agg = Aggregate()
         tp, pc = classified(small_world, small_enrichment, "20.1.0.1", "30.1.0.99", ["20.1.0.5", "30.1.0.5"])
         accumulate(agg, tp, pc, small_world)
-        doc = report(agg, small_world)
+        doc = report(agg, small_world, SkipLog())
         assert "transit" not in doc["country_role_don"]["AA"]["physical"]
 
     def test_union_don_never_exceeds_physical(self, small_world, small_enrichment):
@@ -216,7 +233,7 @@ class TestReport:
             if isinstance(tp, Skip):
                 continue
             accumulate(agg, tp, classify_path_with(tp, cache.get_or_build(small_world, tp.src_country, tp.dst_country, "population")), small_world)
-        doc = report(agg, small_world)
+        doc = report(agg, small_world, SkipLog())
         assert doc["global_don"]["union"] <= doc["global_don"]["physical"]
 
     def test_severity_sums_to_paths_and_bucket_zero_is_normal_count(self, small_world, small_enrichment):
@@ -231,7 +248,7 @@ class TestReport:
         assert sum(agg.severity.values()) == agg.paths_total
         normal_physical = sum(n for (_, role, exposure), (n, _) in agg.role.items() if (role, exposure) == ("source", "physical"))
         assert agg.severity.get(0, 0) == normal_physical
-        assert report(agg, small_world)["global_don"]["physical"] == normal_physical / agg.paths_total
+        assert report(agg, small_world, SkipLog())["global_don"]["physical"] == normal_physical / agg.paths_total
 
     def test_benefited_paths_matches_brute_force(self, small_world, small_enrichment):
         agg = Aggregate()
@@ -266,7 +283,7 @@ class TestReport:
 COUNTRIES = ("AA", "AB", "AC", "AD", "BE", "BF")
 UNCLASSIFIABLE = frozenset({"BE", "BF"})  # treated as spanning more than a hemisphere
 TUPLE_HOPS = st.builds(
-    TupleHop, st.sampled_from(COUNTRIES), st.sampled_from((101, 201, 209, 301, 509)),
+    HopResolution, st.sampled_from(COUNTRIES), st.sampled_from((101, 201, 209, 301, 509)),
     st.sampled_from(COUNTRIES) | st.none(),
 )
 TUPLE_PATHS = st.builds(

@@ -240,7 +240,7 @@ class TestPairCache:
 def hull_edges(hull):
     vts = hull.vertices
     count = {"point": 0, "arc": 1}.get(hull.degenerate_kind, len(vts))
-    return [(vts[i], vts[(i + 1) % len(vts)], hull._edge_normals[i]) for i in range(count)]
+    return [(vts[i], vts[(i + 1) % len(vts)], hull._edges[i][2]) for i in range(count)]
 
 
 def exact_normal_set(w, src, dst, mode):
@@ -649,7 +649,7 @@ def hull_and_cap(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     hull = _hull_of(_hull_shape(draw, rng, ["cloud", "sliver", "rhombus"]))
     assume(hull.degenerate_kind == "polygon")
-    vts, normals = hull.vertices, hull._edge_normals
+    vts, normals = hull.vertices, [n for _, _, n in hull._edges]
     r = draw(st.sampled_from([0.0, 1e-7, 1e-5, 1e-3, 0.05, 0.5, 1.4]))
     place = draw(st.sampled_from(["inside", "outside", "across", "graze", "graze"]))
     if place == "inside":

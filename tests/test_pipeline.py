@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geonorm import cli, pipeline
+from geonorm.enrichment import Enrichment
 from geonorm.errors import ParseError
 from geonorm.normality import PairCache
 from geonorm.pipeline import (
@@ -242,6 +243,15 @@ class TestToTuplePath:
         tp = to_tuple_path(rec, small_enrichment)
         assert [(h.phys_country, h.asn) for h in tp.hops] == [("AA", 101), ("AB", 201), ("AC", 301)]
         assert tp.dropped_hops == 0
+
+    def test_hops_are_the_resolvers_own_objects(self, small_enrichment):
+        # a fresh memo, so no entry is evicted between the two resolutions
+        enrichment = Enrichment(small_enrichment.geo, small_enrichment.origin, small_enrichment.registry)
+        rec = record("20.1.0.1", "40.1.0.99", ["20.1.0.5", "20.1.0.77", "99.9.9.9", "30.1.0.5"])
+        tp = to_tuple_path(rec, enrichment)
+        assert len(tp.hops) == 2
+        assert tp.hops[0] is enrichment.resolve("20.1.0.5")
+        assert tp.hops[1] is enrichment.resolve("30.1.0.5")
 
     def test_unresolvable_hop_dropped_then_duplicates_collapse(self, small_enrichment):
         # middle hop resolves to nothing; the flanking (AA,101) hops merge

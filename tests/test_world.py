@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from geonorm.enrichment import load_geo_table
 from geonorm.errors import ParseError, UnknownCountry, ValidationError
 from geonorm.sphere import GeoPoint
 from geonorm.world import country_points, load_summary, load_world
@@ -123,6 +124,22 @@ class TestLoadWorld:
         paths = write_world(tmp_path, cities=cities)
         with pytest.raises(ParseError, match="aa"):
             load_world(*paths)
+
+    @pytest.mark.parametrize("code", ["ΑΒ", "ÀÉ", "ＡＢ"], ids=["greek", "accented", "fullwidth"])
+    def test_non_ascii_iso2_rejected(self, tmp_path, code):
+        # str.isalpha and str.isupper accept these letters too; an iso2 code is ASCII A-Z
+        paths = write_world(tmp_path)
+        paths[0].write_text(f"iso2,city,lat,lon,population\n{code},Alpha,1,1,10\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"cities.csv:2: bad iso2 code '{code}'"):
+            load_world(*paths)
+        paths = write_world(tmp_path)
+        paths[2].write_text((SMALLWORLD / "regions.csv").read_text() + f"{code},Europe\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"bad iso2 code '{code}'"):
+            load_world(*paths)
+        table = tmp_path / "geo.csv"
+        table.write_text(f"cidr,iso2\n10.0.0.0/8,{code}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"geo.csv:2: bad iso2 code '{code}'"):
+            load_geo_table(table)
 
     def test_borders_feature_without_iso2_rejected(self, tmp_path):
         doc = {"type": "FeatureCollection", "features": [
