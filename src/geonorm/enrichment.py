@@ -1,7 +1,10 @@
 """IP-to-country and IP-to-origin-AS resolution via longest-prefix match.
 
 Addresses are handled as (version, int) pairs: each one is parsed once and
-every table probe works on the integer. Tables are immutable after load.
+every table probe works on the integer. A record's endpoints are parsed
+while the record is checked and looked up with PrefixTable.probe; a hop
+address is parsed by Enrichment.resolve, and only when its memo does not
+hold the address. Tables are immutable after load.
 Addresses in SPECIAL_RANGES, a frozen special-purpose table, never resolve,
 whatever the tables say: router interfaces in those ranges carry no
 geographic meaning.

@@ -1,12 +1,20 @@
-"""Traceroute records to compressed (country, ASN) tuple paths and verdicts.
+"""Traceroute records to path signatures and verdicts.
 
-Hops whose physical country or origin AS is unknown are dropped and counted,
-which makes every verdict a lower bound on the countries a path exposes
-traffic to. Consecutive duplicate (country, ASN) tuples compress to one.
+analyze reads each NDJSON line straight into its PathSignature with
+path_signature: the line is decoded and checked, each endpoint is parsed
+once and looked up, each responsive hop is resolved through the
+per-process memo, which parses only addresses it has not seen, and the
+signature's country and AS sets are built as the hops go by, with no
+per-hop objects. Hops whose physical country or origin AS is unknown are
+dropped, which makes every verdict a lower bound on the countries a path
+exposes traffic to. Consecutive duplicate (country, ASN) tuples compress to
+one.
 
 A path's verdicts and every report counter it moves depend only on its
-PathSignature, so analyze classifies each distinct signature once, and
-classify_path_with is that classifier applied to one path.
+PathSignature, so analyze classifies each distinct signature once.
+parse_traceroute_line, to_tuple_path and classify_path_with give the same
+result one step at a time, through the same checks, for classify-one and
+for callers that want the hops themselves.
 """
 
 from __future__ import annotations
@@ -76,21 +84,16 @@ class PathClassification:
     as_count: int
 
 
-def _check_ip(ip, where: str, source: str, line_no: int) -> str:
-    try:
-        parse_ip(ip)
-    except (TypeError, ValueError):
-        raise ParseError(source, line_no, f"{where}: bad ip {ip!r}") from None
-    return ip
+def _bad_ip(where: str, ip, source: str, line_no: int) -> ParseError:
+    return ParseError(source, line_no, f"{where}: bad ip {ip!r}")
 
 
-def parse_traceroute_line(line: str, source: str = "<line>", line_no: int = 1) -> TracerouteRecord:
-    """One JSON object per line: src_ip, dst_ip, timestamp, hops [{ttl, ip|null}].
+def _fields(line: str, source: str, line_no: int):
+    """(object, src_ip, dst_ip) of one record line, each endpoint as parse_ip's (version, value).
 
-    Every address must parse as IPv4 or IPv6, ttl must be an integer and
-    timestamp a finite number, neither a boolean nor a string; anything else
-    is a ParseError naming the line. The timestamp is checked but not kept,
-    since no result depends on it.
+    Checks, in order: the JSON, the four fields, src_ip, dst_ip, then that
+    hops is a list; the hops and the timestamp are checked by _hops and
+    _check_timestamp.
     """
     try:
         doc = json.loads(line)
@@ -103,41 +106,115 @@ def parse_traceroute_line(line: str, source: str = "<line>", line_no: int = 1) -
     for key in ("src_ip", "dst_ip", "timestamp", "hops"):
         if key not in doc:
             raise ParseError(source, line_no, f"missing field {key!r}")
-    src_ip = _check_ip(doc["src_ip"], "src_ip", source, line_no)
-    dst_ip = _check_ip(doc["dst_ip"], "dst_ip", source, line_no)
+    endpoints = []
+    for key in ("src_ip", "dst_ip"):
+        try:
+            endpoints.append(parse_ip(doc[key]))
+        except (TypeError, ValueError):
+            raise _bad_ip(key, doc[key], source, line_no) from None
     if not isinstance(doc["hops"], list):
         raise ParseError(source, line_no, "hops must be a list")
-    hops = []
+    return doc, *endpoints
+
+
+def _hops(hops: list, check, source: str, line_no: int):
+    """(ttl, ip, check(ip)) of each hop in order; ip and check's value are None for a silent hop.
+
+    check runs on each responsive hop's address right after that hop's own
+    checks, and its ValueError is that hop's bad ip.
+    """
     last_ttl = None
-    for i, h in enumerate(doc["hops"]):
-        if not isinstance(h, dict) or "ttl" not in h:
+    for i, h in enumerate(hops):
+        # JSON decodes to exact types, and a bool is not an int
+        if type(h) is not dict or "ttl" not in h:
             raise ParseError(source, line_no, f"hop {i}: expected an object with a ttl")
         ttl = h["ttl"]
-        if not isinstance(ttl, int) or isinstance(ttl, bool):
+        if type(ttl) is not int:
             raise ParseError(source, line_no, f"hop {i}: non-integer ttl {ttl!r}")
         if last_ttl is not None and ttl <= last_ttl:
             raise ParseError(source, line_no, f"hop {i}: ttl {ttl} not strictly increasing")
         last_ttl = ttl
         ip = h.get("ip")
-        if ip is not None:
-            if not isinstance(ip, str):
-                raise ParseError(source, line_no, f"hop {i}: ip must be a string or null")
-            _check_ip(ip, f"hop {i}", source, line_no)
-        hops.append(Hop(ttl, ip))
-    raw = doc["timestamp"]
+        if ip is None:
+            yield ttl, None, None
+            continue
+        if type(ip) is not str:
+            raise ParseError(source, line_no, f"hop {i}: ip must be a string or null")
+        try:
+            value = check(ip)
+        except ValueError:
+            raise _bad_ip(f"hop {i}", ip, source, line_no) from None
+        yield ttl, ip, value
+
+
+def _check_timestamp(raw, source: str, line_no: int):
     if type(raw) not in (int, float):
         raise ParseError(source, line_no, f"non-numeric timestamp {raw!r}")
     if not abs(raw) <= sys.float_info.max:  # NaN, infinities and integers no float holds
         raise ParseError(source, line_no, f"non-finite timestamp {raw!r}")
-    return TracerouteRecord(src_ip, dst_ip, tuple(hops))
 
 
-def read_traceroutes(path, start: int = 0, end: int | None = None) -> Iterator[TracerouteRecord]:
-    """Records of the NDJSON lines of path that begin in bytes [start, end).
+def parse_traceroute_line(line: str, source: str = "<line>", line_no: int = 1) -> TracerouteRecord:
+    """One JSON object per line: src_ip, dst_ip, timestamp, hops [{ttl, ip|null}].
+
+    Every address must parse as IPv4 or IPv6, ttl must be an integer and
+    timestamp a finite number, neither a boolean nor a string; anything else
+    is a ParseError naming the line. The timestamp is checked but not kept,
+    since no result depends on it.
+    """
+    doc, _, _ = _fields(line, source, line_no)
+    hops = tuple(Hop(ttl, ip) for ttl, ip, _ in _hops(doc["hops"], parse_ip, source, line_no))
+    _check_timestamp(doc["timestamp"], source, line_no)
+    return TracerouteRecord(doc["src_ip"], doc["dst_ip"], hops)
+
+
+def path_signature(line: str, enrichment: Enrichment, source: str = "<line>", line_no: int = 1) -> PathSignature | str:
+    """The PathSignature of one record line, or the reason it is skipped.
+
+    Equal to signature(to_tuple_path(parse_traceroute_line(line), enrichment))
+    and raises the same ParseError, but in one pass: each endpoint is parsed
+    once and probed as (version, value), each responsive hop goes straight
+    to enrichment.resolve, whose memo parses only addresses it has not seen,
+    and the signature's sets are built as the hops are read. Every check
+    runs before a skip is decided, so a bad line is an error even when its
+    source is unresolvable or it has no hops.
+    """
+    doc, src, dst = _fields(line, source, line_no)
+    physical, legal, ases = set(), set(), set()
+    tuple_len = 0
+    last_country = last_asn = None
+    for _, _, res in _hops(doc["hops"], enrichment.resolve, source, line_no):
+        if res is None:
+            continue
+        country, asn, legal_country = res
+        if country is None or asn is None:
+            continue
+        if asn != last_asn or country != last_country:  # a run of one (country, ASN) is one tuple
+            tuple_len += 1
+            physical.add(country)
+            ases.add(asn)
+            if legal_country is not None:
+                legal.add(legal_country)
+            last_country, last_asn = country, asn
+    _check_timestamp(doc["timestamp"], source, line_no)
+    if not doc["hops"]:
+        return "empty_path"
+    probe = enrichment.geo.probe
+    src_country = probe(*src)
+    if src_country is None:
+        return "unresolved_source"
+    dst_country = probe(*dst)
+    if dst_country is None:
+        return "unresolved_destination"
+    return PathSignature(src_country, dst_country, frozenset(physical), frozenset(legal), tuple_len, len(ases))
+
+
+def read_lines(path, start: int = 0, end: int | None = None) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each non-blank NDJSON line of path that begins in bytes [start, end).
 
     Lines end at b"\\n" only, so a lone carriage return is JSON whitespace;
-    each line must be UTF-8, blank lines are skipped, and line numbers count
-    from the start of the file whatever start is.
+    each line must be UTF-8 and is stripped of surrounding whitespace, and
+    line numbers count from the start of the file whatever start is.
     """
     source = str(path)
     with _open_binary(path) as fh:
@@ -163,15 +240,22 @@ def read_traceroutes(path, start: int = 0, end: int | None = None) -> Iterator[T
             except UnicodeDecodeError:
                 raise utf8_error(source, raw, line_no) from None
             if line:
-                yield parse_traceroute_line(line, source=source, line_no=line_no)
+                yield line_no, line
             line_no += 1
+
+
+def read_traceroutes(path, start: int = 0, end: int | None = None) -> Iterator[TracerouteRecord]:
+    """parse_traceroute_line of each line read_lines yields."""
+    source = str(path)
+    for line_no, line in read_lines(path, start, end):
+        yield parse_traceroute_line(line, source=source, line_no=line_no)
 
 
 def shard_ranges(path, n: int) -> list[tuple[int, int]]:
     """Cut path into at most n non-empty byte ranges that each begin a line.
 
     Cuts fall at even fractions of the file size, moved forward to the next
-    line start, so read_traceroutes over every range yields each record once.
+    line start, so read_lines over every range yields each line once.
     """
     with _open_binary(path) as fh:
         size = os.fstat(fh.fileno()).st_size

@@ -134,6 +134,15 @@ class TestValidateWorld:
             assert err == f"error: {borders}: feature 6 (AA): polygon ring spans a hemisphere or more\n"
 
 
+def world_without_aa_borders(tmp_path):
+    """(borders file, world flags) of smallworld with AA's border polygons removed; AA keeps its cities."""
+    doc = json.loads((SMALLWORLD / "borders.geojson").read_text())
+    doc["features"] = [f for f in doc["features"] if f["properties"]["iso2"] != "AA"]
+    borders = tmp_path / "borders.geojson"
+    borders.write_text(json.dumps(doc))
+    return borders, ["--cities", str(SMALLWORLD / "cities.csv"), "--borders", str(borders), "--regions", str(SMALLWORLD / "regions.csv")]
+
+
 class TestNormalSet:
     def test_population_only(self, capsys):
         code, out, _ = run(capsys, "normal-set", *world_args(), "AA", "AC")
@@ -160,16 +169,14 @@ class TestNormalSet:
 
     def test_border_mode_names_a_country_without_borders(self, capsys, tmp_path):
         # AA keeps its cities but loses its border polygons: it is known, so the error must not call it unknown
-        doc = json.loads((SMALLWORLD / "borders.geojson").read_text())
-        doc["features"] = [f for f in doc["features"] if f["properties"]["iso2"] != "AA"]
-        borders = tmp_path / "borders.geojson"
-        borders.write_text(json.dumps(doc))
-        argv = ["--cities", str(SMALLWORLD / "cities.csv"), "--borders", str(borders), "--regions", str(SMALLWORLD / "regions.csv")]
+        borders, argv = world_without_aa_borders(tmp_path)
         analyze = ["analyze", *table_args(), "--traceroutes", str(PIPELINE12 / "traceroutes.ndjson"), "--output-dir", str(tmp_path / "out")]
-        for command in (["normal-set", "AA", "AC"], analyze, ["validate-world"]):
+        message = "AA has no border polygons, which border mode needs\n"
+        # analyze and validate-world check the whole world for the mode, so they name the file it lacks
+        for command, where in ((["normal-set", "AA", "AC"], ""), (analyze, f"{borders}: "), (["validate-world"], f"{borders}: ")):
             code, out, err = run(capsys, *command, *argv, "--mode", "border")
             assert code == 1 and out == ""
-            assert err == "error: AA has no border polygons, which border mode needs\n"
+            assert err == f"error: {where}{message}"
 
     def test_export_hull_geojson_linestring(self, capsys, tmp_path):
         target = tmp_path / "hull.geojson"
@@ -322,7 +329,7 @@ class TestAnalyze:
         assert doc["global_don"] == {"physical": None, "legal": None, "union": None}
 
     def test_output_dir_under_a_file_fails_before_any_record(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "read_traceroutes", lambda *a, **k: pytest.fail("a record was read"))
+        monkeypatch.setattr(cli, "read_lines", lambda *a, **k: pytest.fail("a record was read"))
         blocker = tmp_path / "file"
         blocker.write_text("")
         code, out, err = run(
@@ -331,6 +338,24 @@ class TestAnalyze:
         )
         assert code == 1 and out == ""
         assert err == f"error: cannot create output directory {blocker / 'out'}: Not a directory\n"
+
+    def test_analyze_checks_the_world_for_its_mode_before_any_record(self, capsys, tmp_path, monkeypatch):
+        # no corpus line reaches AA or names any pair, yet border mode fails at load
+        monkeypatch.setattr(cli, "read_lines", lambda *a, **k: pytest.fail("a record was read"))
+        monkeypatch.setattr(cli, "shard_ranges", lambda *a, **k: pytest.fail("the corpus was opened"))
+        borders, argv = world_without_aa_borders(tmp_path)
+        corpus = tmp_path / "empty.ndjson"
+        corpus.write_text("")
+        code, out, err = run(capsys, "analyze", *argv, *table_args(), "--traceroutes", str(corpus),
+                             "--output-dir", str(tmp_path / "out"), "--mode", "border")
+        assert (code, out) == (1, "")
+        assert err == f"error: {borders}: AA has no border polygons, which border mode needs\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+        # the same world serves population mode
+        monkeypatch.undo()
+        code, out, err = run(capsys, "analyze", *argv, *table_args(), "--traceroutes", str(corpus),
+                             "--output-dir", str(tmp_path / "out"))
+        assert code == 0, err
 
     def test_unwritable_output_is_one_error_line(self, capsys, tmp_path, monkeypatch):
         def full(*args, **kwargs):
@@ -495,6 +520,19 @@ class TestNonUtf8Input:
         )
         assert_located_failure(proc, "run.json:2: invalid UTF-8 byte 0xf6 at column 12", out_dir)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe through /dev/fd")
+    def test_piped_config_file(self, capsys):
+        # a drained pipe cannot be read a second time, so the bytes read once must locate the bad one
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, b'{\n "mode": "b\xf6rder"\n}\n')
+            os.close(write_end)
+            code, out, err = run(capsys, "--config", f"/dev/fd/{read_end}", "validate-world", *world_args())
+        finally:
+            os.close(read_end)
+        assert (code, out) == (1, "")
+        assert err == f"error: /dev/fd/{read_end}:2: invalid UTF-8 byte 0xf6 at column 12\n"
+
 
 def tree(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -634,3 +672,38 @@ class TestResolveOnce:
                          "--output-dir", str(tmp_path / "out"), "--workers", "1")
         assert code == 0
         assert sorted(calls) == sorted(distinct)
+
+    def test_each_address_parsed_once(self, capsys, tmp_path, monkeypatch):
+        # after the tables load: every endpoint once, and each distinct hop address once, however often it recurs
+        from geonorm import enrichment, pipeline
+
+        rng = random.Random(4)
+        pool = ["20.1.0.5", "20.1.0.77", "30.1.0.5", "30.9.0.5", "40.1.0.9", "20.5.0.1", "99.9.9.9", "10.0.0.1",
+                "::1", "fe80::1%eth0", "2001:db8::1"]
+        endpoints = ["20.1.0.1", "30.1.0.99", "40.1.0.99", "99.0.0.1"]
+        lines = []
+        for i in range(300):
+            hops = [{"ttl": t, "ip": rng.choice(pool + [None])} for t in range(1, rng.randint(1, 9))]
+            lines.append(json.dumps({"src_ip": rng.choice(endpoints), "dst_ip": rng.choice(endpoints),
+                                     "timestamp": 1518048000 + i, "hops": hops}))
+        corpus = tmp_path / "traces.ndjson"
+        corpus.write_text("\n".join(lines) + "\n")
+        distinct = {h["ip"] for line in lines for h in json.loads(line)["hops"] if h["ip"] is not None}
+        assert len(distinct) == len(pool) < enrichment.RESOLVE_CAP
+        parsed = []
+        real_parse, real_load = enrichment.parse_ip, cli._load_enrichment
+
+        def load_then_count(cfg):
+            loaded = real_load(cfg)
+            for module in (enrichment, pipeline):
+                monkeypatch.setattr(module, "parse_ip", lambda text: parsed.append(text) or real_parse(text))
+            return loaded
+
+        monkeypatch.setattr(cli, "_load_enrichment", load_then_count)
+        code, _, err = run(capsys, "analyze", *world_args(), *table_args(), "--traceroutes", str(corpus),
+                           "--output-dir", str(tmp_path / "out"), "--workers", "1")
+        assert code == 0, err
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert sum(doc["totals"].values()) == len(lines)
+        assert set(doc["skip_log"]) == {"empty_path", "unresolved_source", "unresolved_destination"}
+        assert len(parsed) == 2 * len(lines) + len(distinct)

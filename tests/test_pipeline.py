@@ -17,8 +17,10 @@ from geonorm.pipeline import (
     TracerouteRecord,
     classify_path_with,
     parse_traceroute_line,
+    path_signature,
     read_traceroutes,
     shard_ranges,
+    signature,
     to_tuple_path,
 )
 from geonorm.synth import generate_records
@@ -33,6 +35,75 @@ def record(src_ip, dst_ip, ips):
     )
 
 
+MALFORMED_JSON = "{nope"
+MISSING_DST = '{"src_ip": "1.1.1.1", "timestamp": 0, "hops": []}'
+REPEATED_TTL = {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "timestamp": 0,
+                "hops": [{"ttl": 2, "ip": "3.3.3.3"}, {"ttl": 2, "ip": "4.4.4.4"}]}
+TIMESTAMP_LINE = '{"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "hops": [], "timestamp": %s}'
+BAD_TIMESTAMPS = [
+    ('"123"', "non-numeric timestamp '123'"),
+    ('"nan"', "non-numeric timestamp 'nan'"),
+    ("null", "non-numeric timestamp None"),
+    ("[1]", r"non-numeric timestamp \[1\]"),
+    ("NaN", "non-finite timestamp nan"),
+    ("Infinity", "non-finite timestamp inf"),
+    ("-Infinity", "non-finite timestamp -inf"),
+    ("1e400", "non-finite timestamp inf"),
+    pytest.param("1" + "0" * 400, "non-finite timestamp 10{400}$", id="integer-beyond-float"),
+]
+BEYOND_DECODER = [
+    pytest.param("[" * 100_000, id="nesting"),
+    pytest.param('{"timestamp": ' + "1" * 5000 + "}", id="integer-digits"),
+]
+BAD_IPS = [
+    ("src_ip", {"src_ip": "not-an-ip", "dst_ip": "2.2.2.2", "hops": []}),
+    ("dst_ip", {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.256", "hops": []}),
+    ("src_ip", {"src_ip": 16843009, "dst_ip": "2.2.2.2", "hops": []}),
+    ("dst_ip", {"src_ip": "1.1.1.1", "dst_ip": None, "hops": []}),
+    ("hop 1", {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2",
+               "hops": [{"ttl": 1, "ip": "3.3.3.3"}, {"ttl": 2, "ip": "not-an-ip"}]}),
+    ("hop 0", {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "hops": [{"ttl": 1, "ip": "2001:db8::1::2"}]}),
+]
+NOT_LISTS = [5, None, "20.1.0.5", {"ttl": 1}]
+
+
+def bad_ttl_line(ttl):
+    return json.dumps({"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "timestamp": 0, "hops": [{"ttl": ttl, "ip": "3.3.3.3"}]})
+
+
+def bad_timestamp_line(timestamp):
+    return json.dumps({"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "timestamp": timestamp, "hops": []})
+
+
+def hops_line(hops):
+    return json.dumps({"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "timestamp": 0, "hops": hops})
+
+
+# Every bad line of TestParsing, plus the lines whose error a skip could hide: an unresolvable
+# source (99.0.0.1) or destination and a bad hop or timestamp, and no hops with a bad timestamp
+BAD_LINES = [
+    pytest.param(MALFORMED_JSON, id="malformed-json"),
+    pytest.param(MISSING_DST, id="missing-field"),
+    pytest.param(json.dumps(REPEATED_TTL), id="repeated-ttl"),
+    pytest.param("broken", id="not-json"),
+    *(pytest.param(bad_ttl_line(ttl), id=f"ttl-{ttl}") for ttl in (True, False)),
+    *(pytest.param(bad_timestamp_line(ts), id=f"timestamp-{ts}") for ts in (True, False)),
+    *(pytest.param(TIMESTAMP_LINE % getattr(case, "values", case)[0], id=f"timestamp-{i}") for i, case in enumerate(BAD_TIMESTAMPS)),
+    *(pytest.param(case.values[0], id=case.id) for case in BEYOND_DECODER),
+    *(pytest.param(json.dumps({"timestamp": 0, **doc}), id=f"bad-ip-{i}") for i, (_, doc) in enumerate(BAD_IPS)),
+    *(pytest.param(hops_line(hops), id=f"hops-{i}") for i, hops in enumerate(NOT_LISTS)),
+    pytest.param('{"src_ip": "99.0.0.1", "dst_ip": "20.1.0.1", "timestamp": 0, '
+                 '"hops": [{"ttl": 1, "ip": "20.1.0.5"}, {"ttl": 2, "ip": "not-an-ip"}]}', id="unresolved-source-bad-hop"),
+    pytest.param('{"src_ip": "20.1.0.1", "dst_ip": "99.0.0.1", "timestamp": "0", '
+                 '"hops": [{"ttl": 1, "ip": "20.1.0.5"}]}', id="unresolved-destination-bad-timestamp"),
+    pytest.param('{"src_ip": "20.1.0.1", "dst_ip": "40.1.0.99", "timestamp": "0", "hops": []}', id="no-hops-bad-timestamp"),
+    pytest.param('{"src_ip": "20.1.0.1", "dst_ip": "40.1.0.99", "timestamp": 0, '
+                 '"hops": [{"ttl": 1, "ip": "20.1.0.5"}, {"ttl": 2, "ip": 7}]}', id="hop-ip-not-a-string"),
+    pytest.param('{"src_ip": "20.1.0.1", "dst_ip": "40.1.0.99", "timestamp": 0, "hops": [{"ip": "20.1.0.5"}]}',
+                 id="hop-without-ttl"),
+]
+
+
 class TestParsing:
     def test_round_trip(self):
         line = json.dumps({
@@ -45,17 +116,15 @@ class TestParsing:
 
     def test_malformed_json_names_position(self):
         with pytest.raises(ParseError, match="invalid JSON"):
-            parse_traceroute_line("{nope")
+            parse_traceroute_line(MALFORMED_JSON)
 
     def test_missing_field(self):
         with pytest.raises(ParseError, match="dst_ip"):
-            parse_traceroute_line('{"src_ip": "1.1.1.1", "timestamp": 0, "hops": []}')
+            parse_traceroute_line(MISSING_DST)
 
     def test_non_increasing_ttl_rejected(self):
-        doc = {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "timestamp": 0,
-               "hops": [{"ttl": 2, "ip": "3.3.3.3"}, {"ttl": 2, "ip": "4.4.4.4"}]}
         with pytest.raises(ParseError, match="strictly increasing"):
-            parse_traceroute_line(json.dumps(doc))
+            parse_traceroute_line(json.dumps(REPEATED_TTL))
 
     def test_file_reader_reports_line_numbers(self, tmp_path):
         path = tmp_path / "traces.ndjson"
@@ -67,58 +136,35 @@ class TestParsing:
 
     @pytest.mark.parametrize("ttl", [True, False])
     def test_boolean_ttl_rejected(self, ttl):
-        doc = {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "timestamp": 0, "hops": [{"ttl": ttl, "ip": "3.3.3.3"}]}
         with pytest.raises(ParseError, match="hop 0: non-integer ttl"):
-            parse_traceroute_line(json.dumps(doc), source="t.ndjson", line_no=4)
+            parse_traceroute_line(bad_ttl_line(ttl), source="t.ndjson", line_no=4)
 
     @pytest.mark.parametrize("timestamp", [True, False])
     def test_boolean_timestamp_rejected(self, timestamp):
-        doc = {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "timestamp": timestamp, "hops": []}
         with pytest.raises(ParseError, match="t.ndjson:4: non-numeric timestamp"):
-            parse_traceroute_line(json.dumps(doc), source="t.ndjson", line_no=4)
+            parse_traceroute_line(bad_timestamp_line(timestamp), source="t.ndjson", line_no=4)
 
-    @pytest.mark.parametrize("text, message", [
-        ('"123"', "non-numeric timestamp '123'"),
-        ('"nan"', "non-numeric timestamp 'nan'"),
-        ("null", "non-numeric timestamp None"),
-        ("[1]", r"non-numeric timestamp \[1\]"),
-        ("NaN", "non-finite timestamp nan"),
-        ("Infinity", "non-finite timestamp inf"),
-        ("-Infinity", "non-finite timestamp -inf"),
-        ("1e400", "non-finite timestamp inf"),
-        pytest.param("1" + "0" * 400, "non-finite timestamp 10{400}$", id="integer-beyond-float"),
-    ])
+    @pytest.mark.parametrize("text, message", BAD_TIMESTAMPS)
     def test_timestamp_must_be_a_finite_number(self, text, message):
-        line = '{"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "hops": [], "timestamp": %s}' % text
+        line = TIMESTAMP_LINE % text
         with pytest.raises(ParseError, match=f"^t.ndjson:4: {message}"):
             parse_traceroute_line(line, source="t.ndjson", line_no=4)
 
-    @pytest.mark.parametrize("line", [
-        pytest.param("[" * 100_000, id="nesting"),
-        pytest.param('{"timestamp": ' + "1" * 5000 + "}", id="integer-digits"),
-    ])
+    @pytest.mark.parametrize("line", BEYOND_DECODER)
     def test_json_beyond_decoder_limits_is_located(self, line):
         with pytest.raises(ParseError, match="^t.ndjson:4: invalid JSON: "):
             parse_traceroute_line(line, source="t.ndjson", line_no=4)
 
-    @pytest.mark.parametrize("field, doc", [
-        ("src_ip", {"src_ip": "not-an-ip", "dst_ip": "2.2.2.2", "hops": []}),
-        ("dst_ip", {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.256", "hops": []}),
-        ("src_ip", {"src_ip": 16843009, "dst_ip": "2.2.2.2", "hops": []}),
-        ("dst_ip", {"src_ip": "1.1.1.1", "dst_ip": None, "hops": []}),
-        ("hop 1", {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2",
-                   "hops": [{"ttl": 1, "ip": "3.3.3.3"}, {"ttl": 2, "ip": "not-an-ip"}]}),
-        ("hop 0", {"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "hops": [{"ttl": 1, "ip": "2001:db8::1::2"}]}),
-    ])
+    @pytest.mark.parametrize("field, doc", BAD_IPS)
     def test_bad_ip_is_located_parse_error(self, field, doc):
         line = json.dumps({"timestamp": 0, **doc})
         with pytest.raises(ParseError, match=f"^t.ndjson:4: {field}: bad ip ") as exc:
             parse_traceroute_line(line, source="t.ndjson", line_no=4)
         assert exc.value.line_no == 4
 
-    @pytest.mark.parametrize("hops", [5, None, "20.1.0.5", {"ttl": 1}])
+    @pytest.mark.parametrize("hops", NOT_LISTS)
     def test_hops_must_be_a_list(self, hops):
-        line = json.dumps({"src_ip": "1.1.1.1", "dst_ip": "2.2.2.2", "timestamp": 0, "hops": hops})
+        line = hops_line(hops)
         with pytest.raises(ParseError, match="hops must be a list"):
             parse_traceroute_line(line)
 
@@ -127,6 +173,9 @@ class TestParsing:
                "hops": [{"ttl": 1, "ip": "fe80::1%eth0"}, {"ttl": 2, "ip": None}]}
         rec = parse_traceroute_line(json.dumps(doc))
         assert (rec.src_ip, rec.dst_ip, rec.hops[0].ip) == ("2001:DB8::1", "::ffff:1.2.3.4", "fe80::1%eth0")
+
+
+GOOD_DOC = {"src_ip": "20.1.0.1", "dst_ip": "40.1.0.99", "timestamp": 0, "hops": [{"ttl": 1, "ip": "20.1.0.5"}]}
 
 
 def ndjson_record(ts, pad=0, lone_cr=False):
@@ -368,6 +417,47 @@ class TestParseFuzz:
             return
         tp = to_tuple_path(rec, small_enrichment)
         assert isinstance(tp, Skip) or len(tp.hops) + tp.dropped_hops <= len(rec.hops)
+
+
+class TestPathSignature:
+    """analyze's one pass from a line to its signature, against the step-by-step wrappers."""
+
+    @settings(max_examples=400)
+    @given(st.one_of(
+        record_lines(),
+        record_lines().flatmap(lambda line: st.integers(0, len(line)).map(lambda i: line[:i])),
+        JSON_VALUES.map(json.dumps),
+    ))
+    def test_agrees_with_the_wrappers(self, small_enrichment, line):
+        try:
+            rec = parse_traceroute_line(line, source="f.ndjson", line_no=3)
+        except ParseError as e:
+            with pytest.raises(ParseError) as fused:
+                path_signature(line, small_enrichment, "f.ndjson", 3)
+            assert str(fused.value) == str(e)
+            return
+        tp = to_tuple_path(rec, small_enrichment)
+        expected = tp.reason if isinstance(tp, Skip) else signature(tp)
+        assert path_signature(line, small_enrichment, "f.ndjson", 3) == expected
+
+    def test_synth_corpus_agrees_with_the_wrappers(self, small_enrichment):
+        for doc in generate_records(500, seed=21):
+            line = json.dumps(doc)
+            tp = to_tuple_path(parse_traceroute_line(line), small_enrichment)
+            assert path_signature(line, small_enrichment) == (tp.reason if isinstance(tp, Skip) else signature(tp))
+
+    @pytest.mark.parametrize("line", BAD_LINES)
+    def test_analyze_reports_what_the_parser_reports(self, capsys, tmp_path, small_enrichment, line):
+        traces = tmp_path / "traces.ndjson"
+        traces.write_text(json.dumps(GOOD_DOC) + "\n" + line + "\n")
+        with pytest.raises(ParseError) as parsed:
+            parse_traceroute_line(line, source=str(traces), line_no=2)
+        with pytest.raises(ParseError) as fused:
+            path_signature(line, small_enrichment, str(traces), 2)
+        assert str(fused.value) == str(parsed.value)
+        code = cli.main(["analyze", *world_args(), *table_args(), "--traceroutes", str(traces),
+                         "--output-dir", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (1, f"error: {parsed.value}\n")
 
 
 class TestClassifyPath:
