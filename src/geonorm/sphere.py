@@ -1,32 +1,24 @@
 """Great-circle primitives, spherical convex hulls and bounding caps.
 
-Everything here takes and returns unit vectors, plain (x, y, z) tuples.
-Degrees stop at the loaders, whose GeoPoints compute their vec when built,
-so longitude wraparound ends there, and at unit_to_geo, which serves
-messages and exported rings. Hulls are built by gnomonic projection onto
-the tangent plane at the point cloud's normalized vector mean: the
-projection maps great circles to straight lines, so a planar convex hull of
-the projected points is exactly the spherical convex hull, provided every
-point lies in the open hemisphere around the projection center.
+Everything here takes and returns unit vectors, plain (x, y, z) tuples;
+degrees stop at GeoPoint and unit_to_geo. A hull is the planar convex hull
+of the points' gnomonic projection at their normalized mean, exact when
+every point lies in the open hemisphere around it, which one rule (_center)
+decides for hulls and border polygons alike.
 
-One rule (_center) decides that proviso for hulls and border polygons
-alike: the smallest dot product of the vectors with that center must
-exceed 1e-9. Every bounding cap is a Cap built by _cap, and _apart tells
-when two caps share no point. A polygon's cap is of exact width, the cap
-over its vertices widened only by CAP_SLACK; a hull's (_hull_cap) also
-covers the ANGLE_TOL band of the containment tests. _cap_in_hull decides
-whole caps by a hull's edge planes.
+ANGLE_TOL is the one tolerance, a distance: two shapes meet when they share
+a point or come within ANGLE_TOL of each other. The side of a great circle
+a point lies on is decided exactly (_sign). So a point is in a hull when it
+is inside or near its boundary (hull_contains); two minor arcs meet when
+they cross, by the exact sign test of S2's S2EdgeCrosser, or an end of one
+is near the other (_arc_meets); a border polygon meets a hull when their
+edges meet or one lies inside the other (_meets). Point-in-polygon stays a
+float even-odd test, which errs only within rounding of an edge, where the
+edge's near test decides. Bounding caps (_cap) are widened by ANGLE_TOL.
 
-Two minor arcs meet when they cross, by the sign test of S2's
-S2EdgeCrosser, or when an end of one lies within ANGLE_TOL of the other
-(_arc_meets); a border polygon meets a hull when one of its edges meets a
-hull edge or one boundary lies inside the other (_meets).
-
-A SphericalHull builds its edges when it is constructed, and a GeoPolygon
-its vertex vectors and its cap, so a polygon that spans a hemisphere cannot
-exist. The polygon's edges (_edges) and the projected rings that point
-containment needs (_frame) are built on first use: most polygons of a
-world lie under caps apart from every hull's and never need them.
+A SphericalHull builds its edges when constructed, a GeoPolygon its vertex
+vectors and cap, so no polygon spans a hemisphere; its edges and projected
+rings are built on first use, as most polygons' caps are apart from every hull's.
 """
 
 from __future__ import annotations
@@ -39,18 +31,20 @@ from itertools import chain
 
 from .errors import EmptyInput, HemisphereViolation, ValidationError
 
-# Angular slack (radians) for containment boundary decisions. Well below
-# city-to-city spacing (~1e-4 rad), so tolerances cannot flip any outcome
-# at country-level granularity.
+# The one tolerance, a distance in radians, well below city spacing (~1e-4
+# rad). It decides real builds: perfbench/gen.py's seed-9 world has a border
+# vertex 7.5e-8 rad outside an edge of the AA-DB population hull.
 ANGLE_TOL = 1e-7
 
 # Chord-distance slack for input dedup.
 DEDUP_TOL = 1e-9
 
-# Angular slack (radians) added to bounding caps. It absorbs the rounding of
-# the dot products, acos and cos behind cap radii and cap tests (at most
-# ~3e-8 rad) and the ANGLE_TOL edge band, with room to spare.
+# Rounding slack (radians) of bounding caps, not a tolerance: it absorbs the
+# rounding behind cap radii and cap tests (at most ~3e-8 rad) with room to spare.
 CAP_SLACK = 1e-6
+
+# Bound on the rounding of n.p, n = _normal(a, b), against det[a, b, p] / |a x b|: 32 * 2**-53 (see _sign).
+_SIGN_ERR = 2.0**-48
 
 
 def _normalize_lon(lon: float) -> float:
@@ -91,11 +85,7 @@ def _dot(a, b):
 
 
 def _cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def _norm(a):
@@ -109,6 +99,13 @@ def _normalized(a):
     return (a[0] / n, a[1] / n, a[2] / n)
 
 
+def _normal(a, b):
+    """The unit normal of a x b, None when |a x b| <= 1e-15, from (b + a) x (b - a) = 2 a x b (see _sign)."""
+    c = _cross((b[0] + a[0], b[1] + a[1], b[2] + a[2]), (b[0] - a[0], b[1] - a[1], b[2] - a[2]))
+    nn = _norm(c)
+    return (c[0] / nn, c[1] / nn, c[2] / nn) if nn > 2e-15 else None
+
+
 def _angle(a, b):
     # atan2 form stays accurate for both tiny and near-pi separations
     return math.atan2(_norm(_cross(a, b)), _dot(a, b))
@@ -119,9 +116,8 @@ class Cap:
     """The unit vectors within angle r of center, r given by its cosine and sine.
 
     A cos of -inf marks a cap of r >= pi/2, which never prunes; only such a
-    cap may have no center. Slots, not a NamedTuple: the pruning loops read
-    these fields on every test, and a slot read is cheaper than unpacking a
-    tuple subclass.
+    cap may have no center. Slots: the pruning loops read these fields on
+    every test, and a slot read is cheaper than unpacking a NamedTuple.
     """
 
     center: tuple[float, float, float] | None
@@ -145,9 +141,12 @@ def _center(vecs, more=()):
     return (cx, cy, cz), min(cx * v[0] + cy * v[1] + cz * v[2] for v in chain(vecs, more))
 
 
-def _cap(center, lo, widen=0.0) -> Cap:
-    """The Cap around center reaching acos(lo), lo a smallest dot from _center, then widen and CAP_SLACK further."""
-    r = math.acos(max(-1.0, min(1.0, lo))) + widen + CAP_SLACK
+def _cap(center, lo) -> Cap:
+    """The Cap around center reaching acos(lo), lo a smallest dot from _center, then ANGLE_TOL and CAP_SLACK further.
+
+    Under 90 degrees, it holds the vectors' hull and every point within ANGLE_TOL of it.
+    """
+    r = math.acos(max(-1.0, min(1.0, lo))) + ANGLE_TOL + CAP_SLACK
     if r >= math.pi / 2:
         return Cap(center, -math.inf, 1.0)
     return Cap(center, math.cos(r), math.sin(r))
@@ -156,10 +155,9 @@ def _cap(center, lo, widen=0.0) -> Cap:
 def _apart(c1, cos1, sin1, cap: Cap) -> bool:
     """True when cap and the cap (c1, r1), given the cosine and sine of r1, share no point.
 
-    That is when the angle between their centers exceeds r1 + r2, tested as
-    _dot(c1, c2) < cos(r1 + r2) while r1 + r2 < pi, which is when
-    cos1 + cos2 > 0; so a cosine of -inf never prunes. The first cap comes
-    unpacked, so that a loop testing one cap against many unpacks it once.
+    That is when the angle between their centers exceeds r1 + r2: _dot(c1, c2)
+    < cos(r1 + r2) while r1 + r2 < pi, that is cos1 + cos2 > 0, so a cosine of
+    -inf never prunes. The first cap comes unpacked, once for a loop over many.
     """
     cos2 = cap.cos
     return cos1 + cos2 > 0.0 and _dot(c1, cap.center) < cos1 * cos2 - sin1 * cap.sin
@@ -173,11 +171,7 @@ def unit_to_geo(v: tuple[float, float, float]) -> GeoPoint:
 
 
 def _tangent_basis(center):
-    """Orthonormal (e1, e2) spanning the plane tangent at center, with e1 x e2 = center.
-
-    That orientation makes counterclockwise in the projected plane equal
-    counterclockwise on the sphere as seen from outside.
-    """
+    """Orthonormal (e1, e2) spanning the plane tangent at center; e1 x e2 = center keeps counterclockwise."""
     ax = min(range(3), key=lambda i: abs(center[i]))
     axis = tuple(1.0 if i == ax else 0.0 for i in range(3))
     e1 = _normalized(_cross(center, axis))
@@ -191,39 +185,32 @@ def _gnomonic(center, e1, e2, v):
 
 
 def _planar_hull(points_2d):
-    """Monotone chain; returns indices of hull vertices in counterclockwise order.
-
-    Strictly convex: collinear middle points are dropped.
-    """
+    """Monotone chain: indices of the strictly convex hull's vertices, counterclockwise (collinear ones dropped)."""
     order = sorted(range(len(points_2d)), key=lambda i: points_2d[i])
 
     def cross(o, a, b):
         (ox, oy), (ax, ay), (bx, by) = points_2d[o], points_2d[a], points_2d[b]
         return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
-    lower: list[int] = []
-    for i in order:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 0.0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(order):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 0.0:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
+    def half(indices):
+        kept: list[int] = []
+        for i in indices:
+            while len(kept) >= 2 and cross(kept[-2], kept[-1], i) <= 0.0:
+                kept.pop()
+            kept.append(i)
+        return kept[:-1]
+
+    return half(order) + half(reversed(order))
 
 
 @dataclass(frozen=True)
 class SphericalHull:
-    """Convex region on the sphere.
+    """Convex region on the sphere: vertices form a ring, counterclockwise as seen from outside.
 
-    vertices form a ring, counterclockwise as seen from outside the sphere;
-    degenerate point sets collapse to a single-vertex "point" hull or a
-    two-vertex "arc" hull whose containment accepts only points on the arc.
-    _edges holds (a, b, n) per edge, n the unit normal of a x b, as
-    GeoPolygon._edges does: none for a point, one for an arc, one per side
-    of a polygon, whose interior has n.p >= 0.
+    Degenerate point sets give a one-vertex "point" or two-vertex "arc" hull.
+    _edges holds (a, b, n = _normal(a, b)) per edge, as GeoPolygon._edges
+    does: none for a point, one for an arc, one per side of a polygon, whose
+    interior has n.p >= 0.
     """
 
     vertices: tuple[tuple[float, float, float], ...]
@@ -233,7 +220,7 @@ class SphericalHull:
         vts = self.vertices
         # an arc's one edge runs from its first vertex to its second, and does not close back
         ends = vts[1:] + vts[:1] if len(vts) > 2 else vts[1:]
-        object.__setattr__(self, "_edges", tuple((a, b, _normalized(_cross(a, b))) for a, b in zip(vts, ends)))
+        object.__setattr__(self, "_edges", tuple((a, b, _normal(a, b)) for a, b in zip(vts, ends)))
 
     @property
     def degenerate_kind(self) -> str:
@@ -280,11 +267,10 @@ def spherical_convex_hull(points: Sequence[tuple[float, float, float]]) -> Spher
 
     center, lo = _center(vecs)
     if lo <= 1e-9:
-        # Witness: a, the vector least aligned with the center (any one when
-        # there is none), and b, the vector farthest from a. a's dot products
-        # sum to len(vecs) * |mean| * lo, or less than len(vecs) * 1e-9 with
-        # no center, which for fewer than 1e9 vectors is below a.a = 1, so
-        # some b has a.b < 0.
+        # Witness: a, the vector least aligned with the center (any one without
+        # one), and b, the vector farthest from a. a's dot products sum to
+        # len(vecs) * |mean| * lo, or under len(vecs) * 1e-9 with no center,
+        # below a.a = 1 for fewer than 1e9 vectors, so some b has a.b < 0.
         a = vecs[0] if center is None else min(vecs, key=lambda v: _dot(center, v))
         b = min(vecs, key=lambda v: _dot(a, v))
         raise HemisphereViolation((unit_to_geo(a), unit_to_geo(b)), math.degrees(_angle(a, b)))
@@ -293,115 +279,114 @@ def spherical_convex_hull(points: Sequence[tuple[float, float, float]]) -> Spher
         return SphericalHull(vertices=tuple(vecs))
 
     e1, e2 = _tangent_basis(center)
-    plane = [_gnomonic(center, e1, e2, v) for v in vecs]
-    idx = _planar_hull(plane)
-    return SphericalHull(vertices=tuple(vecs[i] for i in idx))
+    return SphericalHull(vertices=tuple(vecs[i] for i in _planar_hull([_gnomonic(center, e1, e2, v) for v in vecs])))
 
 
-def _near_arc(p, a, b, n, band=ANGLE_TOL) -> bool:
-    """True when p lies within ANGLE_TOL of the minor great-circle arc from a to b, whose unit normal is n.
+def _sign(a, b, p, d) -> int:
+    """The sign of det[a, b, p] for unit a, b, p, given d, the float n.p of n = _normal(a, b).
 
-    a and b must be distinct and not antipodal, so that n is defined; band bounds |n.p|.
+    d's sign is taken beyond _SIGN_ERR, and det's is found exactly in
+    Fractions within it. The bound, with u = 2**-53: _normal computes
+    (b + a) x (b - a) = 2 a x b, rounding each sum (u) and each term of the
+    cross product (2u), so a component errs by at most 4u times the sum of
+    its terms' sizes, 8u |b + a| |b - a| in all. For unit a, b that is
+    8u * 2 |a x b|: 8u relative, 16u in direction, however short the arc.
+    Normalizing and the dot product with p add 3u each, so d is within 22u
+    of det / |a x b|; 32u leaves room for second-order terms and inputs a
+    few u off unit length. A normalized float a x b errs by u / |a x b|.
     """
-    if abs(_dot(n, p)) > band:
+    if d > _SIGN_ERR:
+        return 1
+    if d < -_SIGN_ERR:
+        return -1
+    from fractions import Fraction  # imported here: it costs ~2 ms, and only near-degenerate inputs need it
+    a, b, p = (tuple(map(Fraction, v)) for v in (a, b, p))
+    det = _dot(_cross(a, b), p)
+    return (det > 0) - (det < 0)
+
+
+def _near_arc(p, a, b, n) -> bool:
+    """True when p lies within ANGLE_TOL of the minor arc a-b, n = _normal(a, b).
+
+    That is within ANGLE_TOL of the arc's circle with its foot there between
+    the planes through n and a, and n and b, or within ANGLE_TOL of an end,
+    which decides where rounding moves the foot past an end.
+    """
+    if abs(_dot(n, p)) > ANGLE_TOL:
         return False
-    # inside the lune between the half-planes at a and b
-    if _dot(_cross(n, a), p) >= -ANGLE_TOL and _dot(_cross(b, n), p) >= -ANGLE_TOL:
+    if _dot(_cross(n, a), p) >= 0.0 and _dot(_cross(b, n), p) >= 0.0:
         return True
     return _angle(p, a) <= ANGLE_TOL or _angle(p, b) <= ANGLE_TOL
 
 
 def _arc_meets(a, b, n, edges) -> bool:
-    """True when the minor arc a-b crosses or comes within ANGLE_TOL of an arc (c, d, m) in edges; n, m are unit normals.
+    """True when the minor arc a-b meets an arc (c, d, m) in edges; n, m from _normal.
 
-    They cross when the orientations ACB, CBD, BDA and DAC agree, as in S2's
-    S2EdgeCrosser: c, d on opposite sides of the circle of a-b, a, b on
-    opposite sides of that of c-d, and the circles meeting on the arcs, not at
-    their antipodes. Otherwise they are closest at an end, so they touch when
-    an end is _near_arc the other arc. Agreeing orientations all within
-    2 * ANGLE_TOL of 0 may be noise; the end tests decide, in a band that
-    wide, as crossing arcs have an end that near the other. An arc c-d with
-    both ends more than 2 * ANGLE_TOL to one side of the circle of a-b is
-    skipped: no point of it is that close; _near_arc reaches about 1.5 * ANGLE_TOL.
+    An arc with both ends more than ANGLE_TOL to one side of the other's
+    circle is skipped, as all of it is. The arcs cross when the exact
+    orientations ACB, CBD, BDA and DAC agree, as in S2's S2EdgeCrosser: each
+    arc's ends on opposite sides of the other's circle, which meet on the
+    arcs, not at their antipodes. Arcs that do not cross are nearest at an
+    end of one, so an end _near_arc the other decides the rest.
     """
     nx, ny, nz = n
     for c, d, m in edges:
         nc = nx * c[0] + ny * c[1] + nz * c[2]
         nd = nx * d[0] + ny * d[1] + nz * d[2]
-        if (nc > 2 * ANGLE_TOL and nd > 2 * ANGLE_TOL) or (nc < -2 * ANGLE_TOL and nd < -2 * ANGLE_TOL):
+        if (nc > ANGLE_TOL and nd > ANGLE_TOL) or (nc < -ANGLE_TOL and nd < -ANGLE_TOL):
             continue
         ma = m[0] * a[0] + m[1] * a[1] + m[2] * a[2]
         mb = m[0] * b[0] + m[1] * b[1] + m[2] * b[2]
-        cross = (nc > 0.0 and nd < 0.0 and mb > 0.0 and ma < 0.0) or (nc < 0.0 and nd > 0.0 and mb < 0.0 and ma > 0.0)
-        if cross and max(abs(nc), abs(nd), abs(ma), abs(mb)) > 2 * ANGLE_TOL:
+        s = _sign(a, b, c, nc)
+        if s and _sign(a, b, d, nd) == -s and _sign(c, d, b, mb) == s and _sign(c, d, a, ma) == -s:
             return True
-        tol = 2 * ANGLE_TOL if cross else ANGLE_TOL
+        # _near_arc's first test is inlined
         if (
-            (-tol <= nc <= tol and _near_arc(c, a, b, n, tol))
-            or (-tol <= nd <= tol and _near_arc(d, a, b, n, tol))
-            or (-tol <= ma <= tol and _near_arc(a, c, d, m, tol))
-            or (-tol <= mb <= tol and _near_arc(b, c, d, m, tol))
+            (-ANGLE_TOL <= nc <= ANGLE_TOL and _near_arc(c, a, b, n))
+            or (-ANGLE_TOL <= nd <= ANGLE_TOL and _near_arc(d, a, b, n))
+            or (-ANGLE_TOL <= ma <= ANGLE_TOL and _near_arc(a, c, d, m))
+            or (-ANGLE_TOL <= mb <= ANGLE_TOL and _near_arc(b, c, d, m))
         ):
             return True
     return False
 
 
 def hull_contains(h: SphericalHull, p) -> bool:
-    """True iff unit vector p is inside or on the boundary of h (tolerance ANGLE_TOL radians)."""
+    """True when unit vector p is inside h, decided exactly, or within ANGLE_TOL of it."""
     vts = h.vertices
     if len(vts) == 1:  # a point hull
         return _angle(p, vts[0]) <= ANGLE_TOL
-    if len(vts) == 2:
-        # an arc hull; _dedup and the hemisphere check keep its ends distinct and not antipodal
+    if len(vts) == 2:  # an arc hull, whose ends _dedup and the hemisphere check keep apart
         return _near_arc(p, *h._edges[0])
     px, py, pz = p
-    return all(n[0] * px + n[1] * py + n[2] * pz >= -ANGLE_TOL for _, _, n in h._edges)
+    inside = True
+    for a, b, n in h._edges:
+        d = n[0] * px + n[1] * py + n[2] * pz
+        if d < -ANGLE_TOL:  # more than ANGLE_TOL outside this edge's circle, so outside the hull by more
+            return False
+        if d < _SIGN_ERR and _sign(a, b, p, d) < 0:
+            inside = False
+    # an outside p is nearest the hull on an edge
+    return inside or any(_near_arc(p, a, b, n) for a, b, n in h._edges)
 
 
 def _hull_cap(hull: SphericalHull) -> Cap:
-    """A Cap such that hull_contains(hull, v) is False for every v outside it.
-
-    It is the cap over the hull vertices, widened to cover the tolerant
-    boundary band of hull_contains.
-
-    For a polygon the band is {v : n.v >= -ANGLE_TOL for every edge normal n},
-    which reaches ANGLE_TOL / sin(theta / 2) past a vertex with interior angle
-    theta, and on a sliver hull also has a component near the antipode. The
-    widening used bounds both: let m = min n.center over the edge normals.
-    Follow the great circle from the center through v, at angle phi; it
-    leaves the hull at some phi_e <= radius, across an edge whose normal n
-    then gives n.v = (n.center) * sin(phi_e - phi) / sin(phi_e). If
-    m > ANGLE_TOL, that is below -ANGLE_TOL for every phi from
-    phi_e + asin(ANGLE_TOL * sin(radius) / m) up to pi, so the widening
-    asin(ANGLE_TOL * sin(radius) / m) covers the band; otherwise (a sliver
-    no wider than the band) nothing is pruned. An arc's band, ~ANGLE_TOL
-    wide, and a point's are covered by CAP_SLACK alone. An arc shorter than
-    about 2 * ANGLE_TOL also accepts points near its antipode, so arcs
-    shorter than 2 * CAP_SLACK are not pruned.
-    """
-    center, lo = _center(hull.vertices)
-    widen = 0.0
-    if hull.degenerate_kind == "polygon":
-        m = min(_dot(n, center) for _, _, n in hull._edges)
-        # sin(radius), the radius being acos(lo)
-        ratio = ANGLE_TOL * math.sqrt(max(0.0, 1.0 - lo * lo)) / m if m > ANGLE_TOL else 1.0
-        widen = math.asin(ratio) if ratio < 1.0 else math.pi
-    elif hull.degenerate_kind == "arc" and lo > math.cos(CAP_SLACK):
-        widen = math.pi
-    return _cap(center, lo, widen)
+    """The cap over the hull vertices (_cap), outside which hull_contains accepts nothing."""
+    return _cap(*_center(hull.vertices))
 
 
 def _cap_in_hull(hull: SphericalHull, cap: Cap):
     """True when a polygon hull accepts every point of cap, False when it accepts none, else None.
 
-    Over a cap of radius r whose center has n.c = sin b, n.p >= sin(b - r):
-    every n.c >= sin r gives True; one n.c < -sin r - 3 * ANGLE_TOL, past
-    hull_contains' band and _arc_meets' reach (2.3 * ANGLE_TOL), gives False.
+    Over a cap of radius r whose center has n.c = sin b, n.p lies between
+    sin(b - r) and sin(b + r): every n.c >= sin r puts the cap inside every
+    edge's half-space, and one n.c < -sin r - ANGLE_TOL puts it more than
+    ANGLE_TOL outside an edge's circle.
     """
     if len(hull.vertices) < 3 or cap.cos == -math.inf:  # a point or arc hull
         return None
     (cx, cy, cz), sin_r = cap.center, cap.sin
-    out, inside = -sin_r - 3 * ANGLE_TOL, True
+    out, inside = -sin_r - ANGLE_TOL, True
     for _, _, n in hull._edges:  # not min(): the first edge that rules the cap out ends the loop
         d = n[0] * cx + n[1] * cy + n[2] * cz
         if d < out:
@@ -412,16 +397,14 @@ def _cap_in_hull(hull: SphericalHull, cap: Cap):
 
 @dataclass(frozen=True)
 class GeoPolygon:
-    """A polygon on the sphere: one outer ring plus optional hole rings.
+    """A polygon on the sphere: one outer ring plus optional hole rings, closed implicitly.
 
-    Rings are closed implicitly; the first point is not repeated at the end.
-    _ring_vecs holds the vertex vectors ring by ring. _cap is the Cap outside
-    which polygon_contains rejects every point, and pruning uses it too. It
-    is centred on the outer ring's mean direction and reaches the farthest
-    vertex of any ring plus CAP_SLACK. The constructor raises unless every
-    vertex is less than pi/2 from that center (the hemisphere rule), so the
-    cap is convex and holds every minor-arc edge and the even-odd interior;
-    the ANGLE_TOL edge band reaches at most ~2 * ANGLE_TOL past a vertex.
+    _ring_vecs holds the vertex vectors ring by ring. _cap (see _cap), over
+    every ring around the outer ring's mean, is where polygon_contains can
+    accept and what pruning reads. The constructor raises unless every
+    vertex is less than pi/2 from its center (the hemisphere rule), so the
+    cap is convex and holds the edges, the even-odd interior and every point
+    within ANGLE_TOL of them.
     """
 
     rings: tuple[tuple[GeoPoint, ...], ...]
@@ -443,15 +426,10 @@ class GeoPolygon:
 
     @cached_property
     def _edges(self):
-        """(a, b, n) for every edge of every ring, n the unit normal of a x b; zero-length edges are left out."""
-        edges = []
-        for ring in self._ring_vecs:
-            for a, b in zip(ring, ring[1:] + ring[:1]):
-                c = _cross(a, b)
-                nn = _norm(c)
-                if nn > 1e-15:
-                    edges.append((a, b, (c[0] / nn, c[1] / nn, c[2] / nn)))
-        return tuple(edges)
+        """(a, b, n = _normal(a, b)) for every edge of every ring; zero-length edges, which have no n, are left out."""
+        return tuple(
+            (a, b, n) for ring in self._ring_vecs for a, b in zip(ring, ring[1:] + ring[:1]) if (n := _normal(a, b))
+        )
 
     @cached_property
     def _frame(self):
@@ -464,10 +442,8 @@ class GeoPolygon:
 def _even_odd(rings_2d, x, y):
     inside = False
     for ring in rings_2d:
-        n = len(ring)
         x1, y1 = ring[-1]
-        for i in range(n):
-            x2, y2 = ring[i]
+        for x2, y2 in ring:
             if (y1 > y) != (y2 > y):
                 xi = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
                 if x < xi:
@@ -492,13 +468,12 @@ def polygon_contains(poly: GeoPolygon, p) -> bool:
 
 
 def _meets(poly: GeoPolygon, hull: SphericalHull) -> bool:
-    """True when border polygon poly and hull share a point, within ANGLE_TOL.
+    """True when border polygon poly and hull share a point or come within ANGLE_TOL of each other.
 
-    They do when an edge of poly meets a hull edge. Only a hull edge whose
-    great circle passes within r of the center of poly's cap, of radius r,
-    can meet one; that needs r < pi/2 to be read from sin r. Failing that,
-    neither boundary crosses the other, so one outer-ring vertex in the hull
-    or one hull vertex in poly decides.
+    They do when an edge of poly meets a hull edge (_arc_meets); only a hull
+    edge whose circle passes within r of the center of poly's cap, of radius
+    r < pi/2, can. Failing that, one boundary lies inside the other or apart
+    from it, so one outer-ring vertex in the hull or one hull vertex in poly decides.
     """
     cap = poly._cap
     center, cos_r, sin_r = cap.center, cap.cos, cap.sin

@@ -563,12 +563,12 @@ def _hull_shape(draw, rng, kinds):
 
 @st.composite
 def hull_and_probes(draw):
-    """A hull, from fat polygons down to slivers and short arcs, and probe vectors near its tolerant band.
+    """A hull, from fat polygons down to slivers and short arcs, and probe vectors near the ANGLE_TOL margin around it.
 
     Slivers are isosceles triangles or rhombi whose acute angles go down to
-    ~1e-4 rad. Probes include the tolerant apex beyond every vertex (the
-    farthest accepted point along the outward bisector, found by bisection),
-    points just past it, points near the widened cap's edge and antipodes.
+    ~1e-4 rad. Probes include the farthest accepted point along the outward
+    bisector of every vertex, found by bisection, points just past it, points
+    near the cap's edge and antipodes.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     hull = _hull_of(_hull_shape(draw, rng, ["cloud", "sliver", "rhombus", "arc", "point"]))
@@ -617,24 +617,24 @@ class TestHullCap:
         assert math.cos(math.radians(8)) < floor
         assert _dot(center, _unit(-2, -2)) < floor
 
-    def test_sliver_no_wider_than_the_band_is_not_pruned(self):
-        # a 0.002-rad isosceles triangle with base angles 1e-4 rad: every edge
-        # passes within ANGLE_TOL of its center, so the band reaches the antipode
+    def test_sliver_rejects_its_antipode_and_prunes(self):
+        # a 0.002-rad isosceles triangle with base angles 1e-4 rad: every edge passes within
+        # ANGLE_TOL of its center, yet its antipode is exactly outside and far from every edge
         half = 0.001
         apex = (math.cos(half * 1e-4), 0.0, math.sin(half * 1e-4))
         hull = _hull_of([(math.cos(half), -math.sin(half), 0.0), (math.cos(half), math.sin(half), 0.0), apex])
         assert hull.degenerate_kind == "polygon"
         cap = _hull_cap(hull)
-        center, floor = cap.center, cap.cos
-        antipode = tuple(-x for x in center)
-        assert hull_contains(hull, antipode)
-        assert floor == -math.inf
+        antipode = tuple(-x for x in cap.center)
+        assert not hull_contains(hull, antipode)
+        assert _dot(cap.center, antipode) < cap.cos and math.acos(cap.cos) < 2 * half
 
-    def test_short_arc_is_not_pruned(self):
+    def test_short_arc_rejects_its_antipode_and_prunes(self):
         hull = _hull_of([(1.0, 0.0, 0.0), (math.cos(ANGLE_TOL / 2), math.sin(ANGLE_TOL / 2), 0.0)])
         assert hull.degenerate_kind == "arc"
-        assert hull_contains(hull, (-1.0, 0.0, 0.0))
-        assert _hull_cap(hull).cos == -math.inf
+        assert not hull_contains(hull, (-1.0, 0.0, 0.0))
+        cap = _hull_cap(hull)
+        assert _dot(cap.center, (-1.0, 0.0, 0.0)) < cap.cos and math.acos(cap.cos) < 1e-5
 
 
 @st.composite

@@ -1,9 +1,12 @@
 import math
 import random
+from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+import geonorm.sphere as sphere_mod
 from geonorm.errors import EmptyInput, HemisphereViolation, ValidationError
 from geonorm.sphere import (
     ANGLE_TOL,
@@ -17,7 +20,9 @@ from geonorm.sphere import (
     _dedup,
     _dot,
     _even_odd,
+    _normal,
     _normalized,
+    _sign,
     hull_contains,
     polygon_contains,
     spherical_convex_hull,
@@ -323,20 +328,74 @@ def arc_distance(a, b, c, d):
     )
 
 
+def _exact_det(a, b, p):
+    """det[a, b, p] of the float inputs, in Fractions."""
+    (a0, a1, a2), (b0, b1, b2), (p0, p1, p2) = ([Fraction(x) for x in v] for v in (a, b, p))
+    return (a1 * b2 - a2 * b1) * p0 + (a2 * b0 - a0 * b2) * p1 + (a0 * b1 - a1 * b0) * p2
+
+
+def _exact_sign(a, b, p):
+    d = _exact_det(a, b, p)
+    return (d > 0) - (d < 0)
+
+
+def _exact_crossing(a, b, c, d):
+    """S2's crossing rule on exact signs: ACB, CBD, BDA and DAC agree and are not 0."""
+    s = _exact_sign(a, b, c)
+    return s != 0 and _exact_sign(a, b, d) == -s and _exact_sign(c, d, b) == s and _exact_sign(c, d, a) == -s
+
+
+def _exact_near(p, a, b, tol):
+    """Reference: p within tol of the minor arc a-b, on exact squares of sines of the float inputs.
+
+    p is within tol of the arc's circle and its nearest point there lies on
+    the arc, or p is within tol of an end.
+    """
+    p, a, b = ([Fraction(x) for x in v] for v in (p, a, b))
+    dot = lambda u, v: u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    cross = lambda u, v: (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+    sin2 = Fraction(math.sin(tol)) ** 2
+    n = cross(a, b)
+    if dot(n, p) ** 2 <= sin2 * dot(n, n) * dot(p, p) and dot(cross(n, a), p) >= 0 and dot(cross(b, n), p) >= 0:
+        return True
+    # sin^2 of the angle between p and an end, which must be under 90 degrees
+    return any(dot(p, e) > 0 and dot(p, e) ** 2 >= (1 - sin2) * dot(p, p) * dot(e, e) for e in (a, b))
+
+
+# reference distances this close to ANGLE_TOL may be decided either way
+SHELL = 1e-12
+
+
+def _exact_meets(a, b, c, d):
+    """Reference for _arc_meets: True or False away from ANGLE_TOL, None within SHELL of it.
+
+    Arcs that do not cross are nearest at an end of one, so the exact
+    crossing and the four end distances decide.
+    """
+    if _exact_crossing(a, b, c, d):
+        return True
+    near = [
+        any(_exact_near(p, *arc, tol) for p, arc in ((c, (a, b)), (d, (a, b)), (a, (c, d)), (b, (c, d))))
+        for tol in (ANGLE_TOL - SHELL, ANGLE_TOL + SHELL)
+    ]
+    return near[0] if near[0] == near[1] else None
+
+
 @st.composite
 def arc_pairs(draw):
-    """Two minor arcs up to 2.5 rad long, as ((a, b), (c, d)).
+    """Two minor arcs from 1e-12 to 2.5 rad long, as ((a, b), (c, d)).
 
     Kinds: unrelated arcs near each other; arcs crossing inside both; an end
-    within 0.5 * ANGLE_TOL of the other arc, or 3 to 20 ANGLE_TOL off it
-    and heading away; arcs crossing at so shallow an angle that an end of
-    each lies a few ANGLE_TOL from the other's circle; arcs on one great
-    circle, overlapping or apart; and arcs whose great circles meet only at
-    points antipodal to the other arc.
+    within 0.5 * ANGLE_TOL of the other arc (a float-rounded point on it at
+    0), or 3 to 20 ANGLE_TOL off it and heading away; arcs crossing at so
+    shallow an angle that an end of each lies a few ANGLE_TOL, or under
+    1e-12 rad, from the other's circle; arcs on one great circle,
+    overlapping or apart; arcs sharing an end; and arcs whose great circles
+    meet only at points antipodal to the other arc.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "cross", "shallow", "touch", "miss", "collinear", "antipodal"]))
-    length = lambda: 10 ** rng.uniform(-6, math.log10(1.5 if kind == "antipodal" else 2.5))
+    kind = draw(st.sampled_from(["random", "cross", "shallow", "touch", "miss", "collinear", "shared", "antipodal"]))
+    length = lambda: 10 ** rng.uniform(-12, math.log10(1.5 if kind == "antipodal" else 2.5))
     tangent = lambda p: _normalized(_cross(p, (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))))
     go = lambda p, t, ang: _normalized(tuple(math.cos(ang) * pi + math.sin(ang) * ti for pi, ti in zip(p, t)))
 
@@ -355,7 +414,8 @@ def arc_pairs(draw):
         # x inside both arcs, c-d as long as a-b and turned from it toward n by a few ANGLE_TOL over that length
         a, b = through(x, rng.uniform(0.25, 0.75))
         n, ang, frac = _normalized(_cross(a, b)), _angle(a, b), rng.uniform(0.25, 0.75)
-        t = go(_cross(n, x), n, min(1.0, rng.uniform(1.5, 4) * ANGLE_TOL / ang))
+        off = rng.choice((rng.uniform(1.5, 4) * ANGLE_TOL, 10 ** rng.uniform(-17, -12)))
+        t = go(_cross(n, x), n, min(1.0, off / ang))
         c, d = go(x, t, -frac * ang), go(x, t, (1 - frac) * ang)
     elif kind in ("touch", "miss"):
         side = rng.choice((-1, 1))
@@ -374,6 +434,9 @@ def arc_pairs(draw):
         c = go(b, forward, gap)
         d = go(c, _cross(n, c), length())
         c, d = (go(p, n, off) for p in (c, d))
+    elif kind == "shared":
+        c = rng.choice((a, b))
+        d = go(c, tangent(c), length())
     else:
         anti = tuple(-xi for xi in x)
         a, b = through(x, rng.uniform(0.2, 0.8))
@@ -398,29 +461,42 @@ class TestArcMeets:
     @example(NOISE_ARCS)
     def test_matches_the_slow_reference(self, case):
         (a, b), (c, d) = case
-        dist = arc_distance(a, b, c, d)
-        assume(not 0.5 * ANGLE_TOL < dist < 3 * ANGLE_TOL)  # where _near_arc's band may go either way
-        n, m = _normalized(_cross(a, b)), _normalized(_cross(c, d))
-        assert _arc_meets(a, b, n, [(c, d, m)]) == (dist <= ANGLE_TOL)
-        assert _arc_meets(c, d, m, [(a, b, n)]) == (dist <= ANGLE_TOL)
+        expected = _exact_meets(a, b, c, d)
+        assume(expected is not None)
+        n, m = _normal(a, b), _normal(c, d)
+        assert _arc_meets(a, b, n, [(c, d, m)]) == expected
+        assert _arc_meets(c, d, m, [(a, b, n)]) == expected
+
+    @given(arc_pairs())
+    @example(NOISE_ARCS)
+    def test_crossing_matches_exact_signs(self, case):
+        # with the end tests off, _arc_meets answers its crossing test alone
+        (a, b), (c, d) = case
+        n, m = _normal(a, b), _normal(c, d)
+        for p, q, arc in ((c, d, (a, b)), (a, b, (c, d))):
+            for e in (p, q):
+                assert _sign(*arc, e, _dot(_normal(*arc), e)) == _exact_sign(*arc, e)
+        with mock.patch.object(sphere_mod, "_near_arc", lambda *args: False):
+            assert _arc_meets(a, b, n, [(c, d, m)]) == _exact_crossing(a, b, c, d)
+            assert _arc_meets(c, d, m, [(a, b, n)]) == _exact_crossing(c, d, a, b)
 
     def test_circles_meeting_only_at_the_antipodes(self):
         # the equator from lon -10 to 10 and the meridian at lon 180 from lat -10 to 10:
         # each arc's ends straddle the other's great circle, yet they are 180 degrees apart
         a, b = GeoPoint(0, -10).vec, GeoPoint(0, 10).vec
         c, d = GeoPoint(-10, 180).vec, GeoPoint(10, 180).vec
-        n, m = _normalized(_cross(a, b)), _normalized(_cross(c, d))
+        n, m = _normal(a, b), _normal(c, d)
         assert _dot(n, c) * _dot(n, d) < 0 and _dot(m, a) * _dot(m, b) < 0
         assert not _arc_meets(a, b, n, [(c, d, m)])
         c, d = GeoPoint(-10, 0).vec, GeoPoint(10, 0).vec
-        assert _arc_meets(a, b, n, [(c, d, _normalized(_cross(c, d)))])
+        assert _arc_meets(a, b, n, [(c, d, _normal(c, d))])
 
     def test_ends_touch_within_angle_tol(self):
         a, b = GeoPoint(0, 0).vec, GeoPoint(0, 10).vec
-        n = _normalized(_cross(a, b))
+        n = _normal(a, b)
         for lat, meets in ((math.degrees(ANGLE_TOL) / 2, True), (math.degrees(ANGLE_TOL) * 3, False)):
             c, d = GeoPoint(lat, 5).vec, GeoPoint(5, 5).vec
-            assert _arc_meets(a, b, n, [(c, d, _normalized(_cross(c, d)))]) == meets
+            assert _arc_meets(a, b, n, [(c, d, _normal(c, d))]) == meets
 
     def test_short_edge_crossing_with_ends_near_the_circle(self):
         # a 1e-5 rad edge crossing a 0.1 rad arc with its ends 1.5 * ANGLE_TOL either side of the
@@ -429,19 +505,19 @@ class TestArcMeets:
         a, b = (math.cos(0.05), -math.sin(0.05), 0.0), (math.cos(0.05), math.sin(0.05), 0.0)
         c = _normalized((math.cos(5e-6), -math.sin(5e-6), -1.5 * ANGLE_TOL))
         d = _normalized((math.cos(5e-6), math.sin(5e-6), 1.5 * ANGLE_TOL))
-        n, m = _normalized(_cross(a, b)), _normalized(_cross(c, d))
+        n, m = _normal(a, b), _normal(c, d)
         assert arc_distance(a, b, c, d) == 0.0
         assert _arc_meets(a, b, n, [(c, d, m)])
         assert _arc_meets(c, d, m, [(a, b, n)])
 
     def test_shallow_crossing_with_every_orientation_past_angle_tol(self):
         # two 1e-3 rad arcs crossing at (1, 0, 0) at an angle of asin(3e-4): all four orientations are
-        # about 1.5 * ANGLE_TOL, too small to trust their signs and past the end tests' usual band
+        # about 1.5 * ANGLE_TOL, past the end tests' band, so only the crossing test finds them
         h, tilt = 5e-4, math.asin(3e-4)
         a, b = (math.cos(h), -math.sin(h), 0.0), (math.cos(h), math.sin(h), 0.0)
         c = (math.cos(h), -math.sin(h) * math.cos(tilt), -math.sin(h) * math.sin(tilt))
         d = (math.cos(h), math.sin(h) * math.cos(tilt), math.sin(h) * math.sin(tilt))
-        n, m = _normalized(_cross(a, b)), _normalized(_cross(c, d))
+        n, m = _normal(a, b), _normal(c, d)
         assert arc_distance(a, b, c, d) == 0.0
         assert all(ANGLE_TOL < abs(o) <= 2 * ANGLE_TOL for o in (_dot(n, c), _dot(n, d), _dot(m, a), _dot(m, b)))
         assert _arc_meets(a, b, n, [(c, d, m)])
@@ -456,10 +532,82 @@ class TestArcMeets:
         # both arcs on the equator: every end is on the other's circle, so only the touch tests can decide
         a, b = GeoPoint(0, 0).vec, GeoPoint(0, 10).vec
         c, d = GeoPoint(0, lon_c).vec, GeoPoint(0, lon_d).vec
-        n, m = _normalized(_cross(a, b)), _normalized(_cross(c, d))
+        n, m = _normal(a, b), _normal(c, d)
         assert (arc_distance(a, b, c, d) <= ANGLE_TOL) == meets
         assert _arc_meets(a, b, n, [(c, d, m)]) == meets
         assert _arc_meets(c, d, m, [(a, b, n)]) == meets
+
+
+@st.composite
+def orientation_cases(draw):
+    """(a, b, p): an arc 1e-12 to 2.5 rad long; p at an end, rounded onto its circle, up to 1e-6 rad off it, or anywhere."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    a = offset((0.0, 0.0, 1.0), rng.uniform(0, math.pi), rng)
+    b = offset(a, 10 ** rng.uniform(-12, math.log10(2.5)), rng)
+    kind = draw(st.sampled_from(["end", "on", "off", "random"]))
+    if kind == "end":
+        return a, b, rng.choice((a, b))
+    if kind == "random":
+        return a, b, offset(a, rng.uniform(0, math.pi), rng)
+    t = rng.uniform(-1, 2)
+    p = _normalized(tuple((1 - t) * ai + t * bi for ai, bi in zip(a, b)))
+    if kind == "off":
+        h = rng.choice((-1, 1)) * 10 ** rng.uniform(-17, -6)
+        p = _normalized(tuple(pi + h * ni for pi, ni in zip(p, _normal(a, b))))
+    return a, b, p
+
+
+@st.composite
+def hull_and_edge_probes(draw):
+    """A hull 40 to 2e-5 degrees across, its edges down to ~1e-9 rad, and probes at, on, beside and beyond its edges."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    radius = draw(st.sampled_from([20, 0.01, 1e-5]))
+    lat, lon = rng.uniform(-60, 60), rng.uniform(-170, 170)
+    hull = spherical_convex_hull(cap_points(rng, rng.randint(2, 12), lat, lon, radius))
+    assume(len(hull.vertices) >= 2)
+    probes = []
+    for a, b, n in hull._edges:
+        for _ in range(4):
+            t = rng.choice((0.0, 1.0, rng.uniform(-0.1, 1.1)))
+            on = _normalized(tuple((1 - t) * ai + t * bi for ai, bi in zip(a, b)))
+            h = rng.choice((-1, 1)) * rng.choice((0.0, ANGLE_TOL * rng.uniform(0, 2), 10 ** rng.uniform(-17, -9)))
+            probes.append(_normalized(tuple(oi + h * ni for oi, ni in zip(on, n))))
+        probes.append(offset(a, ANGLE_TOL * rng.uniform(0, 2), rng))
+    return hull, probes
+
+
+def _hull_contains_exact(hull, p):
+    """Reference for hull_contains: True or False away from ANGLE_TOL, None within SHELL of it."""
+    edges = [(a, b) for a, b, _ in hull._edges]
+    if len(hull.vertices) > 2 and all(_exact_sign(a, b, p) >= 0 for a, b in edges):
+        return True
+    near = [any(_exact_near(p, a, b, tol) for a, b in edges) for tol in (ANGLE_TOL - SHELL, ANGLE_TOL + SHELL)]
+    return near[0] if near[0] == near[1] else None
+
+
+class TestExactSign:
+    """_sign, and the tests it decides, against an all-Fraction reference."""
+
+    @given(orientation_cases())
+    def test_sign_matches_fractions(self, case):
+        a, b, p = case
+        assert _sign(a, b, p, _dot(_normal(a, b), p)) == _exact_sign(a, b, p)
+
+    @given(hull_and_edge_probes())
+    def test_hull_contains_matches_the_reference(self, case):
+        hull, probes = case
+        for p in probes:
+            expected = _hull_contains_exact(hull, p)
+            if expected is not None:
+                assert hull_contains(hull, p) == expected
+
+    def test_short_edge_normal_keeps_its_direction(self):
+        # a float a x b of two vectors 1e-12 rad apart is off in direction by ~1e-4 rad
+        a = GeoPoint(30.0, 40.0).vec
+        b = offset(a, 1e-12, random.Random(5))
+        p = _normalized(tuple((ai + bi) / 2 for ai, bi in zip(a, b)))
+        assert abs(_dot(_normal(a, b), p)) < 1e-15
+        assert _sign(a, b, p, _dot(_normal(a, b), p)) == _exact_sign(a, b, p)
 
 
 def _dedup_reference(vectors):
@@ -561,25 +709,18 @@ class TestPolygonContains:
 
 
 def _polygon_contains_uncapped(poly, p):
-    """Reference: polygon_contains without its bounding-cap rejection.
+    """Reference: polygon_contains without its bounding-cap rejection; None within SHELL of ANGLE_TOL.
 
-    The hemisphere guard, then even-odd in the gnomonic plane, then the
-    ANGLE_TOL band around every edge and vertex.
+    Inside by even-odd in the gnomonic plane, behind the hemisphere guard,
+    or within ANGLE_TOL of an edge.
     """
     center = poly._cap.center
     e1, e2, rings_2d = poly._frame
     d = _dot(center, p)
-    if d <= 1e-9:
-        return False
-    if _even_odd(rings_2d, _dot(e1, p) / d, _dot(e2, p) / d):
+    if d > 1e-9 and _even_odd(rings_2d, _dot(e1, p) / d, _dot(e2, p) / d):
         return True
-    for a, b, n in poly._edges:
-        if abs(_dot(n, p)) <= ANGLE_TOL:
-            if _dot(_cross(n, a), p) >= -ANGLE_TOL and _dot(_cross(b, n), p) >= -ANGLE_TOL:
-                return True
-            if _angle(p, a) <= ANGLE_TOL or _angle(p, b) <= ANGLE_TOL:
-                return True
-    return False
+    dist = min(_point_arc_distance(p, a, b) for a, b, _ in poly._edges)
+    return None if abs(dist - ANGLE_TOL) <= SHELL else dist <= ANGLE_TOL
 
 
 @st.composite
@@ -623,7 +764,9 @@ class TestPolygonCap:
     def test_cap_rejects_nothing_the_uncapped_tests_accept(self, case):
         poly, probes = case
         for p in probes:
-            assert polygon_contains(poly, p) == _polygon_contains_uncapped(poly, p)
+            expected = _polygon_contains_uncapped(poly, p)
+            if expected is not None:
+                assert polygon_contains(poly, p) == expected
 
     def test_cap_is_built_without_the_frame(self):
         poly = GeoPolygon(rings=SQUARE.rings)
