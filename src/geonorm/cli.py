@@ -23,12 +23,12 @@ from pathlib import Path
 from .enrichment import Enrichment, load_as_registry, load_geo_table, load_origin_table
 from .errors import GeonormError, ValidationError, utf8_error
 from .metrics import EXPOSURES, ROLES, Aggregate, accumulate, report
-from .normality import PairCache, normal_set
+from .normality import PairCache, normal_set, pair_hull
 from .pipeline import (
     Skip, SkipLog, classify_path_with, classify_signature, parse_traceroute_line, path_signature, read_lines,
     shard_ranges, to_tuple_path,
 )
-from .sphere import spherical_convex_hull, unit_to_geo
+from .sphere import unit_to_geo
 from .world import DEFAULT_CITY_LIMIT, MODES, country_points, load_summary, load_world
 
 
@@ -392,8 +392,7 @@ def cmd_normal_set(cfg: RunConfig, src: str, dst: str, modes, export_hull: str |
 
 
 def _export_hull(w, src, dst, mode, path):
-    points = country_points(w, src, mode) + country_points(w, dst, mode)
-    hull = spherical_convex_hull(points)
+    hull = pair_hull(w, src, dst, mode)  # the hull normal_set decided the set with
     ring = [unit_to_geo(v) for v in hull.vertices]
     coordinates = [[p.lon, p.lat] for p in ring] + [[ring[0].lon, ring[0].lat]]
     doc = {

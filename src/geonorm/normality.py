@@ -6,12 +6,15 @@ inside it (see sphere._meets). A pair whose combined point set spans more
 than a hemisphere is unclassifiable: "between" has no meaning there, and
 callers must keep such paths out of normality statistics rather than guessing.
 
-Both scans pass over a country or polygon whose bounding cap (sphere.Cap)
-is apart from the hull's. Against a polygon hull, sphere._cap_in_hull then
-settles most other caps whole: one inside makes a member, one outside is
-passed over. Every test so skipped would give the answer taken, so membership
-is exactly that of the unpruned scans. The caps are built with the world:
-WorldModel.city_caps per country, GeoPolygon._cap per polygon.
+pair_hull builds the hull over the two countries' PointSets, cut to their
+own hulls' vertices, which decide the hull and the hemisphere rule as all
+points would (see sphere.spherical_convex_hull). The scan passes over a
+country, its cities or a polygon whose cap (sphere.Cap, built with the world:
+WorldModel.country_caps and city_caps, GeoPolygon._cap) is apart from the
+hull's. Against a polygon hull, sphere._cap_in_hull then settles most other
+caps whole: one inside makes a member, one outside is passed over. Every test
+so skipped would give the answer taken, so membership is exactly that of an
+unpruned scan.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 from .errors import HemisphereViolation, UnknownCountry
-from .sphere import _apart, _cap_in_hull, _hull_cap, _meets, hull_contains, spherical_convex_hull
+from .sphere import PointSet, _apart, _cap_in_hull, _hull_cap, _meets, hull_contains, spherical_convex_hull
 from .world import WorldModel, country_points
 
 @dataclass(frozen=True)
@@ -56,33 +59,49 @@ def normal_set(w: WorldModel, src: str, dst: str, mode: str = "population") -> N
     if src == dst:
         return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset({src}))
 
-    points = country_points(w, src, mode) + country_points(w, dst, mode)
     try:
-        hull = spherical_convex_hull(points)
+        hull = pair_hull(w, src, dst, mode)
     except HemisphereViolation:
         return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset({src, dst}), unclassifiable=True)
 
     members = {src, dst}
-    # unpacked once, so that the loops below test it on local floats
+    # unpacked once, so that the loop below tests it on local floats
     hull_cap = _hull_cap(hull)
     hull_center, hull_cos, hull_sin = hull_cap.center, hull_cap.cos, hull_cap.sin
-    for iso2, cap, vecs in w.city_caps:
-        if iso2 in members or _apart(hull_center, hull_cos, hull_sin, cap):
+    hx, hy, hz = hull_center or (0.0, 0.0, 0.0)  # no center: hull_cos is -inf, which never prunes
+    for iso2, cx, cy, cz, cos, sin, cap, city_cap, vecs, polygons in w.country_caps:
+        # the country's cap apart from the hull's (sphere._apart, inlined): none of its cities or polygons can meet it
+        if (hull_cos + cos > 0.0 and hx * cx + hy * cy + hz * cz < hull_cos * cos - hull_sin * sin) or iso2 in members:
             continue
-        inside = _cap_in_hull(hull, cap)
-        if inside or (inside is None and any(hull_contains(hull, v) for v in vecs)):
-            members.add(iso2)
-
-    for iso2, cb in w.borders.items():
-        if iso2 in members:
+        inside = _cap_in_hull(hull, cap)  # all of the country inside the hull, or all of it outside
+        if inside is not None:
+            if inside:
+                members.add(iso2)
             continue
-        for poly in cb.polygons:
+        if city_cap and not _apart(hull_center, hull_cos, hull_sin, city_cap):
+            inside = _cap_in_hull(hull, city_cap)
+            if inside or (inside is None and any(hull_contains(hull, v) for v in vecs)):
+                members.add(iso2)
+                continue
+        for poly in polygons:
             inside = not _apart(hull_center, hull_cos, hull_sin, poly._cap) and _cap_in_hull(hull, poly._cap)
             if inside or (inside is None and _meets(poly, hull)):
                 members.add(iso2)
                 break
 
     return NormalSet(src=src, dst=dst, mode=mode, countries=frozenset(members))
+
+
+def pair_hull(w: WorldModel, src: str, dst: str, mode: str):
+    """The hull over both countries' points in mode, by one spherical_convex_hull call; may raise HemisphereViolation.
+
+    It is built over their PointSets when both have a hull and their caps are
+    apart, so that no point of one dedups against the other, else over every point.
+    """
+    a, b = w.point_set(src, mode), w.point_set(dst, mode)
+    if a.vecs is not None and b.vecs is not None and _apart(a.cap.center, a.cap.cos, a.cap.sin, b.cap):
+        return spherical_convex_hull(PointSet(a.vecs + b.vecs, tuple(x + y for x, y in zip(a.comps, b.comps)), None))
+    return spherical_convex_hull(country_points(w, src, mode) + country_points(w, dst, mode))
 
 
 def _suggest(w: WorldModel, iso2: str):

@@ -24,10 +24,10 @@ rings are built on first use, as most polygons' caps are apart from every hull's
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import EmptyInput, HemisphereViolation, ValidationError
 
@@ -43,7 +43,8 @@ DEDUP_TOL = 1e-9
 # rounding behind cap radii and cap tests (at most ~3e-8 rad) with room to spare.
 CAP_SLACK = 1e-6
 
-# Bound on the rounding of n.p, n = _normal(a, b), against det[a, b, p] / |a x b|: 32 * 2**-53 (see _sign).
+# Bound on the rounding of n.p, n = _normal(a, b), against det[a, b, p] / |a x b|, and of (a x b).p
+# against det: 32 * 2**-53 (see _sign).
 _SIGN_ERR = 2.0**-48
 
 
@@ -125,15 +126,16 @@ class Cap:
     sin: float
 
 
-def _center(vecs, more=()):
-    """(c, lo): c the normalized mean of vecs, lo the smallest dot product of c with vecs and more.
+def _center(vecs, more=(), comps=None):
+    """(c, lo): c the normalized mean of vecs, or of the set of a PointSet's comps, lo the least c.v over vecs and more.
 
     (None, -1.0) when the mean is shorter than 1e-9. The vectors lie in the
-    open hemisphere around c exactly when lo > 1e-9.
+    open hemisphere around c exactly when lo > 1e-9. fsum rounds each sum
+    once, so a set's mean does not depend on the order of its points.
     """
-    n = len(vecs)
-    xs, ys, zs = zip(*vecs)
-    mx, my, mz = sum(xs) / n, sum(ys) / n, sum(zs) / n
+    comps = comps or tuple(zip(*vecs))
+    n = len(comps[0])
+    mx, my, mz = (math.fsum(c) / n for c in comps)
     norm = math.sqrt(mx * mx + my * my + mz * mz)
     if norm < 1e-9:
         return None, -1.0
@@ -150,6 +152,14 @@ def _cap(center, lo) -> Cap:
     if r >= math.pi / 2:
         return Cap(center, -math.inf, 1.0)
     return Cap(center, math.cos(r), math.sin(r))
+
+
+def _enclosing_cap(center, caps) -> Cap:
+    """A Cap around center holding each of caps, CAP_SLACK wider; one that never prunes if it would reach pi/2."""
+    if center is None or any(cap.cos == -math.inf for cap in caps):
+        return Cap(center, -math.inf, 1.0)
+    r = max(_angle(center, cap.center) + math.atan2(cap.sin, cap.cos) for cap in caps) + CAP_SLACK
+    return Cap(center, -math.inf, 1.0) if r >= math.pi / 2 else Cap(center, math.cos(r), math.sin(r))
 
 
 def _apart(c1, cos1, sin1, cap: Cap) -> bool:
@@ -171,9 +181,13 @@ def unit_to_geo(v: tuple[float, float, float]) -> GeoPoint:
 
 
 def _tangent_basis(center):
-    """Orthonormal (e1, e2) spanning the plane tangent at center; e1 x e2 = center keeps counterclockwise."""
-    ax = min(range(3), key=lambda i: abs(center[i]))
-    axis = tuple(1.0 if i == ax else 0.0 for i in range(3))
+    """Orthonormal (e1, e2) spanning the plane tangent at center; e1 x e2 = center keeps counterclockwise.
+
+    e1 is normal to center and to the less aligned of two fixed directions off
+    every coordinate plane, so that no meridian, nor the equator, projects to
+    a line of one x for every center: such ties cost _planar_hull an exact sort.
+    """
+    axis = min(((0.36, 0.48, 0.8), (0.48, 0.64, -0.6)), key=lambda a: abs(_dot(center, a)))
     e1 = _normalized(_cross(center, axis))
     e2 = _cross(center, e1)
     return e1, e2
@@ -184,18 +198,40 @@ def _gnomonic(center, e1, e2, v):
     return (_dot(e1, v) / d, _dot(e2, v) / d)
 
 
-def _planar_hull(points_2d):
-    """Monotone chain: indices of the strictly convex hull's vertices, counterclockwise (collinear ones dropped)."""
-    order = sorted(range(len(points_2d)), key=lambda i: points_2d[i])
+def _planar_hull(center, vecs, lo):
+    """Monotone chain over vecs' gnomonic projections at center: indices of their hull's vertices, counterclockwise.
 
-    def cross(o, a, b):
-        (ox, oy), (ax, ay), (bx, by) = points_2d[o], points_2d[a], points_2d[b]
-        return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+    Exact, so any subset holding the hull's vertices gives the same hull. A
+    turn o, a, b is left when det[o, a, b] > 0, the sign of their projections'
+    turn. With lo the least c.v, a float x errs by under 8u / lo**2 and a float
+    turn by under 160u / lo**3: Fractions order x's nearer than 2**-47 / lo**2,
+    and _sign decides turns under 2**-45 / lo**3.
+    """
+    e1, e2 = _tangent_basis(center)
+    points_2d = [_gnomonic(center, e1, e2, v) for v in vecs]
+    order = sorted(range(len(vecs)), key=lambda i: points_2d[i])
+    tie, flat = 2.0**-47 / (lo * lo), 2.0**-45 / lo**3
+    if any(points_2d[j][0] - points_2d[i][0] <= tie for i, j in zip(order, order[1:])):
+        from fractions import Fraction
+
+        def exact(v):
+            c, x, y = (sum(Fraction(a) * Fraction(b) for a, b in zip(u, v)) for u in (center, e1, e2))
+            return x / c, y / c
+
+        order.sort(key=lambda i: exact(vecs[i]))
+
+    def left(i, j, k):
+        (ox, oy), (ax, ay), (bx, by) = points_2d[i], points_2d[j], points_2d[k]
+        turn = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+        if turn > flat or turn < -flat:
+            return turn > 0.0
+        o, a, b = vecs[i], vecs[j], vecs[k]
+        return _sign(o, a, b, _dot(_cross(o, a), b)) > 0
 
     def half(indices):
         kept: list[int] = []
         for i in indices:
-            while len(kept) >= 2 and cross(kept[-2], kept[-1], i) <= 0.0:
+            while len(kept) >= 2 and not left(kept[-2], kept[-1], i):
                 kept.pop()
             kept.append(i)
         return kept[:-1]
@@ -251,42 +287,71 @@ def _dedup(vectors):
     return kept
 
 
-def spherical_convex_hull(points: Sequence[tuple[float, float, float]]) -> SphericalHull:
-    """Minimal convex spherical polygon containing all points, unit vectors.
+class PointSet(NamedTuple):
+    """Distinct unit vectors, as the vertices of their hull, vecs, and their x's, y's and z's, comps.
 
-    Raises EmptyInput when points is empty and HemisphereViolation, whose
-    witness is in degrees, when the deduplicated set does not fit in the
-    open hemisphere around its normalized vector mean (see _center).
+    vecs and cap, a Cap over them (_cap), are None when they fail the hemisphere rule alone.
     """
-    if not points:
-        raise EmptyInput("cannot build a hull from zero points")
-    vecs = _dedup(points)
 
-    if len(vecs) == 1:
+    vecs: list | None
+    comps: tuple
+    cap: Cap | None
+
+
+def point_set(points) -> PointSet:
+    """points, deduplicated, as a PointSet of their own hull's vertices."""
+    vecs = _dedup(points)
+    comps = tuple(zip(*vecs))
+    center, lo = _center(vecs, comps=comps) if vecs else (None, -1.0)
+    if lo <= 1e-9:
+        return PointSet(None, comps, None)
+    return PointSet(vecs if len(vecs) < 3 else [vecs[i] for i in _planar_hull(center, vecs, lo)], comps, _cap(center, lo))
+
+
+def spherical_convex_hull(points) -> SphericalHull:
+    """Minimal convex spherical polygon containing all points, unit vectors, or all of a PointSet's.
+
+    Raises EmptyInput when there are none and HemisphereViolation, whose
+    witness is in degrees, when the deduplicated set does not fit in the
+    open hemisphere around its normalized vector mean c (see _center). A
+    PointSet's vecs, with c from its comps, decide this: any other point is
+    p = sum(l_i v_i) / |sum(l_i v_i)| with l_i >= 0, and |sum(l_i v_i)| <=
+    sum(l_i), so c.p >= min(c.v_i) when that is positive.
+    """
+    if not isinstance(points, PointSet):
+        vecs = _dedup(points)
+        points = PointSet(vecs, tuple(zip(*vecs)), None)
+    vecs, comps, _ = points
+    n = len(comps[0]) if comps else 0
+    if not n:
+        raise EmptyInput("cannot build a hull from zero points")
+
+    if n == 1:
         return SphericalHull(vertices=(vecs[0],))
 
-    center, lo = _center(vecs)
+    center, lo = _center(vecs, comps=comps)
     if lo <= 1e-9:
         # Witness: a, the vector least aligned with the center (any one without
-        # one), and b, the vector farthest from a. a's dot products sum to
-        # len(vecs) * |mean| * lo, or under len(vecs) * 1e-9 with no center,
-        # below a.a = 1 for fewer than 1e9 vectors, so some b has a.b < 0.
+        # one), and b, the vector farthest from a. a's dot products with the n
+        # points sum to n * |mean| * lo, or under n * 1e-9 with no center,
+        # below a.a = 1 for fewer than 1e9 points, so some point, and then
+        # some b in vecs (as above), has a.b < 0.
         a = vecs[0] if center is None else min(vecs, key=lambda v: _dot(center, v))
         b = min(vecs, key=lambda v: _dot(a, v))
         raise HemisphereViolation((unit_to_geo(a), unit_to_geo(b)), math.degrees(_angle(a, b)))
 
-    if len(vecs) == 2:
+    if n == 2:
         return SphericalHull(vertices=tuple(vecs))
 
-    e1, e2 = _tangent_basis(center)
-    return SphericalHull(vertices=tuple(vecs[i] for i in _planar_hull([_gnomonic(center, e1, e2, v) for v in vecs])))
+    return SphericalHull(vertices=tuple(vecs[i] for i in _planar_hull(center, vecs, lo)))
 
 
 def _sign(a, b, p, d) -> int:
-    """The sign of det[a, b, p] for unit a, b, p, given d, the float n.p of n = _normal(a, b).
+    """The sign of det[a, b, p] for unit a, b, p, given d, the float n.p of n = _normal(a, b) or (a x b).p.
 
     d's sign is taken beyond _SIGN_ERR, and det's is found exactly in
-    Fractions within it. The bound, with u = 2**-53: _normal computes
+    Fractions within it. The bound, with u = 2**-53: a float (a x b).p errs
+    by under 5 sqrt(3) u, and for n.p, _normal computes
     (b + a) x (b - a) = 2 a x b, rounding each sum (u) and each term of the
     cross product (2u), so a component errs by at most 4u times the sum of
     its terms' sizes, 8u |b + a| |b - a| in all. For unit a, b that is

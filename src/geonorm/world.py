@@ -8,8 +8,9 @@ Input formats (all UTF-8, header row required):
 
 load_world keeps each country's top city_limit cities, by population and
 then name, and no function after it takes a city limit. A WorldModel builds
-its table of per-country city caps (city_caps) when it is constructed, as a
-GeoPolygon builds its cap, so normal_set's city scan only reads it.
+its per-country cap tables when it is constructed, as a GeoPolygon builds its
+cap, so normal_set's scan only reads them, and each country's PointSet per
+mode on first use (WorldModel.point_set).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .errors import ParseError, UnknownCountry, ValidationError, utf8_error
-from .sphere import GeoPoint, GeoPolygon, _cap, _center, polygon_contains
+from .sphere import GeoPoint, GeoPolygon, PointSet, _cap, _center, _enclosing_cap, point_set, polygon_contains
 
 REGIONS = ("Africa", "Americas", "Asia", "Europe", "Oceania")
 
@@ -56,18 +57,38 @@ class CountryBorders:
 
 @dataclass(frozen=True)
 class WorldModel:
+    """Countries, borders and regions, with the caps normal_set reads, built with the world.
+
+    country_caps: per country, (iso2, center x, y, z, cos, sin) of a Cap holding its city cap and polygon caps,
+    that Cap, its city cap (None without cities), city vectors and polygons.
+    city_caps: (iso2, city cap, city vectors) per country with cities.
+    """
+
     countries: Mapping[str, CountryRecord]
     borders: Mapping[str, CountryBorders]
     region_of: Mapping[str, str]
-    # per country with cities: (iso2, the Cap over its city vectors, those vectors)
     city_caps: tuple = field(init=False, repr=False, compare=False)
+    country_caps: tuple = field(init=False, repr=False, compare=False)
+    _point_sets: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         rows = []
-        for iso2, rec in self.countries.items():
-            vecs = tuple(c.location.vec for c in rec.cities)
-            rows.append((iso2, _cap(*_center(vecs)), vecs))
-        object.__setattr__(self, "city_caps", tuple(rows))
+        for iso2 in [*self.countries, *(iso2 for iso2 in self.borders if iso2 not in self.countries)]:
+            vecs = tuple(c.location.vec for c in self.countries[iso2].cities) if iso2 in self.countries else ()
+            polygons = self.borders[iso2].polygons if iso2 in self.borders else ()
+            city_cap = _cap(*_center(vecs)) if vecs else None
+            center, _ = _center([*vecs, *(v for poly in polygons for ring in poly._ring_vecs for v in ring)])
+            cap = _enclosing_cap(center, [poly._cap for poly in polygons] + ([city_cap] if vecs else []))
+            rows.append((iso2, *(cap.center or (0.0, 0.0, 0.0)), cap.cos, cap.sin, cap, city_cap, vecs, polygons))
+        object.__setattr__(self, "country_caps", tuple(rows))
+        object.__setattr__(self, "city_caps", tuple((row[0], *row[7:9]) for row in rows if row[7]))
+
+    def point_set(self, iso2: str, mode: str) -> PointSet:
+        """sphere.point_set over country_points(self, iso2, mode), built once."""
+        found = self._point_sets.get((iso2, mode))
+        if found is None:
+            found = self._point_sets[iso2, mode] = point_set(country_points(self, iso2, mode))
+        return found
 
 
 def _open_binary(path):

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,21 @@ def real_world():
     return load_world(
         WORLD_DATA / "cities.csv", WORLD_DATA / "borders.geojson", WORLD_DATA / "regions.csv"
     )
+
+
+def write_gen_world(out, seed=1):
+    """Write perfbench/gen.py's world for seed under out, by the generator loaded from its path, unedited."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", REPO / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    # generate() draws the world first from Random(seed); the tables and corpora it draws next are not needed
+    gen.write_world(gen.make_world(random.Random(seed)), out)
+    return out
+
+
+@pytest.fixture(scope="session")
+def gen_world1_dir(tmp_path_factory):
+    return write_gen_world(tmp_path_factory.mktemp("gen_world1"), seed=1)
 
 
 @pytest.fixture(scope="session")

@@ -6,9 +6,11 @@ import sys
 
 import pytest
 
+import geonorm.normality as normality_mod
 from geonorm import cli
 from geonorm.cli import main
 from geonorm.pipeline import shard_ranges
+from geonorm.sphere import unit_to_geo
 from geonorm.synth import write_corpus
 
 from conftest import PIPELINE12, REPO, SMALLWORLD, SPECIAL_EDGES, WORLD_DATA, table_args, world_args
@@ -194,6 +196,21 @@ class TestNormalSet:
         doc = json.loads(target.read_text())
         assert doc["properties"]["kind"] == "arc"
         assert doc["geometry"]["coordinates"] == [[2.0, 2.0], [14.0, 2.0], [2.0, 2.0]]
+
+    @pytest.mark.parametrize("world, pair", [("smallworld", ("AA", "AC")), ("gen_world1", ("AA", "AF"))])
+    def test_export_hull_writes_the_hull_that_decided_the_set(self, world, pair, capsys, tmp_path, gen_world1_dir, monkeypatch):
+        built = []  # every hull normality builds: normal_set's first, then the exported one
+        hull_fn = normality_mod.spherical_convex_hull
+        monkeypatch.setattr(normality_mod, "spherical_convex_hull", lambda points: built.append(hull_fn(points)) or built[-1])
+        base = {"smallworld": SMALLWORLD, "gen_world1": gen_world1_dir}[world]
+        for mode in ("population", "border"):
+            built.clear()
+            target = tmp_path / f"{mode}.geojson"
+            code, _, _ = run(capsys, "normal-set", *world_args(base), *pair, "--mode", mode, "--export-hull", str(target))
+            assert code == 0 and len(built) == 2
+            ring = [unit_to_geo(v) for v in built[0].vertices]
+            expected = [[p.lon, p.lat] for p in ring + ring[:1]]
+            assert json.loads(target.read_text())["geometry"]["coordinates"] == expected
 
     def test_export_hull_to_a_missing_directory_is_one_error_line(self, capsys, tmp_path):
         target = tmp_path / "absent" / "h.json"

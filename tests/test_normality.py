@@ -8,7 +8,7 @@ from hypothesis import assume, given, strategies as st
 import geonorm.normality as normality_mod
 import geonorm.sphere as sphere_mod
 from geonorm.errors import HemisphereViolation, UnknownCountry
-from geonorm.normality import NormalSet, PairCache, classify, normal_set
+from geonorm.normality import NormalSet, PairCache, classify, normal_set, pair_hull
 from geonorm.sphere import (
     ANGLE_TOL,
     Cap,
@@ -714,3 +714,165 @@ class TestTraceContract:
                 calls.clear()
                 assert not normal_set(small_world, a, b, mode).unclassifiable
                 assert len(calls) == 1
+
+
+def two_city_world(a, b):
+    """A world of two countries, PA and PB, whose cities are the GeoPoints a and b."""
+    countries = {
+        iso2: CountryRecord(iso2=iso2, cities=tuple(City(f"{iso2} {k}", p, 1) for k, p in enumerate(pts)))
+        for iso2, pts in (("PA", a), ("PB", b))
+    }
+    return WorldModel(countries=countries, borders={}, region_of={"PA": "Africa", "PB": "Africa"})
+
+
+def _vertices_or_none(build):
+    try:
+        return build().vertices
+    except HemisphereViolation:
+        return None
+
+
+def _rotated(v, axis, ang):
+    """v turned by ang radians about the unit vector axis (Rodrigues)."""
+    k, c, s = axis, math.cos(ang), math.sin(ang)
+    kv, kxv = _dot(k, v), _cross(k, v)
+    return tuple(vi * c + ci * s + ki * kv * (1 - c) for vi, ci, ki in zip(v, kxv, k))
+
+
+@st.composite
+def country_pair(draw):
+    """(kind, cities of PA, cities of PB), GeoPoints. Kinds:
+
+    - far: two clusters of radius up to 16 degrees, their caps apart and centers up to 175 degrees apart;
+    - shared: PB repeats some of PA's cities, so their caps meet;
+    - tiny: clusters of 1 or 2 cities;
+    - fails_alone: PA is a dense cluster and one city 95 to 100 degrees off,
+      which fails the hemisphere rule alone; PB, between them, makes the pair pass;
+    - limit: two clusters turned apart until the pair's least dot product with
+      its mean is 1e-9, then by a few rounding steps more or less;
+    - collinear: PA's cities on the equator, whose vectors are exactly coplanar,
+      and PB a cluster off it, so the pair's hull has an edge with cities inside it.
+
+    Cluster cities may be snapped to whole degrees, which puts several on one
+    meridian or repeats them.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["far", "shared", "tiny", "fails_alone", "limit", "collinear"]))
+    snap = draw(st.booleans()) and kind not in ("limit", "fails_alone")
+    c1 = offset((0.0, 0.0, 1.0), rng.uniform(0, math.pi), rng)
+
+    def cluster(center, radius, n):
+        geo = [unit_to_geo(offset(center, radius * math.sqrt(rng.random()), rng)) for _ in range(n)]
+        return [GeoPoint(round(p.lat), round(p.lon)) for p in geo] if snap else geo
+
+    if kind == "fails_alone":
+        far = offset(c1, math.radians(rng.uniform(95, 100)), rng)
+        a = cluster(c1, math.radians(1), rng.randint(15, 25)) + [unit_to_geo(far)]
+        b = cluster(_turn(c1, far, math.radians(rng.uniform(50, 60))), math.radians(1), rng.randint(15, 25))
+        return kind, a, b
+    if kind == "limit":
+        a_vecs = [offset(c1, math.radians(1) * rng.random(), rng) for _ in range(rng.randint(1, 8))]
+        b_base = [offset(c1, math.radians(1) * rng.random(), rng) for _ in range(rng.randint(1, 8))]
+        axis = offset(c1, math.pi / 2, rng)
+
+        def pair_at(ang):
+            return [unit_to_geo(v) for v in a_vecs], [unit_to_geo(_rotated(v, axis, ang)) for v in b_base]
+
+        def fits(ang):
+            a, b = pair_at(ang)
+            return sphere_mod._center([p.vec for p in a + b])[1] > 1e-9
+
+        lo, hi = 0.0, math.pi
+        for _ in range(80):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        ang = lo + draw(st.integers(-4, 4)) * 1e-15
+        return kind, *pair_at(ang)
+    if kind == "collinear":
+        lon, step = rng.uniform(-180, 150), rng.uniform(0.01, 5)
+        a = [GeoPoint(0.0, lon + k * step) for k in range(rng.randint(3, 8))]
+        return kind, a, cluster(offset(GeoPoint(0.0, lon).vec, math.radians(rng.uniform(45, 80)), rng), math.radians(1), rng.randint(1, 6))
+    radius = 10 ** rng.uniform(-3, 1.2)
+    sizes = (rng.randint(1, 2), rng.randint(1, 2)) if kind == "tiny" else (rng.randint(1, 12), rng.randint(1, 12))
+    a = cluster(c1, math.radians(radius), sizes[0])
+    # apart by more than both radii and any snapping
+    b = cluster(offset(c1, math.radians(rng.uniform(2 * radius + 2, 175)), rng), math.radians(radius), sizes[1])
+    if kind == "shared":
+        b = b + rng.sample(a, rng.randint(1, len(a)))
+    return kind, a, b
+
+
+class TestPairHull:
+    """pair_hull over two cached PointSets against one hull over every point."""
+
+    @given(country_pair())
+    def test_same_hull_as_over_every_point(self, case):
+        kind, a, b = case
+        w = two_city_world(a, b)
+        pa, pb = w.point_set("PA", "population"), w.point_set("PB", "population")
+        cached = pa.vecs is not None and pb.vecs is not None and _apart(pa.cap.center, pa.cap.cos, pa.cap.sin, pb.cap)
+        assert cached == (kind not in ("shared", "fails_alone"))
+        expected = _vertices_or_none(lambda: spherical_convex_hull([p.vec for p in a + b]))
+        assert _vertices_or_none(lambda: pair_hull(w, "PA", "PB", "population")) == expected
+        if kind == "fails_alone":
+            assert pa.vecs is None and expected is not None
+
+    def test_the_mean_of_every_point_decides(self, gen_world1_dir):
+        # AX's border hull spans 10 of its 44 points and CU's 10 of 19; the mean
+        # of those 20 vertices alone would put every point in its hemisphere
+        w = load_at(gen_world1_dir, city_limit=1)
+        assert normal_set(w, "AX", "CU", "border").unclassifiable
+        ax, cu = w.point_set("AX", "border"), w.point_set("CU", "border")
+        assert _apart(ax.cap.center, ax.cap.cos, ax.cap.sin, cu.cap)
+        assert spherical_convex_hull(list(ax.vecs + cu.vecs)).degenerate_kind == "polygon"
+
+
+class TestCountryCaps:
+    @pytest.mark.parametrize("world_name", ["small_world", "real_world", "gen_world1"])
+    def test_every_city_and_polygon_cap_inside(self, world_name, gen_world1_dir):
+        w = load_at({**WORLD_DIRS, "gen_world1": gen_world1_dir}[world_name])
+        pruning = 0
+        for iso2, cx, cy, cz, cos, sin, cap, city_cap, vecs, polygons in w.country_caps:
+            assert (cap.center or (0.0, 0.0, 0.0), cap.cos, cap.sin) == ((cx, cy, cz), cos, sin)
+            assert vecs == (w.city_caps[list(w.countries).index(iso2)][2] if iso2 in w.countries else ())
+            assert polygons == (w.borders[iso2].polygons if iso2 in w.borders else ())
+            if cos == -math.inf:
+                continue
+            pruning += 1
+            center, radius = (cx, cy, cz), math.atan2(sin, cos)
+            assert all(_angle(center, v) <= radius for v in vecs)
+            inner = [poly._cap for poly in polygons] + ([city_cap] if city_cap else [])
+            assert all(_angle(center, c.center) + math.atan2(c.sin, c.cos) <= radius for c in inner)
+        assert pruning > len(w.country_caps) / 2
+
+    def test_worlds_share_no_point_sets(self):
+        one, three = load_at(SMALLWORLD_DIR, city_limit=1), load_at(SMALLWORLD_DIR, city_limit=3)
+        normal_set(one, "AA", "AB", "population")
+        normal_set(three, "AA", "AB", "population")
+        assert [len(w.point_set("AA", "population").comps[0]) for w in (one, three)] == [1, 3]
+        assert one._point_sets.keys() == three._point_sets.keys() and one._point_sets is not three._point_sets
+
+    def test_a_country_apart_from_the_hull_reaches_no_inner_cap(self, gen_world1_dir, monkeypatch):
+        w = load_at(gen_world1_dir)
+        owner = {id(cap): iso2 for iso2, cap, _ in w.city_caps}
+        owner.update((id(poly._cap), iso2) for iso2, cb in w.borders.items() for poly in cb.polygons)
+        reached = []
+        # pair_hull's own _apart, between two PointSet caps, owns no city or polygon cap
+        monkeypatch.setattr(normality_mod, "_apart", lambda c, cos, sin, cap: reached.append(owner.get(id(cap))) or _apart(c, cos, sin, cap))
+        rng = random.Random(5)
+        far_total = 0
+        for a, b in rng.sample(list(itertools.combinations(sorted(w.countries), 2)), 60):
+            for mode in ("population", "border"):
+                try:
+                    hull_cap = _hull_cap(pair_hull(w, a, b, mode))
+                except HemisphereViolation:
+                    continue
+                reached.clear()
+                normal_set(w, a, b, mode)
+                far = {
+                    iso2 for iso2, cx, cy, cz, cos, sin, *_ in w.country_caps
+                    if _apart(hull_cap.center, hull_cap.cos, hull_cap.sin, Cap((cx, cy, cz), cos, sin))
+                }
+                far_total += len(far)
+                assert not far & set(reached)
+        assert far_total > 60 * 2 * len(w.country_caps) / 2

@@ -141,6 +141,26 @@ class TestHullConstruction:
             norm = math.sqrt(sum(c * c for c in mid))
             assert hull_contains(h, tuple(c / norm for c in mid))
 
+    def test_points_tied_in_projected_x_give_an_exact_hull(self):
+        # 2 to 5 points on a line of one projected x, their float x's tied within rounding so that
+        # Fractions order them, and 1 to 4 points anywhere: every turn of the ring is left and every
+        # point on its inner side, by exact signs, and the other input order gives the same ring
+        rng = random.Random(7)
+        for _ in range(200):
+            c = _normalized(tuple(rng.gauss(0, 1) for _ in range(3)))
+            e1, e2 = sphere_mod._tangent_basis(c)
+            at = lambda x, y: _normalized(tuple(ci + x * a + y * b for ci, a, b in zip(c, e1, e2)))
+            x = rng.choice([-0.2, 0.0, 0.3])
+            pts = [at(x, rng.uniform(-0.3, 0.3)) for _ in range(rng.randint(2, 5))]
+            pts += [at(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)) for _ in range(rng.randint(1, 4))]
+            lo = min(_dot(c, v) for v in pts)
+            ring = [pts[i] for i in sphere_mod._planar_hull(c, pts, lo)]
+            n = len(ring)
+            assert n < 3 or all(_exact_sign(ring[k - 1], ring[k], ring[(k + 1) % n]) > 0 for k in range(n))
+            assert all(_exact_sign(ring[k], ring[(k + 1) % n], p) >= 0 for k in range(n) for p in pts)
+            backwards = pts[::-1]
+            assert [backwards[i] for i in sphere_mod._planar_hull(c, backwards, lo)] == ring
+
     def test_antipodal_pair_raises_with_witness(self):
         with pytest.raises(HemisphereViolation) as exc:
             spherical_convex_hull([GeoPoint(0, 0).vec, GeoPoint(0, 180).vec])
