@@ -6,12 +6,12 @@ inside it (see sphere._meets). A pair whose combined point set spans more
 than a hemisphere is unclassifiable: "between" has no meaning there, and
 callers must keep such paths out of normality statistics rather than guessing.
 
-pair_hull builds the hull over the two countries' PointSets, cut to their
-own hulls' vertices, which decide the hull and the hemisphere rule as all
-points would (see sphere.spherical_convex_hull). The scan passes over a
-country, its cities or a polygon whose cap (sphere.Cap, built with the world:
-WorldModel.country_caps and city_caps, GeoPolygon._cap) is apart from the
-hull's. Against a polygon hull, sphere._cap_in_hull then settles most other
+pair_hull builds every pair's hull over the two countries' PointSets, each
+cut to its own hull's vertices unless it fails the hemisphere rule alone, with
+the mean of each one's own points (see sphere.spherical_convex_hull). The
+scan passes over a country, its cities or a polygon whose cap (sphere.Cap,
+built with the world: WorldModel.country_caps, GeoPolygon._cap) is apart from
+the hull's. Against a polygon hull, sphere._cap_in_hull then settles most other
 caps whole: one inside makes a member, one outside is passed over. Every test
 so skipped would give the answer taken, so membership is exactly that of an
 unpruned scan.
@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 from .errors import HemisphereViolation, UnknownCountry
-from .sphere import PointSet, _apart, _cap_in_hull, _hull_cap, _meets, hull_contains, spherical_convex_hull
-from .world import WorldModel, country_points
+from .sphere import PointSet, _apart, _cap_in_hull, _dedup, _hull_cap, _meets, hull_contains, spherical_convex_hull
+from .world import WorldModel
 
 @dataclass(frozen=True)
 class NormalSet:
@@ -95,20 +95,18 @@ def normal_set(w: WorldModel, src: str, dst: str, mode: str = "population") -> N
 def pair_hull(w: WorldModel, src: str, dst: str, mode: str):
     """The hull over both countries' points in mode, by one spherical_convex_hull call; may raise HemisphereViolation.
 
-    It is built over their PointSets when both have a hull and their caps are
-    apart, so that no point of one dedups against the other, else over every point.
+    It is built over their PointSets' vecs, deduplicated together only when their caps meet, with the
+    mean of each one's own deduplicated points: a point both hold counts once for each.
     """
     a, b = w.point_set(src, mode), w.point_set(dst, mode)
-    if a.vecs is not None and b.vecs is not None and _apart(a.cap.center, a.cap.cos, a.cap.sin, b.cap):
-        return spherical_convex_hull(PointSet(a.vecs + b.vecs, tuple(x + y for x, y in zip(a.comps, b.comps)), None))
-    return spherical_convex_hull(country_points(w, src, mode) + country_points(w, dst, mode))
+    vecs = a.vecs + b.vecs if _apart(a.cap.center, a.cap.cos, a.cap.sin, b.cap) else _dedup(a.vecs + b.vecs)
+    return spherical_convex_hull(PointSet(vecs, tuple(x + y for x, y in zip(a.comps, b.comps))))
 
 
 def _suggest(w: WorldModel, iso2: str):
     import difflib
 
-    known = sorted(set(w.countries) | set(w.borders))
-    return difflib.get_close_matches(iso2, known, n=3, cutoff=0.5)
+    return difflib.get_close_matches(iso2, sorted(w.countries), n=3, cutoff=0.5)
 
 
 def classify(ns: NormalSet, path_countries) -> PathVerdict:

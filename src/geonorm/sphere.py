@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import EmptyInput, HemisphereViolation, ValidationError
@@ -126,8 +125,8 @@ class Cap:
     sin: float
 
 
-def _center(vecs, more=(), comps=None):
-    """(c, lo): c the normalized mean of vecs, or of the set of a PointSet's comps, lo the least c.v over vecs and more.
+def _center(vecs, comps=None):
+    """(c, lo): c the normalized mean of vecs, or of the points whose x's, y's and z's are comps, lo the least c.v over vecs.
 
     (None, -1.0) when the mean is shorter than 1e-9. The vectors lie in the
     open hemisphere around c exactly when lo > 1e-9. fsum rounds each sum
@@ -140,7 +139,7 @@ def _center(vecs, more=(), comps=None):
     if norm < 1e-9:
         return None, -1.0
     cx, cy, cz = mx / norm, my / norm, mz / norm
-    return (cx, cy, cz), min(cx * v[0] + cy * v[1] + cz * v[2] for v in chain(vecs, more))
+    return (cx, cy, cz), min(cx * v[0] + cy * v[1] + cz * v[2] for v in vecs)
 
 
 def _cap(center, lo) -> Cap:
@@ -288,24 +287,25 @@ def _dedup(vectors):
 
 
 class PointSet(NamedTuple):
-    """Distinct unit vectors, as the vertices of their hull, vecs, and their x's, y's and z's, comps.
+    """Distinct unit vectors by the vertices of their hull, vecs; the x's, y's and z's of every point, comps; and cap.
 
-    vecs and cap, a Cap over them (_cap), are None when they fail the hemisphere rule alone.
+    vecs holds every vector when they fail the hemisphere rule (see _center),
+    and cap, a Cap over them (_cap), then never prunes, as does the default.
     """
 
-    vecs: list | None
+    vecs: list
     comps: tuple
-    cap: Cap | None
+    cap: Cap = Cap(None, -math.inf, 1.0)
 
 
 def point_set(points) -> PointSet:
-    """points, deduplicated, as a PointSet of their own hull's vertices."""
+    """points, deduplicated, as a PointSet of their own hull's vertices, or of them all when they fail the rule."""
     vecs = _dedup(points)
-    comps = tuple(zip(*vecs))
+    comps = tuple(zip(*vecs)) or ((), (), ())
     center, lo = _center(vecs, comps=comps) if vecs else (None, -1.0)
-    if lo <= 1e-9:
-        return PointSet(None, comps, None)
-    return PointSet(vecs if len(vecs) < 3 else [vecs[i] for i in _planar_hull(center, vecs, lo)], comps, _cap(center, lo))
+    if lo > 1e-9 and len(vecs) > 2:
+        vecs = [vecs[i] for i in _planar_hull(center, vecs, lo)]
+    return PointSet(vecs, comps, _cap(center, lo))
 
 
 def spherical_convex_hull(points) -> SphericalHull:
@@ -314,19 +314,18 @@ def spherical_convex_hull(points) -> SphericalHull:
     Raises EmptyInput when there are none and HemisphereViolation, whose
     witness is in degrees, when the deduplicated set does not fit in the
     open hemisphere around its normalized vector mean c (see _center). A
-    PointSet's vecs, with c from its comps, decide this: any other point is
-    p = sum(l_i v_i) / |sum(l_i v_i)| with l_i >= 0, and |sum(l_i v_i)| <=
-    sum(l_i), so c.p >= min(c.v_i) when that is positive.
+    PointSet's vecs, distinct and holding its hull's vertices, with c from its comps, decide this:
+    any other point is p = sum(l_i v_i) / |sum(l_i v_i)| with l_i >= 0, and
+    |sum(l_i v_i)| <= sum(l_i), so c.p >= min(c.v_i) when that is positive.
     """
     if not isinstance(points, PointSet):
         vecs = _dedup(points)
-        points = PointSet(vecs, tuple(zip(*vecs)), None)
+        points = PointSet(vecs, tuple(zip(*vecs)))
     vecs, comps, _ = points
-    n = len(comps[0]) if comps else 0
-    if not n:
+    if not vecs:
         raise EmptyInput("cannot build a hull from zero points")
 
-    if n == 1:
+    if len(vecs) == 1:
         return SphericalHull(vertices=(vecs[0],))
 
     center, lo = _center(vecs, comps=comps)
@@ -340,7 +339,7 @@ def spherical_convex_hull(points) -> SphericalHull:
         b = min(vecs, key=lambda v: _dot(a, v))
         raise HemisphereViolation((unit_to_geo(a), unit_to_geo(b)), math.degrees(_angle(a, b)))
 
-    if n == 2:
+    if len(vecs) == 2:
         return SphericalHull(vertices=tuple(vecs))
 
     return SphericalHull(vertices=tuple(vecs[i] for i in _planar_hull(center, vecs, lo)))
@@ -483,7 +482,7 @@ class GeoPolygon:
             if len({(p.lat, p.lon) for p in ring}) < 3:
                 raise ValidationError("each ring needs at least 3 distinct points")
         rings = tuple(tuple(p.vec for p in ring) for ring in self.rings)
-        center, lo = _center(rings[0], [v for ring in rings[1:] for v in ring])
+        center, lo = _center([v for ring in rings for v in ring], comps=tuple(zip(*rings[0])))
         if lo <= 1e-9:
             raise ValidationError("polygon ring spans a hemisphere or more")
         object.__setattr__(self, "_ring_vecs", rings)

@@ -8,9 +8,9 @@ Input formats (all UTF-8, header row required):
 
 load_world keeps each country's top city_limit cities, by population and
 then name, and no function after it takes a city limit. A WorldModel builds
-its per-country cap tables when it is constructed, as a GeoPolygon builds its
-cap, so normal_set's scan only reads them, and each country's PointSet per
-mode on first use (WorldModel.point_set).
+its per-country cap table, country_caps, when it is constructed, so
+normal_set's scan only reads it, and each country's PointSet per mode on
+first use (WorldModel.point_set), from which pair_hull builds every hull.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping
 
 from .errors import ParseError, UnknownCountry, ValidationError, utf8_error
@@ -59,15 +58,14 @@ class CountryBorders:
 class WorldModel:
     """Countries, borders and regions, with the caps normal_set reads, built with the world.
 
-    country_caps: per country, (iso2, center x, y, z, cos, sin) of a Cap holding its city cap and polygon caps,
-    that Cap, its city cap (None without cities), city vectors and polygons.
-    city_caps: (iso2, city cap, city vectors) per country with cities.
+    country_caps, the one table normal_set scans: per country, (iso2, center
+    x, y, z, cos, sin) of a Cap holding its city cap and polygon caps, that
+    Cap, its city cap (None without cities), city vectors and polygons.
     """
 
     countries: Mapping[str, CountryRecord]
     borders: Mapping[str, CountryBorders]
     region_of: Mapping[str, str]
-    city_caps: tuple = field(init=False, repr=False, compare=False)
     country_caps: tuple = field(init=False, repr=False, compare=False)
     _point_sets: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -81,10 +79,9 @@ class WorldModel:
             cap = _enclosing_cap(center, [poly._cap for poly in polygons] + ([city_cap] if vecs else []))
             rows.append((iso2, *(cap.center or (0.0, 0.0, 0.0)), cap.cos, cap.sin, cap, city_cap, vecs, polygons))
         object.__setattr__(self, "country_caps", tuple(rows))
-        object.__setattr__(self, "city_caps", tuple((row[0], *row[7:9]) for row in rows if row[7]))
 
     def point_set(self, iso2: str, mode: str) -> PointSet:
-        """sphere.point_set over country_points(self, iso2, mode), built once."""
+        """sphere.point_set over country_points(self, iso2, mode), built once: the vecs and cap pair_hull reads."""
         found = self._point_sets.get((iso2, mode))
         if found is None:
             found = self._point_sets[iso2, mode] = point_set(country_points(self, iso2, mode))
@@ -197,13 +194,12 @@ def _ring_from_coords(coords, path, where):
 
 
 def _load_borders(path):
+    with _open_binary(path) as fh:
+        data = fh.read()  # once: a pipe cannot be read again to locate a bad byte
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise ParseError(str(path), 0, f"cannot open: {e.strerror}") from e
+        doc = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError:
-        raise utf8_error(path, Path(path).read_bytes()) from None
+        raise utf8_error(path, data) from None
     except json.JSONDecodeError as e:
         raise ParseError(str(path), e.lineno, f"invalid JSON: {e.msg}") from None
     except (ValueError, RecursionError) as e:  # an over-long integer, or nesting too deep

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from geonorm.enrichment import Enrichment, load_as_registry, load_geo_table, load_origin_table
+from geonorm.errors import HemisphereViolation
 from geonorm.sphere import GeoPoint, _cross, _normalized
 from geonorm.world import load_world
 
@@ -86,6 +87,14 @@ def star_ring(rng, lat, lon, radius, n):
         r = radius * rng.uniform(0.5, 1.0)
         ring.append(GeoPoint(lat + r * math.sin(theta), lon + r * math.cos(theta)))
     return tuple(ring)
+
+
+def vertices_or_none(build):
+    """The vertices of the hull build() returns, or None when it raises HemisphereViolation."""
+    try:
+        return build().vertices
+    except HemisphereViolation:
+        return None
 
 
 def offset(c, angle, rng):

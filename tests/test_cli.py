@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 
@@ -168,6 +169,18 @@ class TestNormalSet:
         code, out, err = run(capsys, "normal-set", *world_args(), "AX", "AB")
         assert code == 1
         assert "AX" in err and "did you mean" in err
+
+    def test_a_borders_only_code_is_not_suggested(self, capsys, tmp_path):
+        # ZQ has border polygons but no cities, so no pair has it as an endpoint, and it is no suggestion for itself
+        doc = json.loads((SMALLWORLD / "borders.geojson").read_text())
+        ring = [[30, 0], [34, 0], [34, 4], [30, 4], [30, 0]]
+        geometry = {"type": "Polygon", "coordinates": [ring]}
+        doc["features"].append({"type": "Feature", "properties": {"iso2": "ZQ"}, "geometry": geometry})
+        (tmp_path / "borders.geojson").write_text(json.dumps(doc))
+        (tmp_path / "regions.csv").write_text((SMALLWORLD / "regions.csv").read_text() + "ZQ,Africa\n")
+        shutil.copy(SMALLWORLD / "cities.csv", tmp_path)
+        code, _, err = run(capsys, "normal-set", "--mode", "border", *world_args(tmp_path), "ZQ", "AA")
+        assert (code, err) == (1, "error: unknown country code 'ZQ'\n")
 
     def test_border_mode_names_a_country_without_borders(self, capsys, tmp_path):
         # AA keeps its cities but loses its border polygons: it is known, so the error must not call it unknown

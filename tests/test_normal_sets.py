@@ -11,18 +11,24 @@ ANGLE_TOL decides (test_a_border_vertex_within_the_tolerance_is_a_member).
 Each holds unclassifiable border-mode pairs that a mean over the two
 countries' hull vertices alone, not over all their points, would classify:
 4 in seed 1, 2 in seed 5 and 5 in seed 9.
+
+pair_hull is also pinned against the hull over every point of both
+countries on the builds whose two PointSet caps meet, where it deduplicates
+their vertices together.
 """
 
 import hashlib
 import itertools
+import math
 
 import pytest
 
 import geonorm.sphere as sphere_mod
-from geonorm.normality import normal_set
-from geonorm.world import load_world
+from geonorm.normality import normal_set, pair_hull
+from geonorm.sphere import _apart, spherical_convex_hull
+from geonorm.world import country_points, load_world
 
-from conftest import SMALLWORLD, WORLD_DATA, write_gen_world
+from conftest import SMALLWORLD, WORLD_DATA, vertices_or_none, write_gen_world
 
 # world: (city limits, builds per limit, unclassifiable per limit, sha256 of the dump)
 PINNED = {
@@ -66,3 +72,28 @@ def test_a_border_vertex_within_the_tolerance_is_a_member(tmp_path, monkeypatch)
     # with no tolerance the same build leaves BN out
     monkeypatch.setattr(sphere_mod, "ANGLE_TOL", 0.0)
     assert "BN" not in normal_set(w, "AA", "DB", "population").countries
+
+
+# world: (city limit, modes, builds whose caps meet: with a cap that never prunes, and the rest)
+MEETING = {"data_world": (15, ("border",), (0, 4)), "gen_seed1": (1, ("population", "border"), (555, 26))}
+
+
+@pytest.mark.parametrize("world", sorted(MEETING))
+def test_pair_hull_is_the_hull_over_every_point(world, gen_world1_dir):
+    # every data/world border pair, and the seed-1 builds whose caps meet: a
+    # country failing the hemisphere rule alone, whose cap never prunes, or
+    # caps that overlap, as where two countries share border vertices
+    base = {"data_world": WORLD_DATA, "gen_seed1": gen_world1_dir}[world]
+    city_limit, modes, counts = MEETING[world]
+    w = load_world(base / "cities.csv", base / "borders.geojson", base / "regions.csv", city_limit)
+    seen = [0, 0]
+    for a, b in itertools.combinations(sorted(w.countries), 2):
+        for mode in modes:
+            pa, pb = w.point_set(a, mode), w.point_set(b, mode)
+            if not _apart(pa.cap.center, pa.cap.cos, pa.cap.sin, pb.cap):
+                seen[-math.inf not in (pa.cap.cos, pb.cap.cos)] += 1
+            elif world == "gen_seed1":
+                continue
+            every_point = country_points(w, a, mode) + country_points(w, b, mode)
+            assert vertices_or_none(lambda: pair_hull(w, a, b, mode)) == vertices_or_none(lambda: spherical_convex_hull(every_point))
+    assert tuple(seen) == counts

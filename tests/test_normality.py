@@ -13,11 +13,13 @@ from geonorm.sphere import (
     ANGLE_TOL,
     Cap,
     GeoPoint,
+    PointSet,
     _angle,
     _apart,
     _arc_meets,
     _cap_in_hull,
     _cross,
+    _dedup,
     _dot,
     _hull_cap,
     _meets,
@@ -32,7 +34,7 @@ from geonorm.world import (
     load_world,
 )
 
-from conftest import SMALLWORLD as SMALLWORLD_DIR, WORLD_DATA, offset, star_ring
+from conftest import SMALLWORLD as SMALLWORLD_DIR, WORLD_DATA, offset, star_ring, vertices_or_none
 
 WORLD_DIRS = {"small_world": SMALLWORLD_DIR, "real_world": WORLD_DATA}
 
@@ -327,7 +329,7 @@ class TestCapPruningOracle:
     def test_grid_world_decides_caps_both_ways(self, monkeypatch):
         # the oracle above reaches both answers of the edge half-space test, for city caps and polygon caps
         w = grid_world()
-        city_caps = {id(cap) for _, cap, _ in w.city_caps}
+        city_caps = {id(row[7]) for row in w.country_caps if row[7]}
         seen = set()
 
         def counted(hull, cap):
@@ -349,7 +351,7 @@ class TestCapPruningOracle:
             iso2="ZZ", cities=(City("ZZ 0", GeoPoint(-3.0, 20.0), 2), City("ZZ 1", GeoPoint(3.0, -160.0), 1))
         )
         w = WorldModel(countries=countries, borders=w.borders, region_of={c: "Africa" for c in countries})
-        assert w.city_caps[-1][1].center is None
+        assert [row[7].center for row in w.country_caps if row[0] == "ZZ"] == [None]
         sets = [
             normal_set(w, a, b, mode)
             for a, b in itertools.combinations(sorted(w.borders), 2)
@@ -468,24 +470,24 @@ class TestFrames:
 class TestCityCaps:
     def test_one_table_per_world_and_city_limit(self, small_world):
         w = load_at(SMALLWORLD_DIR, city_limit=2)
-        table = w.city_caps
-        assert [len(vecs) for _, _, vecs in table] == [min(2, len(rec.cities)) for rec in small_world.countries.values()]
+        table = w.country_caps
+        assert [len(row[8]) for row in table] == [min(2, len(rec.cities)) for rec in small_world.countries.values()]
         for a, b in itertools.combinations(sorted(w.countries), 2):
             for mode in ("population", "border"):
                 normal_set(w, a, b, mode)
-        assert w.city_caps is table  # builds read the table and add none
+        assert w.country_caps is table  # builds read the table and add none
 
     def test_worlds_do_not_share_tables(self, small_world):
         load_at(SMALLWORLD_DIR, city_limit=1)
-        assert [len(vecs) for _, _, vecs in small_world.city_caps] == [len(rec.cities) for rec in small_world.countries.values()]
+        assert [len(row[8]) for row in small_world.country_caps] == [len(rec.cities) for rec in small_world.countries.values()]
         assert max(len(rec.cities) for rec in small_world.countries.values()) > 1
 
     def test_a_directly_built_world_carries_the_table(self):
         w = grid_world()
-        assert [iso2 for iso2, _, _ in w.city_caps] == list(w.countries)
-        for (iso2, cap, vecs), rec in zip(w.city_caps, w.countries.values()):
+        assert [row[0] for row in w.country_caps] == list(w.countries)
+        for (*_, city_cap, vecs, _), rec in zip(w.country_caps, w.countries.values()):
             assert vecs == tuple(c.location.vec for c in rec.cities)
-            assert all(_dot(cap.center, v) >= cap.cos for v in vecs)
+            assert all(_dot(city_cap.center, v) >= city_cap.cos for v in vecs)
 
 
 def _unit(lat, lon):
@@ -725,13 +727,6 @@ def two_city_world(a, b):
     return WorldModel(countries=countries, borders={}, region_of={"PA": "Africa", "PB": "Africa"})
 
 
-def _vertices_or_none(build):
-    try:
-        return build().vertices
-    except HemisphereViolation:
-        return None
-
-
 def _rotated(v, axis, ang):
     """v turned by ang radians about the unit vector axis (Rodrigues)."""
     k, c, s = axis, math.cos(ang), math.sin(ang)
@@ -810,12 +805,44 @@ class TestPairHull:
         kind, a, b = case
         w = two_city_world(a, b)
         pa, pb = w.point_set("PA", "population"), w.point_set("PB", "population")
-        cached = pa.vecs is not None and pb.vecs is not None and _apart(pa.cap.center, pa.cap.cos, pa.cap.sin, pb.cap)
-        assert cached == (kind not in ("shared", "fails_alone"))
-        expected = _vertices_or_none(lambda: spherical_convex_hull([p.vec for p in a + b]))
-        assert _vertices_or_none(lambda: pair_hull(w, "PA", "PB", "population")) == expected
+        apart = _apart(pa.cap.center, pa.cap.cos, pa.cap.sin, pb.cap)
+        assert apart == (kind not in ("shared", "fails_alone"))
+        # the reference: every point of each country, deduplicated on its own; the mean over both lists
+        da, db = _dedup([p.vec for p in a]), _dedup([p.vec for p in b])
+        expected = vertices_or_none(lambda: spherical_convex_hull(PointSet(_dedup(da + db), tuple(zip(*da, *db)))))
+        assert vertices_or_none(lambda: pair_hull(w, "PA", "PB", "population")) == expected
         if kind == "fails_alone":
-            assert pa.vecs is None and expected is not None
+            assert pa.cap.cos == -math.inf and pa.vecs == da and expected is not None
+
+    def test_coinciding_cities_give_a_point_hull(self):
+        # PA's and PB's only cities are one point; PC holds it among others, so the scan tests PC against the hull
+        w = WorldModel(
+            countries={
+                iso2: CountryRecord(iso2=iso2, cities=tuple(City(f"{iso2} {k}", GeoPoint(*p), 1) for k, p in enumerate(pts)))
+                for iso2, pts in (("PA", [(0, 0)]), ("PB", [(0, 0)]), ("PC", [(-1, 0), (0, 0), (1, 0)]))
+            },
+            borders={},
+            region_of={"PA": "Africa", "PB": "Africa", "PC": "Africa"},
+        )
+        assert pair_hull(w, "PA", "PB", "population").vertices == (GeoPoint(0, 0).vec,)
+        assert normal_set(w, "PA", "PB", "population").countries == {"PA", "PB", "PC"}
+        # the two PointSets' vecs taken together, not deduplicated, give an arc with no normal
+        pa, pb = w.point_set("PA", "population"), w.point_set("PB", "population")
+        assert spherical_convex_hull(PointSet(pa.vecs + pb.vecs, tuple(zip(*pa.vecs, *pb.vecs))))._edges[0][2] is None
+
+    def test_a_country_without_points(self):
+        # a directly built world may hold a country with borders but no cities: its population PointSet is empty.
+        # PB's four hull vertices fail the rule around their own mean; with its 40 cities near (0, 85) they pass it.
+        ring = [(0, 0), (0, 175), (5, 170), (-5, 170)] + [(0.025 * k - 0.5, 85) for k in range(40)]
+        cities = tuple(City(f"PB {k}", GeoPoint(*p), 1) for k, p in enumerate(ring))
+        w = WorldModel(
+            countries={"PA": CountryRecord("PA", ()), "PB": CountryRecord("PB", cities)},
+            borders={"PA": CountryBorders("PA", (GeoPolygon(rings=(_square(5, 5, 6, 6),)),))},
+            region_of={"PA": "Africa", "PB": "Africa"},
+        )
+        pa = w.point_set("PA", "population")
+        assert (pa.vecs, pa.cap.cos) == ([], -math.inf)
+        assert pair_hull(w, "PA", "PB", "population") == spherical_convex_hull(country_points(w, "PB", "population"))
 
     def test_the_mean_of_every_point_decides(self, gen_world1_dir):
         # AX's border hull spans 10 of its 44 points and CU's 10 of 19; the mean
@@ -834,7 +861,7 @@ class TestCountryCaps:
         pruning = 0
         for iso2, cx, cy, cz, cos, sin, cap, city_cap, vecs, polygons in w.country_caps:
             assert (cap.center or (0.0, 0.0, 0.0), cap.cos, cap.sin) == ((cx, cy, cz), cos, sin)
-            assert vecs == (w.city_caps[list(w.countries).index(iso2)][2] if iso2 in w.countries else ())
+            assert vecs == (tuple(c.location.vec for c in w.countries[iso2].cities) if iso2 in w.countries else ())
             assert polygons == (w.borders[iso2].polygons if iso2 in w.borders else ())
             if cos == -math.inf:
                 continue
@@ -854,7 +881,7 @@ class TestCountryCaps:
 
     def test_a_country_apart_from_the_hull_reaches_no_inner_cap(self, gen_world1_dir, monkeypatch):
         w = load_at(gen_world1_dir)
-        owner = {id(cap): iso2 for iso2, cap, _ in w.city_caps}
+        owner = {id(row[7]): row[0] for row in w.country_caps if row[7]}
         owner.update((id(poly._cap), iso2) for iso2, cb in w.borders.items() for poly in cb.polygons)
         reached = []
         # pair_hull's own _apart, between two PointSet caps, owns no city or polygon cap
