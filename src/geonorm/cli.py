@@ -378,16 +378,17 @@ def cmd_normal_set(cfg: RunConfig, src: str, dst: str, modes, export_hull: str |
     w = _load_world(cfg)
     for mode in modes:
         ns = normal_set(w, src, dst, mode)
-        path = None
-        if export_hull and not ns.unclassifiable and src != dst:
-            path = Path(export_hull)
-            if len(modes) > 1:
-                path = path.with_name(f"{path.stem}_{mode}{path.suffix}")
-            _export_hull(w, src, dst, mode, path)  # before printing, so that a failed write prints nothing
         label = "unclassifiable (pair spans more than a hemisphere)" if ns.unclassifiable else ", ".join(sorted(ns.countries))
-        print(f"{mode}: {label}")
-        if path:
-            print(f"hull ring written to {path}")
+        lines = [f"{mode}: {label}"]
+        if export_hull:
+            path = Path(export_hull)
+            path = path.with_name(f"{path.stem}_{mode}{path.suffix}") if len(modes) > 1 else path
+            why = ("a single-country pair has no hull" if src == dst
+                   else "the pair spans more than a hemisphere" if ns.unclassifiable else None)
+            if why is None:
+                _export_hull(w, src, dst, mode, path)  # before printing, so that a failed write prints nothing
+            lines.append(f"no hull ring written to {path}: {why}" if why else f"hull ring written to {path}")
+        print("\n".join(lines))
     return 0
 
 
@@ -406,11 +407,11 @@ def _export_hull(w, src, dst, mode, path):
         raise GeonormError(f"cannot write the hull ring to {path}: {e.strerror}") from None
 
 
-def cmd_classify_one(cfg: RunConfig, line: str) -> int:
+def cmd_classify_one(cfg: RunConfig, line: str, source: str = "<line>") -> int:
     _require(cfg, "cities", "borders", "regions", "geo_table", "origin_table", "as_registry")
     w = _load_world(cfg)
     enrichment = _load_enrichment(cfg)
-    rec = parse_traceroute_line(line)
+    rec = parse_traceroute_line(line, source=source)
     print(f"src {rec.src_ip} -> dst {rec.dst_ip}, {len(rec.hops)} raw hops")
     for hop in rec.hops:
         if hop.ip is None:
@@ -534,14 +535,14 @@ def _run(args) -> int:
         modes = MODES if args.both_modes else (cfg.mode,)
         return cmd_normal_set(cfg, args.src, args.dst, modes, export_hull=args.export_hull)
     if args.command == "classify-one":
-        line = args.line
-        if line == "-":
-            raw = sys.stdin.buffer.readline()
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise utf8_error("<stdin>", raw) from None
-        return cmd_classify_one(cfg, line)
+        if args.line != "-":
+            return cmd_classify_one(cfg, args.line)
+        raw = sys.stdin.buffer.readline()
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise utf8_error("<stdin>", raw) from None
+        return cmd_classify_one(cfg, line, source="<stdin>")
     if args.command == "validate-world":
         return cmd_validate_world(cfg)
     raise AssertionError(f"unhandled command {args.command}")

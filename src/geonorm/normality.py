@@ -6,15 +6,15 @@ inside it (see sphere._meets). A pair whose combined point set spans more
 than a hemisphere is unclassifiable: "between" has no meaning there, and
 callers must keep such paths out of normality statistics rather than guessing.
 
-pair_hull builds every pair's hull over the two countries' PointSets, each
-cut to its own hull's vertices unless it fails the hemisphere rule alone, with
-the mean of each one's own points (see sphere.spherical_convex_hull). The
-scan passes over a country, its cities or a polygon whose cap (sphere.Cap,
-built with the world: WorldModel.country_caps, GeoPolygon._cap) is apart from
-the hull's. Against a polygon hull, sphere._cap_in_hull then settles most other
-caps whole: one inside makes a member, one outside is passed over. Every test
-so skipped would give the answer taken, so membership is exactly that of an
-unpruned scan.
+pair_hull builds every pair's hull, ring and cap by sphere._hull_ring, over
+the union of the two countries' PointSets, each cut to its own hull's vertices
+unless it fails the hemisphere rule alone, with the mean of each one's own
+points. The scan passes over a country, its cities or a polygon whose cap
+(sphere.Cap, built with the world: WorldModel.country_caps, GeoPolygon._cap)
+is apart from the hull's. Against a polygon hull, sphere._cap_in_hull then
+settles most other caps whole: one inside makes a member, one outside is
+passed over. Every test so skipped would give the answer taken, so
+membership is exactly that of an unpruned scan.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 from .errors import HemisphereViolation, UnknownCountry
-from .sphere import PointSet, _apart, _cap_in_hull, _dedup, _hull_cap, _meets, hull_contains, spherical_convex_hull
+from .sphere import _apart, _cap_in_hull, _meets, hull_contains, spherical_convex_hull
 from .world import WorldModel
 
 @dataclass(frozen=True)
@@ -66,9 +66,8 @@ def normal_set(w: WorldModel, src: str, dst: str, mode: str = "population") -> N
 
     members = {src, dst}
     # unpacked once, so that the loop below tests it on local floats
-    hull_cap = _hull_cap(hull)
-    hull_center, hull_cos, hull_sin = hull_cap.center, hull_cap.cos, hull_cap.sin
-    hx, hy, hz = hull_center or (0.0, 0.0, 0.0)  # no center: hull_cos is -inf, which never prunes
+    hull_center, hull_cos, hull_sin = hull.cap.center, hull.cap.cos, hull.cap.sin
+    hx, hy, hz = hull_center
     for iso2, cx, cy, cz, cos, sin, cap, city_cap, vecs, polygons in w.country_caps:
         # the country's cap apart from the hull's (sphere._apart, inlined): none of its cities or polygons can meet it
         if (hull_cos + cos > 0.0 and hx * cx + hy * cy + hz * cz < hull_cos * cos - hull_sin * sin) or iso2 in members:
@@ -93,20 +92,14 @@ def normal_set(w: WorldModel, src: str, dst: str, mode: str = "population") -> N
 
 
 def pair_hull(w: WorldModel, src: str, dst: str, mode: str):
-    """The hull over both countries' points in mode, by one spherical_convex_hull call; may raise HemisphereViolation.
-
-    It is built over their PointSets' vecs, deduplicated together only when their caps meet, with the
-    mean of each one's own deduplicated points: a point both hold counts once for each.
-    """
-    a, b = w.point_set(src, mode), w.point_set(dst, mode)
-    vecs = a.vecs + b.vecs if _apart(a.cap.center, a.cap.cos, a.cap.sin, b.cap) else _dedup(a.vecs + b.vecs)
-    return spherical_convex_hull(PointSet(vecs, tuple(x + y for x, y in zip(a.comps, b.comps))))
+    """The hull over both countries' points in mode, over the union of their PointSets; may raise HemisphereViolation."""
+    return spherical_convex_hull(w.point_set(src, mode).union(w.point_set(dst, mode)))
 
 
 def _suggest(w: WorldModel, iso2: str):
     import difflib
 
-    return difflib.get_close_matches(iso2, sorted(w.countries), n=3, cutoff=0.5)
+    return difflib.get_close_matches(iso2.upper(), sorted(w.countries), n=3, cutoff=0.5)
 
 
 def classify(ns: NormalSet, path_countries) -> PathVerdict:

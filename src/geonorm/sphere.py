@@ -3,8 +3,8 @@
 Everything here takes and returns unit vectors, plain (x, y, z) tuples;
 degrees stop at GeoPoint and unit_to_geo. A hull is the planar convex hull
 of the points' gnomonic projection at their normalized mean, exact when
-every point lies in the open hemisphere around it, which one rule (_center)
-decides for hulls and border polygons alike.
+every point lies in the open hemisphere around it. _hull_ring decides that
+rule and builds each hull's ring and cap; GeoPolygon shares its floor.
 
 ANGLE_TOL is the one tolerance, a distance: two shapes meet when they share
 a point or come within ANGLE_TOL of each other. The side of a great circle
@@ -37,6 +37,9 @@ ANGLE_TOL = 1e-7
 
 # Chord-distance slack for input dedup.
 DEDUP_TOL = 1e-9
+
+# The hemisphere rule: unit vectors fit the open hemisphere around their normalized mean c when every c.v exceeds this.
+HEMISPHERE_FLOOR = 1e-9
 
 # Rounding slack (radians) of bounding caps, not a tolerance: it absorbs the
 # rounding behind cap radii and cap tests (at most ~3e-8 rad) with room to spare.
@@ -128,15 +131,15 @@ class Cap:
 def _center(vecs, comps=None):
     """(c, lo): c the normalized mean of vecs, or of the points whose x's, y's and z's are comps, lo the least c.v over vecs.
 
-    (None, -1.0) when the mean is shorter than 1e-9. The vectors lie in the
-    open hemisphere around c exactly when lo > 1e-9. fsum rounds each sum
-    once, so a set's mean does not depend on the order of its points.
+    (None, -1.0) when the mean is shorter than HEMISPHERE_FLOOR. The vectors lie in the open
+    hemisphere around c exactly when lo > HEMISPHERE_FLOOR. fsum rounds each sum once, so a
+    set's mean does not depend on the order of its points.
     """
     comps = comps or tuple(zip(*vecs))
     n = len(comps[0])
     mx, my, mz = (math.fsum(c) / n for c in comps)
     norm = math.sqrt(mx * mx + my * my + mz * mz)
-    if norm < 1e-9:
+    if norm < HEMISPHERE_FLOOR:
         return None, -1.0
     cx, cy, cz = mx / norm, my / norm, mz / norm
     return (cx, cy, cz), min(cx * v[0] + cy * v[1] + cz * v[2] for v in vecs)
@@ -243,12 +246,14 @@ class SphericalHull:
     """Convex region on the sphere: vertices form a ring, counterclockwise as seen from outside.
 
     Degenerate point sets give a one-vertex "point" or two-vertex "arc" hull.
-    _edges holds (a, b, n = _normal(a, b)) per edge, as GeoPolygon._edges
-    does: none for a point, one for an arc, one per side of a polygon, whose
-    interior has n.p >= 0.
+    cap (see _hull_ring), around the mean the ring was projected at, is left
+    out of equality. _edges holds (a, b, n = _normal(a, b)) per edge, as
+    GeoPolygon._edges does: none for a point, one for an arc, one per side
+    of a polygon, whose interior has n.p >= 0.
     """
 
     vertices: tuple[tuple[float, float, float], ...]
+    cap: Cap = field(compare=False, repr=False)
     _edges: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -289,60 +294,65 @@ def _dedup(vectors):
 class PointSet(NamedTuple):
     """Distinct unit vectors by the vertices of their hull, vecs; the x's, y's and z's of every point, comps; and cap.
 
-    vecs holds every vector when they fail the hemisphere rule (see _center),
-    and cap, a Cap over them (_cap), then never prunes, as does the default.
+    cap is their hull's (see _hull_ring), but when they fail the hemisphere
+    rule or are none, vecs lists every vector and cap never prunes, as does the default.
     """
 
-    vecs: list
+    vecs: tuple | list
     comps: tuple
     cap: Cap = Cap(None, -math.inf, 1.0)
 
-
-def point_set(points) -> PointSet:
-    """points, deduplicated, as a PointSet of their own hull's vertices, or of them all when they fail the rule."""
-    vecs = _dedup(points)
-    comps = tuple(zip(*vecs)) or ((), (), ())
-    center, lo = _center(vecs, comps=comps) if vecs else (None, -1.0)
-    if lo > 1e-9 and len(vecs) > 2:
-        vecs = [vecs[i] for i in _planar_hull(center, vecs, lo)]
-    return PointSet(vecs, comps, _cap(center, lo))
+    def union(self, other: PointSet) -> PointSet:
+        """Both sets' points, with no cap, for a pair's hull; comps joined axis by axis count a point both hold once for each."""
+        vecs = [*self.vecs, *other.vecs]
+        # two vectors within DEDUP_TOL of each other lie in both caps, so only sets whose caps meet can share one
+        vecs = vecs if _apart(self.cap.center, self.cap.cos, self.cap.sin, other.cap) else _dedup(vecs)
+        return PointSet(vecs, tuple(x + y for x, y in zip(self.comps, other.comps)))
 
 
-def spherical_convex_hull(points) -> SphericalHull:
-    """Minimal convex spherical polygon containing all points, unit vectors, or all of a PointSet's.
+def _hull_ring(vecs, comps):
+    """(ring, cap) of the hull of distinct unit vectors vecs, by the mean c of comps, every point's x's, y's and z's, or of vecs.
 
-    Raises EmptyInput when there are none and HemisphereViolation, whose
-    witness is in degrees, when the deduplicated set does not fit in the
-    open hemisphere around its normalized vector mean c (see _center). A
-    PointSet's vecs, distinct and holding its hull's vertices, with c from its comps, decide this:
-    any other point is p = sum(l_i v_i) / |sum(l_i v_i)| with l_i >= 0, and
-    |sum(l_i v_i)| <= sum(l_i), so c.p >= min(c.v_i) when that is positive.
+    ring lists the hull's vertices, counterclockwise (_planar_hull), or vecs
+    when they are a point or an arc; cap (_cap) holds the hull and every
+    point within ANGLE_TOL of it. Raises EmptyInput without vecs, and
+    HemisphereViolation, whose witness is in degrees, when the least c.v over
+    vecs is HEMISPHERE_FLOOR or less. vecs holding the vertices of every
+    point's hull decide this for all: any other point is p = sum(l_i v_i) /
+    |sum(l_i v_i)| with l_i >= 0, and |sum(l_i v_i)| <= sum(l_i), so c.p >=
+    min(c.v_i) when that is positive.
     """
-    if not isinstance(points, PointSet):
-        vecs = _dedup(points)
-        points = PointSet(vecs, tuple(zip(*vecs)))
-    vecs, comps, _ = points
     if not vecs:
         raise EmptyInput("cannot build a hull from zero points")
-
-    if len(vecs) == 1:
-        return SphericalHull(vertices=(vecs[0],))
-
     center, lo = _center(vecs, comps=comps)
-    if lo <= 1e-9:
+    if lo <= HEMISPHERE_FLOOR:
         # Witness: a, the vector least aligned with the center (any one without
         # one), and b, the vector farthest from a. a's dot products with the n
-        # points sum to n * |mean| * lo, or under n * 1e-9 with no center,
-        # below a.a = 1 for fewer than 1e9 points, so some point, and then
-        # some b in vecs (as above), has a.b < 0.
+        # points sum to n * |mean| * lo, or under n * HEMISPHERE_FLOOR with no
+        # center, below a.a = 1 for fewer than 1e9 points, so some point, and
+        # then some b in vecs (as above), has a.b < 0.
         a = vecs[0] if center is None else min(vecs, key=lambda v: _dot(center, v))
         b = min(vecs, key=lambda v: _dot(a, v))
         raise HemisphereViolation((unit_to_geo(a), unit_to_geo(b)), math.degrees(_angle(a, b)))
+    ring = tuple(vecs) if len(vecs) < 3 else tuple(vecs[i] for i in _planar_hull(center, vecs, lo))
+    return ring, _cap(center, lo)
 
-    if len(vecs) == 2:
-        return SphericalHull(vertices=tuple(vecs))
 
-    return SphericalHull(vertices=tuple(vecs[i] for i in _planar_hull(center, vecs, lo)))
+def point_set(points) -> PointSet:
+    """points, deduplicated, as a PointSet of their own hull's vertices and cap, or of them all (see PointSet)."""
+    vecs = _dedup(points)
+    comps = tuple(zip(*vecs)) or ((), (), ())
+    try:
+        ring, cap = _hull_ring(vecs, comps)
+    except (EmptyInput, HemisphereViolation):
+        return PointSet(vecs, comps)
+    return PointSet(ring, comps, cap)
+
+
+def spherical_convex_hull(points) -> SphericalHull:
+    """Minimal convex spherical polygon containing all points, unit vectors, or all of a PointSet's; raises as _hull_ring."""
+    vecs, comps = (points.vecs, points.comps) if isinstance(points, PointSet) else (_dedup(points), None)
+    return SphericalHull(*_hull_ring(vecs, comps))
 
 
 def _sign(a, b, p, d) -> int:
@@ -434,11 +444,6 @@ def hull_contains(h: SphericalHull, p) -> bool:
     return inside or any(_near_arc(p, a, b, n) for a, b, n in h._edges)
 
 
-def _hull_cap(hull: SphericalHull) -> Cap:
-    """The cap over the hull vertices (_cap), outside which hull_contains accepts nothing."""
-    return _cap(*_center(hull.vertices))
-
-
 def _cap_in_hull(hull: SphericalHull, cap: Cap):
     """True when a polygon hull accepts every point of cap, False when it accepts none, else None.
 
@@ -483,7 +488,7 @@ class GeoPolygon:
                 raise ValidationError("each ring needs at least 3 distinct points")
         rings = tuple(tuple(p.vec for p in ring) for ring in self.rings)
         center, lo = _center([v for ring in rings for v in ring], comps=tuple(zip(*rings[0])))
-        if lo <= 1e-9:
+        if lo <= HEMISPHERE_FLOOR:
             raise ValidationError("polygon ring spans a hemisphere or more")
         object.__setattr__(self, "_ring_vecs", rings)
         object.__setattr__(self, "_cap", _cap(center, lo))
@@ -521,7 +526,7 @@ def polygon_contains(poly: GeoPolygon, p) -> bool:
     cap = poly._cap
     d = _dot(cap.center, p)
     # cheap rejection outside the bounding cap, before any projection is built
-    if d < cap.cos or d <= 1e-9:
+    if d < cap.cos or d <= HEMISPHERE_FLOOR:
         return False
     e1, e2, rings_2d = poly._frame
     if _even_odd(rings_2d, _dot(e1, p) / d, _dot(e2, p) / d):

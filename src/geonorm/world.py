@@ -10,7 +10,7 @@ load_world keeps each country's top city_limit cities, by population and
 then name, and no function after it takes a city limit. A WorldModel builds
 its per-country cap table, country_caps, when it is constructed, so
 normal_set's scan only reads it, and each country's PointSet per mode on
-first use (WorldModel.point_set), from which pair_hull builds every hull.
+first use (WorldModel.point_set); pair_hull hulls two joined by their union.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -170,6 +171,11 @@ class TestNormalSet:
         assert code == 1
         assert "AX" in err and "did you mean" in err
 
+    def test_a_lowercase_code_suggests_its_uppercase(self, capsys):
+        code, out, err = run(capsys, "normal-set", *world_args(), "aa", "AD")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unknown country code 'aa' (did you mean: AA")
+
     def test_a_borders_only_code_is_not_suggested(self, capsys, tmp_path):
         # ZQ has border polygons but no cities, so no pair has it as an endpoint, and it is no suggestion for itself
         doc = json.loads((SMALLWORLD / "borders.geojson").read_text())
@@ -231,6 +237,22 @@ class TestNormalSet:
         assert code == 1 and out == ""  # the hull is written before the normal set is printed
         assert err == f"error: cannot write the hull ring to {target}: No such file or directory\n"
 
+    @pytest.mark.parametrize("world, argv, expected", [
+        ("smallworld", ["AA", "AA", "--both-modes"], [
+            "population: AA", "no hull ring written to {dir}/h_population.json: a single-country pair has no hull",
+            "border: AA", "no hull ring written to {dir}/h_border.json: a single-country pair has no hull",
+        ]),
+        ("gen_world1", ["AX", "CU", "--mode", "border", "--city-limit", "1"], [
+            "border: unclassifiable (pair spans more than a hemisphere)",
+            "no hull ring written to {dir}/h.json: the pair spans more than a hemisphere",
+        ]),
+    ], ids=["single-country", "unclassifiable"])
+    def test_export_hull_says_why_it_writes_no_file(self, world, argv, expected, capsys, tmp_path, gen_world1_dir):
+        base = {"smallworld": SMALLWORLD, "gen_world1": gen_world1_dir}[world]
+        code, out, _ = run(capsys, "normal-set", *world_args(base), *argv, "--export-hull", str(tmp_path / "h.json"))
+        assert (code, list(tmp_path.iterdir())) == (0, [])
+        assert out.splitlines() == [line.format(dir=tmp_path) for line in expected]
+
     def test_boundary_step_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["normal-set", *world_args(), "AA", "AC", "--boundary-step", "0.05"])
@@ -271,6 +293,15 @@ class TestClassifyOne:
         assert b"physical: non-normal, benefactors: AB" in good.stdout
         bad = subprocess.run(argv, env=env, input=b'{"src_ip": "\xff"}\n', capture_output=True, timeout=120)
         assert (bad.returncode, bad.stderr) == (1, b"error: <stdin>:1: invalid UTF-8 byte 0xff at column 13\n")
+
+    @pytest.mark.parametrize("stdin, message", [
+        (b"", "invalid JSON at column 1: Expecting value"),
+        (b'{"src_ip": "1.2.3.4"}\n', "missing field 'dst_ip'"),
+    ], ids=["json", "field"])
+    def test_stdin_line_errors_name_stdin(self, capsys, monkeypatch, stdin, message):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8"))
+        code, out, err = run(capsys, "classify-one", *world_args(), *table_args(), "-")
+        assert (code, out, err) == (1, "", f"error: <stdin>:1: {message}\n")
 
 
 class TestAnalyze:
@@ -675,9 +706,8 @@ class TestClosedStdout:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen([sys.executable, "-m", "geonorm.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         proc.stdout.close()  # before the child can print, so its first write fails
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=120) == 1
-        assert err == ""
+        _, err = proc.communicate(timeout=120)  # reads stderr to the end, then closes it
+        assert (proc.returncode, err) == (1, b"")
         if argv[0] == "analyze":
             assert tree(tmp_path) == tree(PIPELINE12 / "expected")
 

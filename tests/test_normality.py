@@ -21,10 +21,10 @@ from geonorm.sphere import (
     _cross,
     _dedup,
     _dot,
-    _hull_cap,
     _meets,
     _normalized,
     hull_contains,
+    point_set,
     polygon_contains,
     spherical_convex_hull,
     unit_to_geo,
@@ -574,7 +574,7 @@ def hull_and_probes(draw):
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     hull = _hull_of(_hull_shape(draw, rng, ["cloud", "sliver", "rhombus", "arc", "point"]))
-    cap = _hull_cap(hull)
+    cap = hull.cap
     center, floor = cap.center, cap.cos
     vts = hull.vertices
     probes = [tuple(-x for x in center)]
@@ -606,7 +606,7 @@ class TestHullCap:
     @given(hull_and_probes())
     def test_skipped_vectors_are_outside_the_hull(self, case):
         hull, probes = case
-        cap = _hull_cap(hull)
+        cap = hull.cap
         center, floor = cap.center, cap.cos
         for p in probes:
             if _dot(center, p) < floor:
@@ -614,7 +614,7 @@ class TestHullCap:
 
     def test_fat_hull_prunes(self):
         hull = _hull_of([_unit(0, 0), _unit(0, 10), _unit(10, 0)])
-        cap = _hull_cap(hull)
+        cap = hull.cap
         center, floor = cap.center, cap.cos
         assert math.cos(math.radians(8)) < floor
         assert _dot(center, _unit(-2, -2)) < floor
@@ -626,7 +626,7 @@ class TestHullCap:
         apex = (math.cos(half * 1e-4), 0.0, math.sin(half * 1e-4))
         hull = _hull_of([(math.cos(half), -math.sin(half), 0.0), (math.cos(half), math.sin(half), 0.0), apex])
         assert hull.degenerate_kind == "polygon"
-        cap = _hull_cap(hull)
+        cap = hull.cap
         antipode = tuple(-x for x in cap.center)
         assert not hull_contains(hull, antipode)
         assert _dot(cap.center, antipode) < cap.cos and math.acos(cap.cos) < 2 * half
@@ -635,7 +635,7 @@ class TestHullCap:
         hull = _hull_of([(1.0, 0.0, 0.0), (math.cos(ANGLE_TOL / 2), math.sin(ANGLE_TOL / 2), 0.0)])
         assert hull.degenerate_kind == "arc"
         assert not hull_contains(hull, (-1.0, 0.0, 0.0))
-        cap = _hull_cap(hull)
+        cap = hull.cap
         assert _dot(cap.center, (-1.0, 0.0, 0.0)) < cap.cos and math.acos(cap.cos) < 1e-5
 
 
@@ -854,6 +854,36 @@ class TestPairHull:
         assert spherical_convex_hull(list(ax.vecs + cu.vecs)).degenerate_kind == "polygon"
 
 
+class TestHullRing:
+    """The one hull routine behind point_set, spherical_convex_hull and pair_hull: one ring and one cap per point set."""
+
+    @pytest.mark.parametrize("city_limit", [1, DEFAULT_CITY_LIMIT])
+    @pytest.mark.parametrize("world_name", ["small_world", "real_world", "gen_world1"])
+    def test_point_set_and_pair_hull_agree_with_the_hull(self, world_name, city_limit, gen_world1_dir):
+        w = load_at({**WORLD_DIRS, "gen_world1": gen_world1_dir}[world_name], city_limit)
+        pairs = list(itertools.combinations(sorted(w.countries), 2))
+        if world_name == "gen_world1":  # a seeded sample; smallworld and data/world hold no pair that fails the rule
+            pairs = random.Random(3).sample(pairs, 300)
+        fits = [0, 0]
+        for a, b in pairs:
+            for mode in ("population", "border"):
+                points = country_points(w, a, mode) + country_points(w, b, mode)
+                ps = point_set(points)
+                try:
+                    hull = spherical_convex_hull(points)
+                except HemisphereViolation:
+                    fits[0] += 1
+                    assert (ps.vecs, ps.cap) == (_dedup(points), Cap(None, -math.inf, 1.0))
+                    with pytest.raises(HemisphereViolation):
+                        pair_hull(w, a, b, mode)
+                    continue
+                fits[1] += 1
+                assert (tuple(ps.vecs), ps.cap) == (hull.vertices, hull.cap)
+                built = pair_hull(w, a, b, mode)
+                assert all(_dot(built.cap.center, v) >= built.cap.cos for v in built.vertices)
+        assert fits[1] > 0 and (fits[0] > 0) == (world_name == "gen_world1")
+
+
 class TestCountryCaps:
     @pytest.mark.parametrize("world_name", ["small_world", "real_world", "gen_world1"])
     def test_every_city_and_polygon_cap_inside(self, world_name, gen_world1_dir):
@@ -891,7 +921,7 @@ class TestCountryCaps:
         for a, b in rng.sample(list(itertools.combinations(sorted(w.countries), 2)), 60):
             for mode in ("population", "border"):
                 try:
-                    hull_cap = _hull_cap(pair_hull(w, a, b, mode))
+                    hull_cap = pair_hull(w, a, b, mode).cap
                 except HemisphereViolation:
                     continue
                 reached.clear()
