@@ -1,18 +1,16 @@
 """IP-to-country and IP-to-origin-AS resolution via longest-prefix match.
 
-Addresses are handled as (version, int) pairs: each one is parsed once and
-every table probe works on the integer. A record's endpoints are parsed
-while the record is checked and looked up with PrefixTable.probe; a hop
-address is parsed by Enrichment.resolve, and only when its memo does not
-hold the address. Tables are immutable after load.
-Addresses in SPECIAL_RANGES, a frozen special-purpose table, never resolve,
-whatever the tables say: router interfaces in those ranges carry no
-geographic meaning.
+Addresses are (version, int) pairs, each parsed once. Tables load through
+parse_cidr, with no ipaddress object for the common addr/len spelling, and
+are immutable. Hops in SPECIAL_RANGES, a frozen special-purpose table, never
+resolve: router interfaces there carry no geographic meaning.
 
-Table rows load as (version, prefix length, network int) through parse_cidr,
-which builds no ipaddress object for the common addr/len spelling. Router
-addresses recur across paths, so Enrichment.resolve memoises address text ->
-HopResolution per process, up to RESOLVE_CAP entries.
+An Enrichment cuts each family at the first address of every prefix of the
+geo table, the origin table and SPECIAL_RANGES, and just past its last
+(range search on prefixes: Lampson, Srinivasan and Varghese, "IP lookups
+using multiway and multicolumn search", 1998). Each prefix holds a whole
+elementary interval or misses it, so a hop or an endpoint is one bisect, and
+an interval is filled on its first hit by resolve_hop's probes at its start.
 
 Input formats (UTF-8, header row required):
   geo table    csv: cidr,iso2
@@ -23,6 +21,7 @@ Input formats (UTF-8, header row required):
 from __future__ import annotations
 
 import ipaddress
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -32,9 +31,6 @@ from .errors import ConflictError, ParseError
 from .world import _check_iso2, _read_csv
 
 _MAXLEN = {4: 32, 6: 128}
-
-# Addresses Enrichment.resolve remembers before it clears its memo and starts over
-RESOLVE_CAP = 4096
 
 
 def parse_ip(text: str) -> tuple[int, int]:
@@ -139,31 +135,13 @@ SPECIAL_RANGES = (
     "f000::/5", "f800::/6", "fc00::/7", "fe00::/9", "fe80::/10", "ff00::/8",
 )
 
-
-def _special_table():
-    """(PrefixTable of SPECIAL_RANGES, version -> first-octet gate).
-
-    The gate holds one byte per leading octet, set when some range overlaps
-    that octet, so most public addresses skip the probe.
-    """
-    table = PrefixTable()
-    gates = {4: bytearray(256), 6: bytearray(256)}
-    for cidr in SPECIAL_RANGES:
-        version, prefixlen, network = parse_cidr(cidr)
-        table._insert(version, prefixlen, network, True, "error", cidr)
-        shift, host_bits = _MAXLEN[version] - 8, _MAXLEN[version] - prefixlen
-        first, last = network >> shift, (network | ((1 << host_bits) - 1)) >> shift
-        gates[version][first:last + 1] = b"\1" * (last - first + 1)
-    return table, {version: bytes(gate) for version, gate in gates.items()}
-
-
-_SPECIAL, _GATES = _special_table()
+_SPECIAL = PrefixTable()
+for _cidr in SPECIAL_RANGES:
+    _SPECIAL._insert(*parse_cidr(_cidr), True, "error", _cidr)
 
 
 def is_special(version: int, value: int) -> bool:
     """True when the address (version, value) is in SPECIAL_RANGES."""
-    if not _GATES[version][value >> (_MAXLEN[version] - 8)]:
-        return False
     return _SPECIAL.probe(version, value) is not None
 
 
@@ -175,7 +153,10 @@ class HopResolution(NamedTuple):
 
 def resolve_hop(geo: PrefixTable, origin: PrefixTable, registry: Mapping[int, str], ip: str) -> HopResolution:
     """Resolve one hop address string; unknowns are values, never guessed."""
-    version, value = parse_ip(ip)
+    return _resolve_at(geo, origin, registry, *parse_ip(ip))
+
+
+def _resolve_at(geo, origin, registry, version, value) -> HopResolution:
     if is_special(version, value):
         return HopResolution(None, None, None)
     asn = origin.probe(version, value)
@@ -227,18 +208,37 @@ def load_as_registry(path) -> dict[int, str]:
 
 @dataclass(frozen=True)
 class Enrichment:
-    """The three lookup tables a pipeline run needs, with a per-process resolution memo."""
+    """The three lookup tables a pipeline run needs, cut into elementary intervals per family."""
 
     geo: PrefixTable
     origin: PrefixTable
     registry: Mapping[int, str]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # version -> (sorted interval starts, per interval None until its first hit, then (HopResolution, geo country))
+    _intervals: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        intervals = {}
+        for version in (4, 6):
+            starts = {0}
+            for host_bits, bucket in (*self.geo._probes[version], *self.origin._probes[version], *_SPECIAL._probes[version]):
+                starts.update([key << host_bits for key in bucket], [key + 1 << host_bits for key in bucket])
+            intervals[version] = sorted(starts), [None] * len(starts)
+        object.__setattr__(self, "_intervals", intervals)
+
+    def _fill(self, version: int, i: int) -> tuple[HopResolution, str | None]:
+        starts, slots = self._intervals[version]
+        slots[i] = _resolve_at(self.geo, self.origin, self.registry, version, starts[i]), self.geo.probe(version, starts[i])
+        return slots[i]
 
     def resolve(self, ip: str, timestamp=None) -> HopResolution:
-        """resolve_hop over the bundled tables, memoised; timestamp is accepted and ignored."""
-        res = self._memo.get(ip)
-        if res is None:
-            if len(self._memo) >= RESOLVE_CAP:
-                self._memo.clear()
-            res = self._memo[ip] = resolve_hop(self.geo, self.origin, self.registry, ip)
-        return res
+        """resolve_hop over the bundled tables; timestamp is accepted and ignored."""
+        version, value = parse_ip(ip)
+        starts, slots = self._intervals[version]
+        i = bisect_right(starts, value) - 1
+        return (slots[i] or self._fill(version, i))[0]
+
+    def locate(self, version: int, value: int) -> str | None:
+        """geo.probe(version, value): an endpoint's geo country, special range or not."""
+        starts, slots = self._intervals[version]
+        i = bisect_right(starts, value) - 1
+        return (slots[i] or self._fill(version, i))[1]

@@ -2,13 +2,12 @@
 
 analyze reads each NDJSON line straight into its PathSignature with
 path_signature: the line is decoded and checked, each endpoint is parsed
-once and looked up, each responsive hop is resolved through the
-per-process memo, which parses only addresses it has not seen, and the
-signature's country and AS sets are built as the hops go by, with no
-per-hop objects. Hops whose physical country or origin AS is unknown are
-dropped, which makes every verdict a lower bound on the countries a path
-exposes traffic to. Consecutive duplicate (country, ASN) tuples compress to
-one.
+once and located, each responsive hop is parsed and resolved with one
+bisect over the enrichment's elementary intervals, and the signature's
+country and AS sets are built as the hops go by, with no per-hop objects.
+Hops whose physical country or origin AS is unknown are dropped, which
+makes every verdict a lower bound on the countries a path exposes traffic
+to. Consecutive duplicate (country, ASN) tuples compress to one.
 
 A path's verdicts and every report counter it moves depend only on its
 PathSignature, so analyze classifies each distinct signature once.
@@ -173,11 +172,10 @@ def path_signature(line: str, enrichment: Enrichment, source: str = "<line>", li
 
     Equal to signature(to_tuple_path(parse_traceroute_line(line), enrichment))
     and raises the same ParseError, but in one pass: each endpoint is parsed
-    once and probed as (version, value), each responsive hop goes straight
-    to enrichment.resolve, whose memo parses only addresses it has not seen,
-    and the signature's sets are built as the hops are read. Every check
-    runs before a skip is decided, so a bad line is an error even when its
-    source is unresolvable or it has no hops.
+    once and located as (version, value), each responsive hop goes straight
+    to enrichment.resolve, and the signature's sets are built as the hops
+    are read. Every check runs before a skip is decided, so a bad line is an
+    error even when its source is unresolvable or it has no hops.
     """
     doc, src, dst = _fields(line, source, line_no)
     physical, legal, ases = set(), set(), set()
@@ -199,11 +197,10 @@ def path_signature(line: str, enrichment: Enrichment, source: str = "<line>", li
     _check_timestamp(doc["timestamp"], source, line_no)
     if not doc["hops"]:
         return "empty_path"
-    probe = enrichment.geo.probe
-    src_country = probe(*src)
+    src_country = enrichment.locate(*src)
     if src_country is None:
         return "unresolved_source"
-    dst_country = probe(*dst)
+    dst_country = enrichment.locate(*dst)
     if dst_country is None:
         return "unresolved_destination"
     return PathSignature(src_country, dst_country, frozenset(physical), frozenset(legal), tuple_len, len(ases))

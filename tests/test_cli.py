@@ -1,10 +1,15 @@
+import bisect
+import csv
+import gc
 import io
+import ipaddress
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -712,29 +717,82 @@ class TestClosedStdout:
             assert tree(tmp_path) == tree(PIPELINE12 / "expected")
 
 
+class TestBoundedMemory:
+    # the tracemalloc peak of analyze's record pass may grow by at most this much from N to 4N records;
+    # at the working fold it grew 2.6 kB from 500 to 2,000 synth records, and 158 kB when the fold kept its counts
+    SLACK = 32 * 1024
+
+    def test_record_pass_peak_does_not_grow_with_the_corpus(self, capsys, tmp_path, monkeypatch, small_enrichment):
+        from geonorm.pipeline import path_signature
+
+        monkeypatch.setattr(cli, "SIGNATURE_CAP", 64)
+        corpora = {}
+        for n in (100, 500, 2000):
+            corpora[n] = tmp_path / f"synth{n}.ndjson"
+            write_corpus(corpora[n], n, seed=3)
+        lines = corpora[500].read_text().splitlines()
+        # more distinct signatures and hop addresses than the cap, so the counts fold several times
+        assert len({path_signature(line, small_enrichment) for line in lines}) > 3 * cli.SIGNATURE_CAP
+        assert len({h["ip"] for line in lines for h in json.loads(line)["hops"]}) > 1000
+
+        peaks, real_map = [], cli._map_shards
+
+        def measured(run_shard, ranges):
+            # only the record pass: loading the inputs and writing the report do not depend on the corpus size
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            results = real_map(run_shard, ranges)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            return results
+
+        monkeypatch.setattr(cli, "_map_shards", measured)
+        tracemalloc.start()
+        try:
+            for n in corpora:  # the first run meets the process's first-use state: imports and caches
+                code, _, err = run(capsys, "analyze", *world_args(), *table_args(), "--traceroutes", str(corpora[n]),
+                                   "--output-dir", str(tmp_path / f"out{n}"), "--workers", "1")
+                assert code == 0, err
+        finally:
+            tracemalloc.stop()
+        _, small, large = peaks
+        assert large - small < self.SLACK, (small, large)
+
+
 class TestResolveOnce:
-    def test_one_resolution_per_distinct_router(self, capsys, tmp_path, monkeypatch):
+    def test_one_fill_per_interval(self, capsys, tmp_path, monkeypatch):
+        # 45 routers fall in a few elementary intervals of the tables, and each interval resolves once
         from geonorm import enrichment
 
         rng = random.Random(4)
         routers = [f"{a}.{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(1, 255)}" for a in (20, 30, 40) for _ in range(15)]
+        endpoints = ["20.1.0.1", "30.1.0.1"]
         lines = []
         for i in range(400):
             hops = [{"ttl": t, "ip": rng.choice(routers + [None])} for t in range(1, rng.randint(2, 9))]
-            lines.append(json.dumps({"src_ip": "20.1.0.1", "dst_ip": "30.1.0.1", "timestamp": 1518048000 + i, "hops": hops}))
+            lines.append(json.dumps({"src_ip": endpoints[0], "dst_ip": endpoints[1], "timestamp": 1518048000 + i, "hops": hops}))
         corpus = tmp_path / "traces.ndjson"
         corpus.write_text("\n".join(lines) + "\n")
-        distinct = {h["ip"] for line in lines for h in json.loads(line)["hops"] if h["ip"] is not None}
-        calls = []
-        real = enrichment.resolve_hop
-        monkeypatch.setattr(enrichment, "resolve_hop", lambda *args: calls.append(args[-1]) or real(*args))
+        cidrs = [*enrichment.SPECIAL_RANGES]
+        for name in ("geo.csv", "origin.csv"):
+            with open(SMALLWORLD / name, newline="") as fh:
+                cidrs += [row["cidr"] for row in csv.DictReader(fh)]
+        nets = [ipaddress.ip_network(c) for c in cidrs if ipaddress.ip_network(c).version == 4]
+        starts = sorted({0} | {int(n.network_address) for n in nets} | {int(n.broadcast_address) + 1 for n in nets})
+        used = {h["ip"] for line in lines for h in json.loads(line)["hops"] if h["ip"] is not None} | set(endpoints)
+        intervals = {starts[bisect.bisect_right(starts, int(ipaddress.ip_address(ip))) - 1] for ip in used}
+        fills = []
+        real = enrichment._resolve_at
+        monkeypatch.setattr(enrichment, "_resolve_at", lambda *args: fills.append(args[-2:]) or real(*args))
         code, _, _ = run(capsys, "analyze", *world_args(), *table_args(), "--traceroutes", str(corpus),
                          "--output-dir", str(tmp_path / "out"), "--workers", "1")
         assert code == 0
-        assert sorted(calls) == sorted(distinct)
+        assert sorted(fills) == sorted((4, start) for start in intervals)
+        assert len(intervals) < len(used) - 30
 
-    def test_each_address_parsed_once(self, capsys, tmp_path, monkeypatch):
-        # after the tables load: every endpoint once, and each distinct hop address once, however often it recurs
+    def test_each_hop_occurrence_parsed_once(self, capsys, tmp_path, monkeypatch):
+        # after the tables load: every endpoint once and every responsive hop once, however often its address
+        # recurs, and only the scope id goes through ipaddress
         from geonorm import enrichment, pipeline
 
         rng = random.Random(4)
@@ -748,15 +806,16 @@ class TestResolveOnce:
                                      "timestamp": 1518048000 + i, "hops": hops}))
         corpus = tmp_path / "traces.ndjson"
         corpus.write_text("\n".join(lines) + "\n")
-        distinct = {h["ip"] for line in lines for h in json.loads(line)["hops"] if h["ip"] is not None}
-        assert len(distinct) == len(pool) < enrichment.RESOLVE_CAP
-        parsed = []
-        real_parse, real_load = enrichment.parse_ip, cli._load_enrichment
+        occurrences = [h["ip"] for line in lines for h in json.loads(line)["hops"] if h["ip"] is not None]
+        assert set(occurrences) == set(pool)
+        parsed, slow = [], []
+        real_parse, real_load, real_ip_address = enrichment.parse_ip, cli._load_enrichment, ipaddress.ip_address
 
         def load_then_count(cfg):
             loaded = real_load(cfg)
             for module in (enrichment, pipeline):
                 monkeypatch.setattr(module, "parse_ip", lambda text: parsed.append(text) or real_parse(text))
+            monkeypatch.setattr(ipaddress, "ip_address", lambda text: slow.append(text) or real_ip_address(text))
             return loaded
 
         monkeypatch.setattr(cli, "_load_enrichment", load_then_count)
@@ -766,4 +825,5 @@ class TestResolveOnce:
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert sum(doc["totals"].values()) == len(lines)
         assert set(doc["skip_log"]) == {"empty_path", "unresolved_source", "unresolved_destination"}
-        assert len(parsed) == 2 * len(lines) + len(distinct)
+        assert len(parsed) == 2 * len(lines) + len(occurrences)
+        assert slow == [ip for ip in occurrences if ip == "fe80::1%eth0"] != []

@@ -522,35 +522,119 @@ ANY_ADDRESS = (
 )
 
 
-class TestResolveMemo:
+ROOTS = [ipaddress.ip_network("0.0.0.0/0"), ipaddress.ip_network("::/0")]
+
+
+def nested_networks(rng, n):
+    """n networks in both families: more-specifics of earlier ones, networks around the special ranges
+    (inside one, equal to it or holding it) and networks anywhere, the default routes included."""
+    nets = []
+    for _ in range(n):
+        kind = rng.random()
+        if nets and kind < 0.45:
+            outer, shorter, longer = rng.choice(nets), 0, 16
+        elif kind < 0.7:
+            outer, shorter, longer = rng.choice(SPECIAL_NETWORKS), 4, 8
+        else:
+            outer, shorter, longer = rng.choice(ROOTS), 0, 128
+        plen = rng.randint(max(outer.prefixlen - shorter, 0), min(outer.prefixlen + longer, outer.max_prefixlen))
+        addr = int(outer.network_address) + rng.randrange(outer.num_addresses)
+        nets.append(type(outer)((addr, plen), strict=False))
+    return nets
+
+
+@st.composite
+def interval_case(draw):
+    """(geo rows, origin rows with conflicting duplicates for first_wins, registry, rng) of nested prefixes."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    geo = {str(net): rng.choice(["AA", "AB", "DE"]) for net in nested_networks(rng, draw(st.integers(0, 30)))}
+    origin = [(str(net), rng.randint(1, 6)) for net in nested_networks(rng, draw(st.integers(0, 30)))]
+    origin += [(cidr, rng.randint(1, 6)) for cidr, _ in rng.sample(origin, len(origin) // 4)]  # first_wins keeps the first
+    return list(geo.items()), origin, {1: "US", 2: "BG", 3: "AA", 6: "DE"}, rng
+
+
+def spellings(addr):
+    text = str(addr)
+    return [text, addr.exploded.upper()] if addr.version == 6 else [text]
+
+
+class TestIntervals:
+    """Enrichment.resolve and Enrichment.locate against resolve_hop and geo.probe over the same tables."""
+
     def enrichment(self):
         return Enrichment(geo=GEO, origin=ORIGIN, registry=REGISTRY)
+
+    @given(interval_case())
+    def test_matches_resolve_hop_at_every_interval_edge(self, case):
+        geo_rows, origin_rows, registry, rng = case
+        geo, origin = table(*geo_rows), table(*origin_rows, on_conflict="first_wins")
+        enr = Enrichment(geo=geo, origin=origin, registry=registry)
+        # every interval starts at some prefix's first address or just past its last, so the edges of every
+        # prefix are start-1, start, end and end+1 of every interval
+        nets = [ipaddress.ip_network(cidr) for cidr, _ in geo_rows + origin_rows] + SPECIAL_NETWORKS
+        addrs = {addr for net in nets for addr in edges(net)}
+        addrs |= {ipaddress.IPv4Address(0), ipaddress.IPv4Address(2**32 - 1), ipaddress.IPv6Address(0),
+                  ipaddress.IPv6Address(2**128 - 1), ipaddress.IPv4Address(rng.getrandbits(32)),
+                  ipaddress.IPv6Address(rng.getrandbits(128))}
+        probes = [text for addr in sorted(addrs, key=lambda a: (a.version, a)) for text in spellings(addr)]
+        probes += ["fe80::1%eth0", "2001:db8::1%1"]
+        rng.shuffle(probes)
+        for text in probes + probes:  # the first hit on an interval fills it, a later one reads it
+            version, value = parse_ip(text)
+            checks = [
+                lambda: enr.resolve(text) == resolve_hop(geo, origin, registry, text),
+                lambda: enr.locate(version, value) == geo.probe(version, value),
+            ]
+            rng.shuffle(checks)  # either lookup may be the one that fills
+            assert all(check() for check in checks), text
+
+    @given(interval_case())
+    def test_one_fill_per_interval(self, case):
+        geo_rows, origin_rows, registry, rng = case
+        geo, origin = table(*geo_rows), table(*origin_rows, on_conflict="first_wins")
+        enr = Enrichment(geo=geo, origin=origin, registry=registry)
+        fills = []
+        real = enrichment_mod._resolve_at
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enrichment_mod, "_resolve_at", lambda *args: fills.append(args[-2:]) or real(*args))
+            for _ in range(2):
+                for _ in range(200):
+                    enr.resolve(str(ipaddress.IPv4Address(rng.getrandbits(32))))
+                    enr.locate(6, rng.getrandbits(128))
+        assert len(fills) == len(set(fills))
+        # the intervals are bounded by the tables: two edges per distinct prefix, and address 0
+        for version in (4, 6):
+            prefixes = {cidr for cidr, _ in geo_rows + origin_rows if ipaddress.ip_network(cidr).version == version}
+            prefixes |= {str(net) for net in SPECIAL_NETWORKS if net.version == version}
+            assert sum(v == version for v, _ in fills) <= 2 * len(prefixes) + 1
 
     @given(st.lists(ANY_ADDRESS, min_size=1, max_size=30))
     def test_equals_fresh_resolution(self, ips):
         enr = self.enrichment()
-        for ip in ips + ips:  # the second pass answers from the memo
+        for ip in ips + ips:  # the second pass reads filled intervals
             assert enr.resolve(ip, 1.0) == resolve_hop(GEO, ORIGIN, REGISTRY, ip)
 
-    def test_keyed_by_the_text_as_given(self):
+    def test_spellings_share_one_interval(self):
         enr = self.enrichment()
-        spellings = ["2001:DB8::1", "2001:db8::1", "2001:db8:0:0:0:0:0:1", "20.1.0.9"]
-        for ip in spellings + spellings:
-            assert enr.resolve(ip) == resolve_hop(GEO, ORIGIN, REGISTRY, ip)
-        assert sorted(enr._memo) == sorted(spellings)
+        first = enr.resolve("2001:DB8::1")
+        for ip in ["2001:db8::1", "2001:db8:0:0:0:0:0:1", "2001:db8::1%eth0"]:
+            assert enr.resolve(ip) is first
+        assert enr.resolve("20.1.0.9") is enr.resolve("20.1.255.255") == resolve_hop(GEO, ORIGIN, REGISTRY, "20.1.0.9")
 
-    def test_never_exceeds_cap(self, monkeypatch):
-        monkeypatch.setattr(enrichment_mod, "RESOLVE_CAP", 8)
+    def test_filled_slots_bounded_by_the_tables(self):
+        # 1,000 distinct addresses fill at most one slot per interval: two edges per prefix, and address 0
         enr = self.enrichment()
-        for i in range(100):
-            ip = f"20.1.{i % 23}.{i}"
+        for i in range(1000):
+            ip = f"{20 + i % 23}.{i % 256}.{i % 7}.{i % 251}"
             assert enr.resolve(ip) == resolve_hop(GEO, ORIGIN, REGISTRY, ip)
-            assert 1 <= len(enr._memo) <= 8
+        starts, slots = enr._intervals[4]
+        filled = [slot for slot in slots if slot is not None]
+        assert 0 < len(filled) <= len(starts) <= 2 * (2 + 2 + sum(net.version == 4 for net in SPECIAL_NETWORKS)) + 1
 
-    def test_memo_is_not_part_of_equality(self):
+    def test_intervals_are_not_part_of_equality(self):
         a, b = self.enrichment(), self.enrichment()
         a.resolve("20.1.0.9")
-        assert a == b and "_memo" not in repr(a)
+        assert a == b and "_intervals" not in repr(a)
 
 
 def test_socket_module_stays_unimported():

@@ -914,7 +914,7 @@ class TestCountryCaps:
         owner = {id(row[7]): row[0] for row in w.country_caps if row[7]}
         owner.update((id(poly._cap), iso2) for iso2, cb in w.borders.items() for poly in cb.polygons)
         reached = []
-        # pair_hull's own _apart, between two PointSet caps, owns no city or polygon cap
+        # only normal_set's scan reaches the patch: pair_hull's caps-apart test runs in sphere.PointSet.union
         monkeypatch.setattr(normality_mod, "_apart", lambda c, cos, sin, cap: reached.append(owner.get(id(cap))) or _apart(c, cos, sin, cap))
         rng = random.Random(5)
         far_total = 0

@@ -294,7 +294,7 @@ class TestToTuplePath:
         assert tp.dropped_hops == 0
 
     def test_hops_are_the_resolvers_own_objects(self, small_enrichment):
-        # a fresh memo, so no entry is evicted between the two resolutions
+        # each interval builds its resolution once, so both lookups hand out the same object
         enrichment = Enrichment(small_enrichment.geo, small_enrichment.origin, small_enrichment.registry)
         rec = record("20.1.0.1", "40.1.0.99", ["20.1.0.5", "20.1.0.77", "99.9.9.9", "30.1.0.5"])
         tp = to_tuple_path(rec, enrichment)
